@@ -1,8 +1,7 @@
 //! Property tests for the macro-benchmark statistics (`dabench_core::bench`).
 //!
-//! Same policy as `obs_props.rs`: the vendored-deps rule keeps `proptest`
-//! out, so these are hand-rolled properties driven by a seeded xorshift*
-//! generator — every failure reproduces from its printed seed.
+//! Properties driven by the seeded [`SplitMix64`] generator — every
+//! failure reproduces from its printed seed.
 //!
 //! Properties covered (docs/benchmarking.md):
 //! - `median_ns` / `mad_ns` agree with an independent naive reference,
@@ -20,33 +19,12 @@ use dabench_core::bench::{
     iter_plan, mad_ns, median_ns, summarize, trim, trim_floor, BenchKind, BenchRecord, BenchReport,
     CounterRow, IterPlan, PhaseRow, TrajectoryEntry,
 };
-
-/// Small deterministic generator (xorshift*), mirroring `obs_props.rs`.
-struct Rng(u64);
-
-impl Rng {
-    fn new(seed: u64) -> Self {
-        Rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1)
-    }
-
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.0 = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 8
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n.max(1)
-    }
-}
+use dabench_core::SplitMix64;
 
 /// Random sample vector; mixes three scales so trimming has real outliers
 /// to chew on, plus occasional near-`u64::MAX` values to provoke naive
 /// midpoint overflow.
-fn gen_samples(rng: &mut Rng) -> Vec<u64> {
+fn gen_samples(rng: &mut SplitMix64) -> Vec<u64> {
     let n = rng.below(40) as usize;
     (0..n)
         .map(|_| match rng.below(10) {
@@ -79,7 +57,7 @@ fn naive_mad(samples: &[u64]) -> u64 {
 #[test]
 fn median_and_mad_match_naive_reference() {
     for seed in 0..200u64 {
-        let mut rng = Rng::new(seed);
+        let mut rng = SplitMix64::new(seed);
         let samples = gen_samples(&mut rng);
         assert_eq!(
             median_ns(&samples),
@@ -97,7 +75,7 @@ fn median_and_mad_match_naive_reference() {
 #[test]
 fn trim_respects_floor_subset_and_order() {
     for seed in 0..200u64 {
-        let mut rng = Rng::new(seed);
+        let mut rng = SplitMix64::new(seed);
         let samples = gen_samples(&mut rng);
         let kept = trim(&samples);
 
@@ -145,7 +123,7 @@ fn trim_respects_floor_subset_and_order() {
 #[test]
 fn summarize_is_consistent_with_trim() {
     for seed in 0..100u64 {
-        let mut rng = Rng::new(seed);
+        let mut rng = SplitMix64::new(seed);
         let samples = gen_samples(&mut rng);
         let s = summarize(&samples);
         let kept = trim(&samples);
@@ -190,7 +168,7 @@ const NAMES: [&str; 8] = [
     "uni—code·µ",
 ];
 
-fn gen_record(rng: &mut Rng) -> BenchRecord {
+fn gen_record(rng: &mut SplitMix64) -> BenchRecord {
     let kinds = [BenchKind::Experiment, BenchKind::Compile, BenchKind::Micro];
     let kind = kinds[rng.below(3) as usize];
     let plan = IterPlan {
@@ -228,7 +206,7 @@ fn gen_record(rng: &mut Rng) -> BenchRecord {
 #[test]
 fn report_json_round_trips_byte_exactly() {
     for seed in 0..100u64 {
-        let mut rng = Rng::new(seed);
+        let mut rng = SplitMix64::new(seed);
         let report = BenchReport {
             quick: rng.below(2) == 1,
             benchmarks: (0..rng.below(5)).map(|_| gen_record(&mut rng)).collect(),
@@ -236,7 +214,7 @@ fn report_json_round_trips_byte_exactly() {
                 .map(|_| TrajectoryEntry {
                     bench: NAMES[rng.below(8) as usize].to_owned(),
                     label: NAMES[rng.below(8) as usize].to_owned(),
-                    median_ns: rng.next(),
+                    median_ns: rng.next_u64(),
                 })
                 .collect(),
         };

@@ -1,9 +1,7 @@
 //! Property tests for the scenario-space generator (`dabench_core::gen`).
 //!
-//! Same policy as `bench_props.rs` / `shard_props.rs`: the vendored-deps
-//! rule keeps `proptest` out, so these are hand-rolled properties driven
-//! by a seeded xorshift* generator — every failure reproduces from its
-//! printed seed.
+//! Properties driven by the seeded [`SplitMix64`] generator — every
+//! failure reproduces from its printed seed.
 //!
 //! Properties covered (docs/generation.md):
 //! - the sampler is a pure function: `sample(tier, seed, index)` is
@@ -22,37 +20,16 @@ use dabench_core::gen::{
     check_batch_ladder, check_determinism, check_fault_monotone, check_fp8_kv, format_label,
     parse_label, population, sample, Invariant, LadderPoint, ScenarioKind, Tier,
 };
-
-/// Small deterministic generator (xorshift*), mirroring `bench_props.rs`.
-struct Rng(u64);
-
-impl Rng {
-    fn new(seed: u64) -> Self {
-        Rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1)
-    }
-
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.0 = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n.max(1)
-    }
-}
+use dabench_core::SplitMix64;
 
 const CASES: u64 = 32;
 
 #[test]
 fn sampler_is_a_pure_function() {
-    let mut rng = Rng::new(0xD0_0001);
+    let mut rng = SplitMix64::new(0xD0_0001);
     for case in 0..CASES {
         let tier = Tier::ALL[rng.below(Tier::ALL.len() as u64) as usize];
-        let seed = rng.next();
+        let seed = rng.next_u64();
         let index = rng.below(1000);
         let a = sample(tier, seed, index);
         let b = sample(tier, seed, index);
@@ -67,10 +44,10 @@ fn sampler_is_a_pure_function() {
 
 #[test]
 fn population_agrees_with_per_index_sampling() {
-    let mut rng = Rng::new(0xD0_0002);
+    let mut rng = SplitMix64::new(0xD0_0002);
     for case in 0..CASES {
         let tier = Tier::ALL[rng.below(Tier::ALL.len() as u64) as usize];
-        let seed = rng.next();
+        let seed = rng.next_u64();
         let count = 1 + rng.below(40);
         let pop = population(tier, seed, count);
         assert_eq!(pop.len() as u64, count, "case {case}");
@@ -82,10 +59,10 @@ fn population_agrees_with_per_index_sampling() {
 
 #[test]
 fn labels_round_trip_and_reject_malformed_input() {
-    let mut rng = Rng::new(0xD0_0003);
+    let mut rng = SplitMix64::new(0xD0_0003);
     for _ in 0..CASES {
         let tier = Tier::ALL[rng.below(Tier::ALL.len() as u64) as usize];
-        let (seed, index) = (rng.next(), rng.below(10_000));
+        let (seed, index) = (rng.next_u64(), rng.below(10_000));
         let label = format_label(tier, seed, index);
         assert_eq!(parse_label(&label), Some((tier, seed, index)), "{label}");
         // A label is comma-free by construction: shard workers join
@@ -124,9 +101,9 @@ fn higher_tiers_mean_bigger_models_and_denser_faults() {
     // tier pair, the higher tier's population has >= mean FLOPs and
     // >= mean fault density. Checked over several seeds with a population
     // large enough to wash out sampling noise.
-    let mut rng = Rng::new(0xD0_0004);
+    let mut rng = SplitMix64::new(0xD0_0004);
     for _ in 0..6 {
-        let seed = rng.next();
+        let seed = rng.next_u64();
         let means: Vec<(f64, f64)> = Tier::ALL.iter().map(|t| tier_means(*t, seed, 96)).collect();
         for w in means.windows(2) {
             let ((lo_flops, lo_density), (hi_flops, hi_density)) = (w[0], w[1]);
@@ -144,10 +121,10 @@ fn higher_tiers_mean_bigger_models_and_denser_faults() {
 
 #[test]
 fn every_sampled_scenario_is_internally_consistent() {
-    let mut rng = Rng::new(0xD0_0005);
+    let mut rng = SplitMix64::new(0xD0_0005);
     for _ in 0..CASES {
         let tier = Tier::ALL[rng.below(Tier::ALL.len() as u64) as usize];
-        let seed = rng.next();
+        let seed = rng.next_u64();
         for s in population(tier, seed, 48) {
             let label = s.label();
             assert!(
@@ -278,7 +255,7 @@ fn determinism_checker_names_the_differing_byte() {
 
 #[test]
 fn random_perturbations_of_valid_records_always_trip_determinism() {
-    let mut rng = Rng::new(0xD0_0006);
+    let mut rng = SplitMix64::new(0xD0_0006);
     let original = "gen-v1 label=gen:baby:s1:i0 kind=train\n  wse batch=2 tokens_per_s=1.0e3\n";
     for case in 0..CASES {
         let mut bytes = original.as_bytes().to_vec();

@@ -1,7 +1,6 @@
 //! Property tests for the observability recorder (`dabench_core::obs`).
 //!
-//! The vendored-deps policy rules out `proptest`, so these are hand-rolled
-//! properties: a seeded generator produces random instrumentation
+//! A seeded [`SplitMix64`] stream produces random instrumentation
 //! "programs" (nested spans, counters, slices, panics), the real recorder
 //! executes them — through `par_map`, exactly like production code — and
 //! the resulting traces are checked against structural invariants and an
@@ -19,7 +18,7 @@
 //! mutex that serializes recorder use across the harness's test threads.
 
 use dabench_core::obs::{self, Event, Phase, PointTrace};
-use dabench_core::par_map;
+use dabench_core::{par_map, SplitMix64};
 use std::collections::BTreeMap;
 use std::sync::{Mutex, MutexGuard};
 
@@ -41,29 +40,6 @@ impl Drop for Session {
     fn drop(&mut self) {
         obs::disable();
         let _ = obs::take();
-    }
-}
-
-/// Small deterministic generator (xorshift*); no external crates, no
-/// global entropy, so every failure reproduces from its printed seed.
-struct Rng(u64);
-
-impl Rng {
-    fn new(seed: u64) -> Self {
-        Rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1)
-    }
-
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.0 = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 8
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n.max(1)
     }
 }
 
@@ -93,7 +69,7 @@ enum Op {
     Slice(&'static str, &'static str, f64, f64),
 }
 
-fn gen_ops(rng: &mut Rng, depth: u64, budget: &mut u64) -> Vec<Op> {
+fn gen_ops(rng: &mut SplitMix64, depth: u64, budget: &mut u64) -> Vec<Op> {
     let mut ops = Vec::new();
     while *budget > 0 && rng.below(4) != 0 {
         *budget -= 1;
@@ -154,7 +130,7 @@ fn model_counters(ops: &[Op], phase: Option<Phase>, acc: &mut BTreeMap<(&str, &s
 fn random_programs_produce_well_formed_traces() {
     let _s = session();
     for seed in 0..60u64 {
-        let mut rng = Rng::new(seed);
+        let mut rng = SplitMix64::new(seed);
         let programs: Vec<Vec<Op>> = (0..4)
             .map(|_| {
                 let mut budget = 24;
@@ -174,7 +150,7 @@ fn random_programs_produce_well_formed_traces() {
 fn counter_totals_reconcile_with_a_program_replay() {
     let _s = session();
     for seed in 100..160u64 {
-        let mut rng = Rng::new(seed);
+        let mut rng = SplitMix64::new(seed);
         let programs: Vec<Vec<Op>> = (0..4)
             .map(|_| {
                 let mut budget = 24;
@@ -210,7 +186,7 @@ fn counter_totals_reconcile_with_a_program_replay() {
 fn panicking_programs_still_close_every_span() {
     let _s = session();
     for seed in 200..240u64 {
-        let mut rng = Rng::new(seed);
+        let mut rng = SplitMix64::new(seed);
         let mut budget = 24;
         let program = gen_ops(&mut rng, 0, &mut budget);
         let fuse = rng.below(8);
@@ -250,7 +226,7 @@ fn burn(ops: &[Op], fuse: &mut u64) {
 fn digests_round_trip_recorded_traces() {
     let _s = session();
     for seed in 300..360u64 {
-        let mut rng = Rng::new(seed);
+        let mut rng = SplitMix64::new(seed);
         let programs: Vec<Vec<Op>> = (0..3)
             .map(|_| {
                 let mut budget = 20;

@@ -1,10 +1,8 @@
 //! Property tests for the sharded-sweep journal merge
 //! (`dabench_core::shard`).
 //!
-//! Same policy as `bench_props.rs` / `obs_props.rs`: the vendored-deps rule
-//! keeps `proptest` out, so these are hand-rolled properties driven by a
-//! seeded xorshift* generator — every failure reproduces from its printed
-//! seed.
+//! Properties driven by the seeded [`SplitMix64`] generator — every
+//! failure reproduces from its printed seed.
 //!
 //! Properties covered (docs/sharding.md):
 //! - merging randomly partitioned per-shard journals — with random
@@ -26,37 +24,12 @@ use dabench_core::supervise::{
     format_record, parse_journal, JournalRecord, ParsedJournal, JOURNAL_SCHEMA,
     SHARD_CONTROL_LABEL, STATUS_HEARTBEAT, STATUS_SHARD_META, STATUS_STARTED,
 };
+use dabench_core::SplitMix64;
 use std::collections::BTreeMap;
-
-/// Small deterministic generator (xorshift*), mirroring `bench_props.rs`.
-struct Rng(u64);
-
-impl Rng {
-    fn new(seed: u64) -> Self {
-        Rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1)
-    }
-
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.0 = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 8
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n.max(1)
-    }
-
-    fn chance(&mut self, pct: u64) -> bool {
-        self.below(100) < pct
-    }
-}
 
 /// Random point data exercising every journal escape class: quotes,
 /// backslashes, newlines, tabs, control bytes, non-ASCII.
-fn gen_data(rng: &mut Rng) -> String {
+fn gen_data(rng: &mut SplitMix64) -> String {
     let pieces = [
         "plain",
         "with \"quotes\"",
@@ -83,14 +56,14 @@ struct Sweep {
     metrics: BTreeMap<String, String>,
 }
 
-fn gen_sweep(rng: &mut Rng) -> Sweep {
+fn gen_sweep(rng: &mut SplitMix64) -> Sweep {
     let n = 1 + rng.below(24) as usize;
     let order: Vec<String> = (0..n).map(|i| format!("point-{i:02}")).collect();
     let mut data = BTreeMap::new();
     let mut metrics = BTreeMap::new();
     for label in &order {
         data.insert(label.clone(), gen_data(rng));
-        if rng.chance(60) {
+        if rng.below(100) < 60 {
             metrics.insert(label.clone(), format!("digest {}", gen_data(rng)));
         }
     }
@@ -120,7 +93,12 @@ fn unsharded_journal(sweep: &Sweep) -> String {
 /// label's records with random worker noise — extra process lives
 /// (`started` repeated after an injected transient failure), heartbeats
 /// between points, and optionally a torn trailing line the parser heals.
-fn shard_journal_text(rng: &mut Rng, sweep: &Sweep, shard: usize, labels: &[String]) -> String {
+fn shard_journal_text(
+    rng: &mut SplitMix64,
+    sweep: &Sweep,
+    shard: usize,
+    labels: &[String],
+) -> String {
     let mut text = format!("{{\"schema\":\"{JOURNAL_SCHEMA}\"}}\n");
     text.push_str(&format_record(
         SHARD_CONTROL_LABEL,
@@ -138,12 +116,12 @@ fn shard_journal_text(rng: &mut Rng, sweep: &Sweep, shard: usize, labels: &[Stri
                 &format!("life={life}"),
             ));
             text.push('\n');
-            if rng.chance(40) {
+            if rng.below(100) < 40 {
                 text.push_str(&format_record(label, "failed", "transient worker death"));
                 text.push('\n');
             }
         }
-        if rng.chance(50) {
+        if rng.below(100) < 50 {
             beat += 1;
             text.push_str(&format_record(
                 SHARD_CONTROL_LABEL,
@@ -167,7 +145,7 @@ fn shard_journal_text(rng: &mut Rng, sweep: &Sweep, shard: usize, labels: &[Stri
 /// Random torn tail: a prefix of what the next record would have been,
 /// cut mid-line with no trailing newline (a crash between `write` and
 /// durability). `parse_journal` must heal it.
-fn append_torn_tail(rng: &mut Rng, text: &mut String) {
+fn append_torn_tail(rng: &mut SplitMix64, text: &mut String) {
     let full = format_record("torn-point", "completed", "never made it");
     let cut = 1 + rng.below(full.len() as u64 - 1) as usize;
     let mut cut = cut;
@@ -191,7 +169,7 @@ fn parse(text: &str, expect_tail: bool) -> ParsedJournal {
 #[test]
 fn random_partitions_merge_byte_identical_to_unsharded() {
     for seed in 0..300u64 {
-        let mut rng = Rng::new(seed);
+        let mut rng = SplitMix64::new(seed);
         let sweep = gen_sweep(&mut rng);
         let expected = unsharded_journal(&sweep);
 
@@ -212,7 +190,7 @@ fn random_partitions_merge_byte_identical_to_unsharded() {
         let mut sources = vec![ParsedJournal::default()]; // empty combined journal
         for (shard, labels) in plan.iter().enumerate() {
             let mut text = shard_journal_text(&mut rng, &sweep, shard, labels);
-            let torn = rng.chance(40);
+            let torn = rng.below(100) < 40;
             if torn {
                 append_torn_tail(&mut rng, &mut text);
             }
@@ -322,7 +300,7 @@ fn naive_merge(
 /// Arbitrary record soup: sources that *disagree* — different data for the
 /// same label, failures shadowing completions, control noise, labels
 /// outside the canonical order — to pin the precedence rules themselves.
-fn gen_soup(rng: &mut Rng, order: &[String]) -> ParsedJournal {
+fn gen_soup(rng: &mut SplitMix64, order: &[String]) -> ParsedJournal {
     let statuses = [
         "completed",
         "metrics",
@@ -334,10 +312,10 @@ fn gen_soup(rng: &mut Rng, order: &[String]) -> ParsedJournal {
     let n = rng.below(30) as usize;
     let records = (0..n)
         .map(|_| {
-            if rng.chance(10) {
+            if rng.below(100) < 10 {
                 return JournalRecord {
                     label: SHARD_CONTROL_LABEL.to_owned(),
-                    status: Some(if rng.chance(50) {
+                    status: Some(if rng.below(100) < 50 {
                         STATUS_HEARTBEAT.to_owned()
                     } else {
                         STATUS_SHARD_META.to_owned()
@@ -345,7 +323,7 @@ fn gen_soup(rng: &mut Rng, order: &[String]) -> ParsedJournal {
                     data: Some("noise".to_owned()),
                 };
             }
-            let label = if rng.chance(85) {
+            let label = if rng.below(100) < 85 {
                 order[rng.below(order.len() as u64) as usize].clone()
             } else {
                 "stranger".to_owned()
@@ -353,7 +331,7 @@ fn gen_soup(rng: &mut Rng, order: &[String]) -> ParsedJournal {
             JournalRecord {
                 label,
                 status: Some(statuses[rng.below(statuses.len() as u64) as usize].to_owned()),
-                data: if rng.chance(85) {
+                data: if rng.below(100) < 85 {
                     Some(gen_data(rng))
                 } else {
                     None
@@ -371,7 +349,7 @@ fn gen_soup(rng: &mut Rng, order: &[String]) -> ParsedJournal {
 #[test]
 fn merge_precedence_matches_naive_reference() {
     for seed in 0..300u64 {
-        let mut rng = Rng::new(seed ^ 0x0D15_C04D);
+        let mut rng = SplitMix64::new(seed ^ 0x0D15_C04D);
         let n = 1 + rng.below(10) as usize;
         let order: Vec<String> = (0..n).map(|i| format!("p{i}")).collect();
         let sources: Vec<ParsedJournal> = (0..1 + rng.below(4))
@@ -379,7 +357,7 @@ fn merge_precedence_matches_naive_reference() {
             .collect();
         let mut synthetic = BTreeMap::new();
         for label in &order {
-            if rng.chance(25) {
+            if rng.below(100) < 25 {
                 synthetic.insert(
                     label.clone(),
                     SyntheticFailure {
@@ -401,7 +379,7 @@ fn merge_precedence_matches_naive_reference() {
 #[test]
 fn plan_shards_is_a_deterministic_round_robin_partition() {
     for seed in 0..200u64 {
-        let mut rng = Rng::new(seed ^ 0x000F_1EE7);
+        let mut rng = SplitMix64::new(seed ^ 0x000F_1EE7);
         let n = rng.below(40) as usize;
         let labels: Vec<String> = (0..n).map(|i| format!("L{i}")).collect();
         let shards = rng.below(12) as usize;

@@ -168,7 +168,7 @@ fn deep_compile_workload() -> TrainingWorkload {
 ///
 /// Panics on an unknown name — [`CASES`] is the authoritative list.
 #[must_use]
-pub fn make_body(name: &str) -> Box<dyn FnMut()> {
+fn make_body(name: &str) -> Box<dyn FnMut()> {
     match name {
         "check" => Box::new(|| {
             let checks = validation::run();

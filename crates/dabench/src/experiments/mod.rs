@@ -2,9 +2,9 @@
 //! evaluation (Secs. V and VI).
 //!
 //! Every module exposes `run()` returning typed rows and `render()`
-//! producing the paper-shaped text table; the Criterion benches in
-//! `dabench-bench` wrap exactly these entry points. See DESIGN.md for the
-//! experiment index and EXPERIMENTS.md for paper-vs-measured numbers.
+//! producing the paper-shaped text table; the CLI and `dabench bench` call
+//! exactly these entry points through [`crate::suite`]. See DESIGN.md for
+//! the experiment index and EXPERIMENTS.md for paper-vs-measured numbers.
 
 pub mod ablations;
 pub mod fig10;

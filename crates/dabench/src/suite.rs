@@ -2,9 +2,9 @@
 //! render, addressable by name.
 //!
 //! This used to live in the `dabench` binary; it moved here so the
-//! macro-benchmark harness ([`crate::bench_suite`]) and the criterion
-//! targets in `crates/bench` can time the *exact* renderings the CLI
-//! prints, instead of maintaining parallel workload definitions.
+//! macro-benchmark harness ([`crate::bench_suite`]) can time the *exact*
+//! renderings the CLI prints, instead of maintaining parallel workload
+//! definitions.
 
 use crate::core::par_map;
 use crate::experiments::{

@@ -9,12 +9,10 @@
 
 pub mod plan;
 pub mod report;
-pub mod rng;
 pub mod spec;
 pub mod sweep;
 
 pub use plan::{FaultPlan, PlannedFault, PlatformKind};
 pub use report::{render_report, ResilienceReport, SweepPoint};
-pub use rng::SplitMix64;
 pub use spec::{PlanSpec, PlanSpecError};
 pub use sweep::{resilience_sweep, FAULT_FRACTIONS};

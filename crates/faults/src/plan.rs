@@ -7,9 +7,8 @@
 //! dead PE rectangles on the WSE wafer, failed PCU/PMU populations and
 //! tiles on the RDU, dropped devices in the IPU's BSP pipeline.
 
-use crate::rng::SplitMix64;
 use crate::spec::PlanSpec;
-use dabench_core::{DeadRect, Fault, FaultKind, FaultSet};
+use dabench_core::{DeadRect, Fault, FaultKind, FaultSet, SplitMix64};
 
 /// The architectural family a plan targets; decides which fault shapes
 /// the generator draws.

@@ -2,9 +2,8 @@
 
 use crate::plan::{FaultPlan, PlatformKind};
 use crate::report::{ResilienceReport, SweepPoint};
-use crate::rng::SplitMix64;
 use crate::spec::PlanSpec;
-use dabench_core::{catch_labeled, par_map, Degradable};
+use dabench_core::{catch_labeled, par_map, Degradable, SplitMix64};
 use dabench_model::TrainingWorkload;
 
 /// Dead-fabric fractions every sweep visits, in order.

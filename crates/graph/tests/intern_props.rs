@@ -3,39 +3,23 @@
 //! equivalence, and the cost-patch primitive that backs incremental sweep
 //! recompilation.
 //!
-//! Generators are hand-rolled (SplitMix64), matching the house style of
-//! the supervisor and sharding tests: no `proptest` runtime in the loop,
-//! every case reproducible from the printed seed.
+//! Generators draw from the seeded [`SplitMix64`]: every case reproduces
+//! from the printed seed.
 
+use dabench_core::SplitMix64;
 use dabench_graph::{DataflowGraph, GraphBuilder, Interner};
 use dabench_model::ops::{self, Phase};
 use dabench_model::{ModelConfig, Precision, TrainingWorkload};
 
-/// Hand-rolled SplitMix64 — deterministic, seedable, dependency-free.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-
-    fn pick<'a, T>(&mut self, items: &'a [T]) -> &'a T {
-        &items[self.below(items.len() as u64) as usize]
-    }
+/// A uniformly chosen element of `items`.
+fn pick<T: Copy>(rng: &mut SplitMix64, items: &[T]) -> T {
+    items[rng.below(items.len() as u64) as usize]
 }
 
 /// A random op-shaped name: dotted segments over a small alphabet, so the
 /// population contains near-misses (shared prefixes/suffixes) that would
 /// expose a sloppy hash or a bucket-compare bug.
-fn random_name(rng: &mut Rng) -> String {
+fn random_name(rng: &mut SplitMix64) -> String {
     const SEGMENTS: [&str; 12] = [
         "qkv_proj", "rope", "softmax", "mlp_up", "mlp_down", "norm1", "norm2", "fwd", "bwd", "upd",
         "attn", "loss",
@@ -51,7 +35,7 @@ fn random_name(rng: &mut Rng) -> String {
         if i > 0 {
             s.push('.');
         }
-        s.push_str(rng.pick::<&str>(&SEGMENTS[..]));
+        s.push_str(pick(rng, &SEGMENTS));
     }
     if rng.below(3) == 0 {
         s.push_str(&rng.below(10_000).to_string());
@@ -61,7 +45,7 @@ fn random_name(rng: &mut Rng) -> String {
 
 #[test]
 fn intern_resolve_round_trips_and_dedups_10k_seeded_names() {
-    let mut rng = Rng(0xDAB3_2024);
+    let mut rng = SplitMix64::new(0xDAB3_2024);
     let mut interner = Interner::new();
     let mut by_name: std::collections::HashMap<String, dabench_graph::Symbol> =
         std::collections::HashMap::new();
@@ -98,22 +82,22 @@ fn intern_resolve_round_trips_and_dedups_10k_seeded_names() {
 /// Random topology-preserving workload menu: the step-graph shape depends
 /// only on (family, num_layers), so points sharing those differ in costs
 /// alone.
-fn random_workload(rng: &mut Rng) -> TrainingWorkload {
+fn random_workload(rng: &mut SplitMix64) -> TrainingWorkload {
     let layers = 1 + rng.below(6);
-    let hidden = *rng.pick(&[256u64, 512, 768]);
+    let hidden = pick(rng, &[256u64, 512, 768]);
     let model = if rng.below(2) == 0 {
         ModelConfig::gpt2_probe(hidden, layers)
     } else {
         ModelConfig::llama2_probe(hidden, layers)
     };
     let batch = 1 + rng.below(32);
-    let seq = *rng.pick(&[128u64, 256, 512]);
+    let seq = pick(rng, &[128u64, 256, 512]);
     TrainingWorkload::new(model, batch, seq, Precision::Fp16)
 }
 
 #[test]
 fn arena_graph_matches_op_catalogue_for_random_workloads() {
-    let mut rng = Rng(0x5EED_0001);
+    let mut rng = SplitMix64::new(0x5EED_0001);
     for trial in 0..40 {
         let w = random_workload(&mut rng);
         let graph = GraphBuilder::for_workload(&w);
@@ -209,14 +193,14 @@ fn assert_graphs_identical(a: &DataflowGraph, b: &DataflowGraph, ctx: &str) {
 
 #[test]
 fn cost_patch_equals_rebuild_from_scratch_on_random_deltas() {
-    let mut rng = Rng(0x5EED_0002);
+    let mut rng = SplitMix64::new(0x5EED_0002);
     for trial in 0..40 {
         let base = random_workload(&mut rng);
         // A topology-preserving delta: batch and/or sequence change, the
         // (family, layers) shape stays — exactly the adjacent-sweep-point
         // case the incremental compile cache patches.
         let batch = 1 + rng.below(32);
-        let seq = *rng.pick(&[128u64, 256, 512]);
+        let seq = pick(&mut rng, &[128u64, 256, 512]);
         let next = TrainingWorkload::new(base.model().clone(), batch, seq, base.precision());
 
         let base_graph = GraphBuilder::for_workload(&base);

@@ -1,7 +1,11 @@
-//! Property-based tests of the inference workload cost model.
+//! Property-based tests of the inference workload cost model, sampled
+//! from a seeded [`SplitMix64`] stream.
 
+use dabench_core::SplitMix64;
 use dabench_model::{InferenceWorkload, InferenceWorkloadError, ModelConfig, Precision};
-use proptest::prelude::*;
+
+/// Sampled cases per property.
+const CASES: usize = 64;
 
 fn workload(batch: u64, prompt: u64, decode: u64) -> InferenceWorkload {
     InferenceWorkload::new(
@@ -14,97 +18,107 @@ fn workload(batch: u64, prompt: u64, decode: u64) -> InferenceWorkload {
     .expect("in-range dimensions")
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Decode arithmetic intensity falls monotonically as the context
-    /// grows for any batched workload: each cached token adds attention
-    /// FLOPs and KV bytes at a fixed 1 FLOP/B marginal ratio (h == kv_dim
-    /// at FP16), below the batch-amortized weight-stream intensity of
-    /// ~B FLOP/B — so long-context decode sinks toward the memory-bound
-    /// asymptote. At B=1 the marginal ratio equals the asymptote and the
-    /// curve is flat, which is exactly why batching is what creates
-    /// intensity headroom to lose.
-    #[test]
-    fn decode_intensity_is_monotone_decreasing_in_context(
-        batch_log in 1u32..7,
-        ctx in 16u64..8192,
-        step in 1u64..2048,
-    ) {
-        let w = workload(1u64 << batch_log, 128, 16);
+/// Decode arithmetic intensity falls monotonically as the context
+/// grows for any batched workload: each cached token adds attention
+/// FLOPs and KV bytes at a fixed 1 FLOP/B marginal ratio (h == kv_dim
+/// at FP16), below the batch-amortized weight-stream intensity of
+/// ~B FLOP/B — so long-context decode sinks toward the memory-bound
+/// asymptote. At B=1 the marginal ratio equals the asymptote and the
+/// curve is flat, which is exactly why batching is what creates
+/// intensity headroom to lose.
+#[test]
+fn decode_intensity_is_monotone_decreasing_in_context() {
+    let mut rng = SplitMix64::new(0x1C_0001);
+    for _ in 0..CASES {
+        let batch = 1u64 << (1 + rng.below(6));
+        let ctx = 16 + rng.below(8176);
+        let step = 1 + rng.below(2047);
+        let w = workload(batch, 128, 16);
         let near = w.decode_step_cost(ctx);
         let far = w.decode_step_cost(ctx + step);
-        prop_assert!(
+        assert!(
             far.intensity < near.intensity,
             "ctx {} -> {}: intensity {} !< {}",
-            ctx, ctx + step, far.intensity, near.intensity
+            ctx,
+            ctx + step,
+            far.intensity,
+            near.intensity
         );
     }
+}
 
-    /// Phase FLOPs are exactly linear in batch size: sequences do not
-    /// interact, so a batch of B costs B single-sequence passes.
-    #[test]
-    fn phase_flops_are_linear_in_batch(
-        batch in 2u64..128,
-        prompt in 16u64..2048,
-        decode in 1u64..256,
-    ) {
+/// Phase FLOPs are exactly linear in batch size: sequences do not
+/// interact, so a batch of B costs B single-sequence passes.
+#[test]
+fn phase_flops_are_linear_in_batch() {
+    let mut rng = SplitMix64::new(0x1C_0002);
+    for _ in 0..CASES {
+        let batch = 2 + rng.below(126);
+        let prompt = 16 + rng.below(2032);
+        let decode = 1 + rng.below(255);
         let one = workload(1, prompt, decode);
         let many = workload(batch, prompt, decode);
         let b = batch as f64;
-        prop_assert!((many.prefill_cost().flops - b * one.prefill_cost().flops).abs()
-            <= 1e-9 * many.prefill_cost().flops);
-        prop_assert!((many.decode_cost().flops - b * one.decode_cost().flops).abs()
-            <= 1e-9 * many.decode_cost().flops);
+        assert!(
+            (many.prefill_cost().flops - b * one.prefill_cost().flops).abs()
+                <= 1e-9 * many.prefill_cost().flops
+        );
+        assert!(
+            (many.decode_cost().flops - b * one.decode_cost().flops).abs()
+                <= 1e-9 * many.decode_cost().flops
+        );
     }
+}
 
-    /// GQA shrinks the KV cache by exactly the head-grouping ratio:
-    /// LLaMA-2-70B keeps 8 KV heads of 128 dims (kv_dim 1024) against
-    /// 7B's full MHA kv_dim 4096 — a 4x smaller cache per layer-token at
-    /// any context, exactly.
-    #[test]
-    fn gqa_cache_ratio_is_pinned_by_kv_dim(ctx in 1u64..16384) {
-        let small = ModelConfig::llama2_7b();
-        let large = ModelConfig::llama2_70b();
-        prop_assert_eq!(small.kv_dim(), 4096);
-        prop_assert_eq!(large.kv_dim(), 1024);
-        let w7 = InferenceWorkload::new(small.clone(), 1, 128, 16, Precision::Fp16).unwrap();
-        let w70 = InferenceWorkload::new(large.clone(), 1, 128, 16, Precision::Fp16).unwrap();
+/// GQA shrinks the KV cache by exactly the head-grouping ratio:
+/// LLaMA-2-70B keeps 8 KV heads of 128 dims (kv_dim 1024) against
+/// 7B's full MHA kv_dim 4096 — a 4x smaller cache per layer-token at
+/// any context, exactly.
+#[test]
+fn gqa_cache_ratio_is_pinned_by_kv_dim() {
+    let small = ModelConfig::llama2_7b();
+    let large = ModelConfig::llama2_70b();
+    assert_eq!(small.kv_dim(), 4096);
+    assert_eq!(large.kv_dim(), 1024);
+    let w7 = InferenceWorkload::new(small.clone(), 1, 128, 16, Precision::Fp16).unwrap();
+    let w70 = InferenceWorkload::new(large.clone(), 1, 128, 16, Precision::Fp16).unwrap();
+    let mut rng = SplitMix64::new(0x1C_0003);
+    for _ in 0..CASES {
+        let ctx = 1 + rng.below(16383);
         let per_layer_7 = w7.kv_cache_bytes_per_seq(ctx) / small.num_layers;
         let per_layer_70 = w70.kv_cache_bytes_per_seq(ctx) / large.num_layers;
-        prop_assert_eq!(per_layer_7, 4 * per_layer_70);
+        assert_eq!(per_layer_7, 4 * per_layer_70, "ctx {ctx}");
     }
+}
 
-    /// KV-cache bytes scale exactly with the storage precision while
-    /// weights stay at the compute precision.
-    #[test]
-    fn kv_precision_halves_cache_not_weights(
-        batch in 1u64..64,
-        prompt in 16u64..2048,
-    ) {
+/// KV-cache bytes scale exactly with the storage precision while
+/// weights stay at the compute precision.
+#[test]
+fn kv_precision_halves_cache_not_weights() {
+    let mut rng = SplitMix64::new(0x1C_0004);
+    for _ in 0..CASES {
+        let batch = 1 + rng.below(63);
+        let prompt = 16 + rng.below(2032);
         let w16 = workload(batch, prompt, 64);
         let w8 = w16.clone().with_kv_precision(Precision::Fp8);
-        prop_assert_eq!(w16.kv_cache_peak_bytes(), 2 * w8.kv_cache_peak_bytes());
-        prop_assert_eq!(w16.weight_bytes(), w8.weight_bytes());
+        assert_eq!(w16.kv_cache_peak_bytes(), 2 * w8.kv_cache_peak_bytes());
+        assert_eq!(w16.weight_bytes(), w8.weight_bytes());
     }
+}
 
-    /// Absurd dimensions are rejected with a structured error, never a
-    /// panic or a silent wrap.
-    #[test]
-    fn overflow_prone_dimensions_error_cleanly(shift in 30u32..63) {
-        let huge = 1u64 << shift;
-        let r = InferenceWorkload::new(
-            ModelConfig::llama2_7b(),
-            huge,
-            huge,
-            1,
-            Precision::Fp16,
-        );
+/// Absurd dimensions are rejected with a structured error, never a
+/// panic or a silent wrap.
+#[test]
+fn overflow_prone_dimensions_error_cleanly() {
+    let mut rng = SplitMix64::new(0x1C_0005);
+    for _ in 0..CASES {
+        let huge = 1u64 << (30 + rng.below(33));
+        let r = InferenceWorkload::new(ModelConfig::llama2_7b(), huge, huge, 1, Precision::Fp16);
         if let Err(e) = r {
-            prop_assert!(matches!(
-                e,
-                InferenceWorkloadError::DimensionOverflow { .. }
-            ));
+            assert!(
+                matches!(e, InferenceWorkloadError::DimensionOverflow { .. }),
+                "{e:?}"
+            );
         }
     }
 }

@@ -1,87 +1,103 @@
 //! Property-based tests over the framework's core invariants, driven by
-//! randomized model/workload configurations.
+//! randomized model/workload configurations drawn from a seeded
+//! [`SplitMix64`] stream, so every failure reproduces.
 
 use dabench::core::metrics::{
     allocation_ratio, load_imbalance, weighted_allocation_ratio, weighted_load_imbalance, Roofline,
 };
-use dabench::core::TaskProfile;
+use dabench::core::{SplitMix64, TaskProfile};
 use dabench::graph::partition::{balanced_contiguous, bottleneck, capacity_contiguous};
 use dabench::graph::GraphBuilder;
 use dabench::model::{ModelConfig, Precision, TrainingWorkload};
 use dabench::sim::{steady_state_analysis, PipelineStage};
-use proptest::prelude::*;
 
-fn arb_precision() -> impl Strategy<Value = Precision> {
-    prop_oneof![
-        Just(Precision::Fp32),
-        Just(Precision::Fp16),
-        Just(Precision::Bf16),
-        Just(Precision::Cb16),
-    ]
+/// Sampled cases per property.
+const CASES: usize = 64;
+
+/// A vector of `1..max_len` values drawn uniformly from `[lo, hi)`.
+fn floats(rng: &mut SplitMix64, max_len: u64, lo: f64, hi: f64) -> Vec<f64> {
+    (0..1 + rng.below(max_len - 1))
+        .map(|_| rng.uniform(lo, hi))
+        .collect()
 }
 
-proptest! {
-    /// Any GPT-style probe builds a valid DAG whose op count and FLOPs are
-    /// linear in depth.
-    #[test]
-    fn training_graphs_are_valid_dags(
-        hs_mult in 1u64..8,
-        layers in 1u64..10,
-        batch in 1u64..8,
-        seq_log in 5u32..9,
-    ) {
-        let hs = 64 * hs_mult;
+/// Any GPT-style probe builds a valid DAG whose op count and FLOPs are
+/// linear in depth.
+#[test]
+fn training_graphs_are_valid_dags() {
+    let mut rng = SplitMix64::new(0x1A_0001);
+    for _ in 0..CASES {
+        let hs = 64 * (1 + rng.below(7));
+        let layers = 1 + rng.below(9);
+        let batch = 1 + rng.below(7);
+        let seq = 1 << (5 + rng.below(4));
         let cfg = ModelConfig::gpt2_probe(hs, layers);
-        let g = GraphBuilder::training_step(&cfg, batch, 1 << seq_log);
-        prop_assert!(g.validate().is_ok());
-        prop_assert_eq!(g.topological_order().len(), g.node_count());
-        prop_assert!(g.total_flops() > 0.0);
+        let g = GraphBuilder::training_step(&cfg, batch, seq);
+        assert!(g.validate().is_ok());
+        assert_eq!(g.topological_order().len(), g.node_count());
+        assert!(g.total_flops() > 0.0);
     }
+}
 
-    /// FLOPs scale exactly linearly in batch (minus the constant optimizer
-    /// term).
-    #[test]
-    fn flops_linear_in_batch(hs_mult in 1u64..6, layers in 1u64..8, b in 1u64..16) {
-        let cfg = ModelConfig::gpt2_probe(64 * hs_mult, layers);
+/// FLOPs scale exactly linearly in batch (minus the constant optimizer
+/// term).
+#[test]
+fn flops_linear_in_batch() {
+    let mut rng = SplitMix64::new(0x1A_0002);
+    for _ in 0..CASES {
+        let hs = 64 * (1 + rng.below(5));
+        let layers = 1 + rng.below(7);
+        let b = 1 + rng.below(15);
+        let cfg = ModelConfig::gpt2_probe(hs, layers);
         let w1 = TrainingWorkload::new(cfg.clone(), b, 256, Precision::Fp16);
         let w2 = TrainingWorkload::new(cfg, 2 * b, 256, Precision::Fp16);
         let opt = 10.0 * w1.model().parameter_count() as f64;
         let f1 = w1.training_flops_per_step() - opt;
         let f2 = w2.training_flops_per_step() - opt;
-        prop_assert!((f2 / f1 - 2.0).abs() < 1e-9);
+        assert!(
+            (f2 / f1 - 2.0).abs() < 1e-9,
+            "hs {hs}, layers {layers}, batch {b}"
+        );
     }
+}
 
-    /// The load-imbalance metric is always in (0, 1] and invariant to
-    /// uniform throughput scaling.
-    #[test]
-    fn li_bounds_and_scale_invariance(
-        tps in prop::collection::vec(0.1f64..1000.0, 1..20),
-        res in prop::collection::vec(0.1f64..100.0, 1..20),
-        scale in 0.01f64..100.0,
-    ) {
+/// The load-imbalance metric is always in (0, 1] and invariant to
+/// uniform throughput scaling.
+#[test]
+fn li_bounds_and_scale_invariance() {
+    let mut rng = SplitMix64::new(0x1A_0003);
+    for _ in 0..CASES {
+        let tps = floats(&mut rng, 20, 0.1, 1000.0);
+        let res = floats(&mut rng, 20, 0.1, 100.0);
+        let scale = rng.uniform(0.01, 100.0);
         let n = tps.len().min(res.len());
         let tasks: Vec<TaskProfile> = (0..n)
             .map(|i| TaskProfile::new(format!("t{i}"), tps[i], res[i]))
             .collect();
         let li = load_imbalance(&tasks).unwrap();
-        prop_assert!(li > 0.0 && li <= 1.0 + 1e-12);
+        assert!(li > 0.0 && li <= 1.0 + 1e-12);
         let scaled: Vec<TaskProfile> = tasks
             .iter()
             .map(|t| TaskProfile::new(t.name.clone(), t.throughput * scale, t.resources))
             .collect();
         let li2 = load_imbalance(&scaled).unwrap();
-        prop_assert!((li - li2).abs() < 1e-9);
+        assert!((li - li2).abs() < 1e-9);
     }
+}
 
-    /// Weighted allocation is a convex combination: it lies between the
-    /// min and max per-section ratios.
-    #[test]
-    fn weighted_allocation_is_convex(
-        sections in prop::collection::vec((0.001f64..100.0, 0u64..640, 1u64..=640), 1..20),
-    ) {
-        let recs: Vec<(f64, u64, u64)> = sections
-            .iter()
-            .map(|&(l, used, avail)| (l, used.min(avail), avail))
+/// Weighted allocation is a convex combination: it lies between the
+/// min and max per-section ratios.
+#[test]
+fn weighted_allocation_is_convex() {
+    let mut rng = SplitMix64::new(0x1A_0004);
+    for _ in 0..CASES {
+        let recs: Vec<(f64, u64, u64)> = (0..1 + rng.below(19))
+            .map(|_| {
+                let l = rng.uniform(0.001, 100.0);
+                let used = rng.below(640);
+                let avail = 1 + rng.below(640);
+                (l, used.min(avail), avail)
+            })
             .collect();
         let w = weighted_allocation_ratio(&recs).unwrap();
         let ratios: Vec<f64> = recs
@@ -90,76 +106,92 @@ proptest! {
             .collect();
         let lo = ratios.iter().cloned().fold(f64::INFINITY, f64::min);
         let hi = ratios.iter().cloned().fold(0.0f64, f64::max);
-        prop_assert!(w >= lo - 1e-12 && w <= hi + 1e-12);
+        assert!(w >= lo - 1e-12 && w <= hi + 1e-12);
     }
+}
 
-    /// Weighted LI is likewise a convex combination.
-    #[test]
-    fn weighted_li_is_convex(
-        sections in prop::collection::vec((0.001f64..100.0, 0.0f64..1.0), 1..20),
-    ) {
+/// Weighted LI is likewise a convex combination.
+#[test]
+fn weighted_li_is_convex() {
+    let mut rng = SplitMix64::new(0x1A_0005);
+    for _ in 0..CASES {
+        let sections: Vec<(f64, f64)> = (0..1 + rng.below(19))
+            .map(|_| (rng.uniform(0.001, 100.0), rng.next_f64()))
+            .collect();
         let w = weighted_load_imbalance(&sections).unwrap();
         let lo = sections.iter().map(|s| s.1).fold(f64::INFINITY, f64::min);
         let hi = sections.iter().map(|s| s.1).fold(0.0f64, f64::max);
-        prop_assert!(w >= lo - 1e-12 && w <= hi + 1e-12);
+        assert!(w >= lo - 1e-12 && w <= hi + 1e-12);
     }
+}
 
-    /// Roofline attainable throughput is monotone in intensity and capped
-    /// at peak; classification flips exactly at the ridge.
-    #[test]
-    fn roofline_monotone(peak in 1.0f64..1e4, bw in 1e9f64..1e16, ai in 0.01f64..1e5) {
+/// Roofline attainable throughput is monotone in intensity and capped
+/// at peak; classification flips exactly at the ridge.
+#[test]
+fn roofline_monotone() {
+    let mut rng = SplitMix64::new(0x1A_0006);
+    for _ in 0..CASES {
+        let peak = rng.uniform(1.0, 1e4);
+        let bw = rng.uniform(1e9, 1e16);
+        let ai = rng.uniform(0.01, 1e5);
         let r = Roofline::new(peak, bw);
         let a1 = r.attainable_tflops(ai);
         let a2 = r.attainable_tflops(ai * 2.0);
-        prop_assert!(a2 >= a1 - 1e-12);
-        prop_assert!(a1 <= peak + 1e-12);
+        assert!(a2 >= a1 - 1e-12);
+        assert!(a1 <= peak + 1e-12);
         let ridge = r.ridge_intensity();
-        prop_assert_eq!(
+        assert_eq!(
             r.classify(ai) == dabench::core::BoundKind::ComputeBound,
             ai >= ridge
         );
     }
+}
 
-    /// Balanced contiguous partitioning covers every item exactly once and
-    /// its bottleneck never beats the theoretical lower bound.
-    #[test]
-    fn balanced_partition_invariants(
-        weights in prop::collection::vec(0.01f64..100.0, 1..40),
-        k_seed in 1usize..40,
-    ) {
+/// Balanced contiguous partitioning covers every item exactly once and
+/// its bottleneck never beats the theoretical lower bound.
+#[test]
+fn balanced_partition_invariants() {
+    let mut rng = SplitMix64::new(0x1A_0007);
+    for _ in 0..CASES {
+        let weights = floats(&mut rng, 40, 0.01, 100.0);
+        let k_seed = 1 + rng.below(39) as usize;
         let k = 1 + k_seed % weights.len();
         let p = balanced_contiguous(&weights, k).unwrap();
-        prop_assert_eq!(p.group_count(), k);
-        prop_assert_eq!(p.len(), weights.len());
-        prop_assert_eq!(p.sizes().iter().sum::<usize>(), weights.len());
+        assert_eq!(p.group_count(), k);
+        assert_eq!(p.len(), weights.len());
+        assert_eq!(p.sizes().iter().sum::<usize>(), weights.len());
         let total: f64 = weights.iter().sum();
         let max_w = weights.iter().cloned().fold(0.0f64, f64::max);
         let lower = (total / k as f64).max(max_w);
-        prop_assert!(bottleneck(&p, &weights) >= lower - 1e-9);
+        assert!(bottleneck(&p, &weights) >= lower - 1e-9);
     }
+}
 
-    /// Capacity partitioning never exceeds the cap except for single
-    /// oversized items.
-    #[test]
-    fn capacity_partition_respects_cap(
-        weights in prop::collection::vec(0.01f64..10.0, 1..40),
-        cap in 0.5f64..20.0,
-    ) {
+/// Capacity partitioning never exceeds the cap except for single
+/// oversized items.
+#[test]
+fn capacity_partition_respects_cap() {
+    let mut rng = SplitMix64::new(0x1A_0008);
+    for _ in 0..CASES {
+        let weights = floats(&mut rng, 40, 0.01, 10.0);
+        let cap = rng.uniform(0.5, 20.0);
         let p = capacity_contiguous(&weights, cap);
-        prop_assert_eq!(p.len(), weights.len());
+        assert_eq!(p.len(), weights.len());
         for (s, e) in p.groups() {
             let w: f64 = weights[s..e].iter().sum();
-            prop_assert!(w <= cap + 1e-9 || e - s == 1);
+            assert!(w <= cap + 1e-9 || e - s == 1);
         }
     }
+}
 
-    /// Pipeline algebra: total time equals fill + (n-1)·bottleneck, and
-    /// efficiency approaches 1 as items grow.
-    #[test]
-    fn pipeline_algebra(
-        times in prop::collection::vec(0.001f64..10.0, 1..20),
-        items in 1u64..500,
-    ) {
+/// Pipeline algebra: total time equals fill + (n-1)·bottleneck, and
+/// efficiency approaches 1 as items grow.
+#[test]
+fn pipeline_algebra() {
+    let mut rng = SplitMix64::new(0x1A_0009);
+    for _ in 0..CASES {
+        let times = floats(&mut rng, 20, 0.001, 10.0);
+        let items = 1 + rng.below(499);
         let stages: Vec<PipelineStage> = times
             .iter()
             .enumerate()
@@ -167,33 +199,36 @@ proptest! {
             .collect();
         let r = steady_state_analysis(&stages, items);
         let expect = times.iter().sum::<f64>() + (items - 1) as f64 * r.bottleneck_time;
-        prop_assert!((r.total_time - expect).abs() < 1e-9);
-        prop_assert!(r.pipeline_efficiency > 0.0 && r.pipeline_efficiency <= 1.0 + 1e-12);
+        assert!((r.total_time - expect).abs() < 1e-9);
+        assert!(r.pipeline_efficiency > 0.0 && r.pipeline_efficiency <= 1.0 + 1e-12);
         let more = steady_state_analysis(&stages, items + 100);
-        prop_assert!(more.pipeline_efficiency >= r.pipeline_efficiency - 1e-12);
+        assert!(more.pipeline_efficiency >= r.pipeline_efficiency - 1e-12);
     }
+}
 
-    /// Workload accounting: state bytes follow the precision and the
-    /// arithmetic intensity is finite and positive.
-    #[test]
-    fn workload_accounting(
-        hs_mult in 1u64..8,
-        layers in 1u64..8,
-        batch in 1u64..16,
-        precision in arb_precision(),
-    ) {
-        let w = TrainingWorkload::new(
-            ModelConfig::gpt2_probe(64 * hs_mult, layers),
-            batch,
-            256,
-            precision,
-        );
+/// Workload accounting: state bytes follow the precision and the
+/// arithmetic intensity is finite and positive.
+#[test]
+fn workload_accounting() {
+    const PRECISIONS: [Precision; 4] = [
+        Precision::Fp32,
+        Precision::Fp16,
+        Precision::Bf16,
+        Precision::Cb16,
+    ];
+    let mut rng = SplitMix64::new(0x1A_000A);
+    for _ in 0..CASES {
+        let hs = 64 * (1 + rng.below(7));
+        let layers = 1 + rng.below(7);
+        let batch = 1 + rng.below(15);
+        let precision = PRECISIONS[rng.below(4) as usize];
+        let w = TrainingWorkload::new(ModelConfig::gpt2_probe(hs, layers), batch, 256, precision);
         let per_param = 2 * precision.bytes_per_element() + 8;
-        prop_assert_eq!(
+        assert_eq!(
             w.training_state_bytes(),
             per_param * w.model().parameter_count()
         );
         let ai = w.arithmetic_intensity();
-        prop_assert!(ai.is_finite() && ai > 0.0);
+        assert!(ai.is_finite() && ai > 0.0);
     }
 }
