@@ -21,6 +21,13 @@
 //! path. Input order — not scheduling — therefore decides the final event
 //! order, and the rendered trace is identical at any worker count.
 //!
+//! # Muted scopes
+//!
+//! [`muted`] turns the recorder off for one closure on the calling
+//! thread, and for the `par_map` items it forks, wherever they run. Work
+//! that re-derives points only to check them (the `gen` invariant
+//! checker) runs muted, so it never adds tracks next to the real points.
+//!
 //! # Cost when disabled
 //!
 //! The recorder is off by default. Every entry point loads one relaxed
@@ -29,7 +36,7 @@
 //!
 //! [`par_map`]: crate::parallel::par_map
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -300,6 +307,8 @@ impl Ctx {
 
 thread_local! {
     static CTX: RefCell<Option<Ctx>> = const { RefCell::new(None) };
+    /// Inside [`muted`]: the recorder reads as off on this thread.
+    static MUTED: Cell<bool> = const { Cell::new(false) };
 }
 
 fn sink() -> std::sync::MutexGuard<'static, Vec<PointTrace>> {
@@ -425,10 +434,31 @@ pub fn disable() {
     sink().clear();
 }
 
-/// Whether the recorder is on.
+/// Whether the recorder is on for this thread: enabled, and not inside
+/// [`muted`].
 #[must_use]
 pub fn is_enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    ENABLED.load(Ordering::Relaxed) && !MUTED.with(Cell::get)
+}
+
+/// Run `f` with the recorder off for this thread and for every `par_map`
+/// item forked inside `f`: nothing `f` does reaches the sink, and the
+/// caches that bypass themselves while recording serve it as they would
+/// an untraced run. Other threads keep recording.
+pub fn muted<R>(f: impl FnOnce() -> R) -> R {
+    if !is_enabled() {
+        return f();
+    }
+    /// Restores the caller's state even when `f` panics.
+    struct Unmute;
+    impl Drop for Unmute {
+        fn drop(&mut self) {
+            MUTED.with(|m| m.set(false));
+        }
+    }
+    MUTED.with(|m| m.set(true));
+    let _unmute = Unmute;
+    f()
 }
 
 /// Run `f` inside a fresh point context at `index` (appended to the
@@ -568,7 +598,10 @@ pub fn inject(traces: Vec<PointTrace>) {
 /// contexts on worker threads. Created by [`fork`].
 #[derive(Debug, Clone)]
 pub struct Fork {
+    /// `None` when the recorder was off (or muted) at fork time.
     parent: Option<Vec<u64>>,
+    /// Forked inside [`muted`]: children run muted on any thread.
+    muted: bool,
 }
 
 /// Capture the current point path so `par_map` workers can open child
@@ -582,7 +615,10 @@ pub struct Fork {
 #[must_use]
 pub fn fork() -> Fork {
     if !is_enabled() {
-        return Fork { parent: None };
+        return Fork {
+            parent: None,
+            muted: ENABLED.load(Ordering::Relaxed),
+        };
     }
     let parent = CTX.with(|c| {
         let mut borrow = c.borrow_mut();
@@ -598,15 +634,17 @@ pub fn fork() -> Fork {
     });
     Fork {
         parent: Some(parent),
+        muted: false,
     }
 }
 
 impl Fork {
     /// Run `f` in a child context at `index` under the forked path (on
     /// whatever thread this is called from). Passthrough when the
-    /// recorder was off at [`fork`] time.
+    /// recorder was off at [`fork`] time; muted when it was muted.
     pub fn enter<R>(&self, index: u64, f: impl FnOnce() -> R) -> R {
         match &self.parent {
+            None if self.muted => muted(f),
             None => f(),
             Some(parent) => {
                 let mut path = parent.clone();
@@ -1115,6 +1153,39 @@ mod tests {
         // Child path: parent [1] + fork sequence 1 + item index 4.
         assert_eq!(traces[1].path, vec![1, 1, 4]);
         assert_eq!(traces[1].counter_total("at-child"), Some(2.0));
+    }
+
+    #[test]
+    fn muted_scopes_record_nothing_on_any_thread() {
+        let _guard = locked();
+        with_point(1, "point", || {
+            counter("before", 1.0);
+            muted(|| {
+                assert!(!is_enabled());
+                span(Phase::Compile, "hidden", || counter("hidden", 1.0));
+                with_point(9, "hidden-point", || counter("hidden", 1.0));
+                // Children forked here stay muted on other threads, and so
+                // do the forks they make from a thread with no context.
+                let muted_fork = fork();
+                std::thread::scope(|s| {
+                    s.spawn(|| {
+                        muted_fork.enter(0, || {
+                            counter("hidden", 1.0);
+                            fork().enter(3, || counter("hidden", 1.0));
+                        });
+                    });
+                });
+            });
+            assert!(is_enabled(), "the caller is unmuted on exit");
+            counter("after", 1.0);
+        });
+        let traces = take();
+        disable();
+        assert_eq!(traces.len(), 1, "{traces:?}");
+        assert_eq!(traces[0].path, vec![1]);
+        assert_eq!(traces[0].counter_total("before"), Some(1.0));
+        assert_eq!(traces[0].counter_total("after"), Some(1.0));
+        assert_eq!(traces[0].counter_total("hidden"), None);
     }
 
     #[test]

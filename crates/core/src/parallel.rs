@@ -14,16 +14,50 @@
 //! 2. the `DABENCH_JOBS` environment variable,
 //! 3. [`std::thread::available_parallelism`].
 //!
+//! # Nested calls
+//!
+//! A `par_map` called from inside a `par_map` worker (an experiment whose
+//! points each sweep their own cells, a scenario evaluated on all four
+//! platforms) runs its items inline on that worker, in input order,
+//! through the same observability fork and panic labelling. The outer
+//! pool already keeps every worker busy, so fanning out again would only
+//! add threads past `--jobs` and let sibling items race the shared memo
+//! caches: `--jobs N` bounds compute threads at `N`. A thread-local mark
+//! set on each spawned worker decides this; threads that run a worker's
+//! item on its behalf (the `--deadline-s` watchdog in
+//! [`crate::supervise_point`]) inherit the mark. An outer call with one
+//! worker (`--jobs 1`, or a single item) runs on its caller's thread and
+//! sets no mark, so calls nested in it still fan out.
+//!
 //! Everything is dependency-free: `std::thread::scope` plus an atomic
 //! work-stealing index, no channels, no rayon.
 
 use crate::supervise::panic_message;
+use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Explicit worker-count override; 0 means "not set".
 static JOBS_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    /// Set on `par_map` worker threads: nested calls made here run inline.
+    static ON_WORKER: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Whether the calling thread is a `par_map` worker (or inherited the
+/// mark with [`mark_worker`]).
+pub(crate) fn on_worker() -> bool {
+    ON_WORKER.with(Cell::get)
+}
+
+/// Set the calling thread's worker mark. A thread spawned to run a
+/// worker's item passes the spawning thread's [`on_worker`] here, so the
+/// item's nested calls stay inline.
+pub(crate) fn mark_worker(on: bool) {
+    ON_WORKER.with(|w| w.set(on));
+}
 
 /// Override the worker count for all subsequent [`par_map`] calls.
 ///
@@ -59,7 +93,8 @@ pub fn jobs() -> usize {
 /// Output is byte-identical to `items.iter().map(f).collect()` for any
 /// pure `f`, whatever the worker count: scheduling only changes *when*
 /// each point is evaluated, never where its result lands. Uses the
-/// worker count from [`jobs`].
+/// worker count from [`jobs`]; a call made on a worker of another
+/// `par_map` runs inline (see the module docs).
 ///
 /// # Panics
 ///
@@ -76,7 +111,8 @@ where
 }
 
 /// [`par_map`] with an explicit worker count, bypassing the global
-/// setting (useful in tests that must not race on [`set_jobs`]).
+/// setting (useful in tests that must not race on [`set_jobs`]). On a
+/// `par_map` worker thread the count is 1: the items run inline.
 ///
 /// # Panics
 ///
@@ -89,7 +125,11 @@ where
     F: Fn(&T) -> U + Sync,
 {
     let n = items.len();
-    let workers = workers.max(1).min(n);
+    let workers = if on_worker() {
+        1
+    } else {
+        workers.max(1).min(n)
+    };
     // Observability: each item records into its own child context, tagged
     // with its *input* index, on sequential and parallel paths alike — so
     // the merged trace is a function of the input order, not scheduling.
@@ -117,6 +157,7 @@ where
         let handles: Vec<_> = (0..workers)
             .map(|_| {
                 scope.spawn(|| {
+                    mark_worker(true);
                     let mut local = Vec::new();
                     loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
@@ -245,6 +286,70 @@ mod tests {
         .unwrap_err();
         let msg = panic_message(caught.as_ref());
         assert!(msg.contains("point 3 panicked"), "{msg}");
+    }
+
+    #[test]
+    fn nested_calls_run_inline_on_their_worker_in_order() {
+        let outer: Vec<u32> = (0..6).collect();
+        let inner: Vec<u32> = (0..5).collect();
+        let runs = par_map_with(2, &outer, |&o| {
+            let worker = std::thread::current().id();
+            let seen = Mutex::new(Vec::new());
+            let out = par_map_with(4, &inner, |&i| {
+                seen.lock()
+                    .expect("seen")
+                    .push((std::thread::current().id(), i));
+                o * 10 + i
+            });
+            (worker, seen.into_inner().expect("seen"), out)
+        });
+        for (o, (worker, seen, out)) in runs.into_iter().enumerate() {
+            let o = o as u32;
+            assert_eq!(out, inner.iter().map(|i| o * 10 + i).collect::<Vec<_>>());
+            let order: Vec<u32> = seen.iter().map(|&(_, i)| i).collect();
+            assert_eq!(
+                order, inner,
+                "outer item {o} ran its inner items out of order"
+            );
+            assert!(
+                seen.iter().all(|&(thread, _)| thread == worker),
+                "outer item {o} fanned out"
+            );
+        }
+    }
+
+    #[test]
+    fn nested_panics_still_name_the_inner_point() {
+        let outer: Vec<u32> = (0..4).collect();
+        let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            par_map_with(2, &outer, |&o| {
+                par_map_with(2, &[0u32, 1, 2], |&i| {
+                    assert!(!(o == 2 && i == 1), "inner boom");
+                    i
+                })
+            });
+        }))
+        .unwrap_err();
+        let msg = panic_message(caught.as_ref());
+        assert!(
+            msg.contains("point 2 panicked: par_map: point 1 panicked: inner boom"),
+            "{msg}"
+        );
+    }
+
+    #[test]
+    fn single_item_outer_call_lets_the_inner_call_fan_out() {
+        let caller = std::thread::current().id();
+        let inner: Vec<u32> = (0..8).collect();
+        let threads = par_map_with(4, &[()], |()| {
+            assert_eq!(std::thread::current().id(), caller, "one item runs inline");
+            par_map_with(2, &inner, |_| std::thread::current().id())
+        })
+        .remove(0);
+        assert!(
+            threads.iter().all(|&t| t != caller),
+            "inner items must run on spawned workers"
+        );
     }
 
     #[test]

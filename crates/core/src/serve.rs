@@ -801,6 +801,10 @@ fn handle_submit(
 fn stats_response(shared: &Arc<Shared>, id: &str) -> String {
     let c = &shared.counters;
     let store = shared.store.stats();
+    // Admission bumps `accepted` and enqueues under the queue lock, so
+    // reading the count before the depth makes every admitted job
+    // counted here visible in the depth (or already dequeued).
+    let accepted = c.accepted.load(Ordering::SeqCst);
     let queued = shared.queue.lock().expect("queue lock").len();
     let pairs: Vec<(String, String)> = vec![
         ("id".into(), id.to_owned()),
@@ -813,10 +817,7 @@ fn stats_response(shared: &Arc<Shared>, id: &str) -> String {
             shared.cfg.queue_capacity.to_string(),
         ),
         ("workers".into(), shared.cfg.workers.max(1).to_string()),
-        (
-            "accepted".into(),
-            c.accepted.load(Ordering::SeqCst).to_string(),
-        ),
+        ("accepted".into(), accepted.to_string()),
         (
             "completed".into(),
             c.completed.load(Ordering::SeqCst).to_string(),
@@ -996,6 +997,25 @@ mod tests {
                 ("id", id),
                 ("job", job),
             ]))
+        }
+    }
+
+    type Stats = std::collections::BTreeMap<String, String>;
+
+    fn stat_is(stats: &Stats, key: &str, value: &str) -> bool {
+        stats.get(key).map(String::as_str) == Some(value)
+    }
+
+    /// Poll `stats` until `done` holds; fail with `what` after 60 s.
+    fn wait_for_stats(client: &mut Client, what: &str, done: impl Fn(&Stats) -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(60);
+        loop {
+            let stats = client.request("{\"op\":\"stats\",\"id\":\"s\"}");
+            if done(&stats) {
+                return;
+            }
+            assert!(Instant::now() < deadline, "{what}: {stats:?}");
+            std::thread::sleep(Duration::from_millis(20));
         }
     }
 
@@ -1188,29 +1208,27 @@ mod tests {
         let (exec, release) = MockExec::gated();
         let daemon = spawn_daemon(cfg, exec);
 
-        let mut blockers = Vec::new();
-        for i in 0..4 {
+        let blocker = |i: u32| {
             let mut c = Client::connect(daemon.addr);
             let id = format!("b{i}");
-            blockers.push(std::thread::spawn(move || c.submit(&id, "heavy-gated")));
-        }
-        // Wait until one executes and three sit queued (depth == 3).
-        // The depth is terminal while the gate is closed, so the long
-        // deadline only matters when the host CPU is saturated (e.g.
-        // the full workspace suite running in parallel).
+            std::thread::spawn(move || c.submit(&id, "heavy-gated"))
+        };
+        // The first blocker must hold the only worker at the gate before
+        // the others arrive: three blockers queued behind an undequeued
+        // first one put the fourth at the watermark, and it is shed.
+        // Every figure waited on is terminal while the gate is closed,
+        // so the long deadlines only matter when the host CPU is
+        // saturated (e.g. the full workspace suite running in parallel).
         let mut stats_client = Client::connect(daemon.addr);
-        let deadline = Instant::now() + Duration::from_secs(60);
-        loop {
-            let stats = stats_client.request("{\"op\":\"stats\",\"id\":\"s\"}");
-            if stats.get("queued").map(String::as_str) == Some("3") {
-                break;
-            }
-            assert!(
-                Instant::now() < deadline,
-                "queue never reached depth 3: {stats:?}"
-            );
-            std::thread::sleep(Duration::from_millis(20));
-        }
+        let mut blockers = vec![blocker(0)];
+        wait_for_stats(&mut stats_client, "first blocker never started", |s| {
+            stat_is(s, "accepted", "1") && stat_is(s, "queued", "0")
+        });
+        blockers.extend((1..4).map(blocker));
+        // Then all four admitted: one executes, three sit queued.
+        wait_for_stats(&mut stats_client, "blockers never queued", |s| {
+            stat_is(s, "accepted", "4") && stat_is(s, "queued", "3")
+        });
 
         let mut heavy = Client::connect(daemon.addr);
         let shed = heavy.submit("h", "heavy-sweep");
@@ -1227,18 +1245,11 @@ mod tests {
         // release and collect the response.
         let mut light = Client::connect(daemon.addr);
         let light_thread = std::thread::spawn(move || light.submit("l", "light-job"));
-        let deadline = Instant::now() + Duration::from_secs(60);
-        loop {
-            let stats = stats_client.request("{\"op\":\"stats\",\"id\":\"s\"}");
-            if stats.get("queued").map(String::as_str) == Some("4") {
-                break;
-            }
-            assert!(
-                Instant::now() < deadline,
-                "light job was not admitted under pressure: {stats:?}"
-            );
-            std::thread::sleep(Duration::from_millis(20));
-        }
+        wait_for_stats(
+            &mut stats_client,
+            "light job was not admitted under pressure",
+            |s| stat_is(s, "queued", "4"),
+        );
 
         release.store(true, Ordering::SeqCst);
         let ok = light_thread.join().expect("light client");

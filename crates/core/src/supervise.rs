@@ -206,9 +206,13 @@ where
     };
     let (tx, rx) = mpsc::channel();
     let point = Arc::clone(f);
+    // The attempt runs on behalf of this thread: if it is a `par_map`
+    // worker, the point's nested sweeps must stay inline here too.
+    let on_worker = crate::parallel::on_worker();
     std::thread::Builder::new()
         .name("dabench-supervised-point".to_owned())
         .spawn(move || {
+            crate::parallel::mark_worker(on_worker);
             let result = catch_unwind(AssertUnwindSafe(|| point(attempt_seed)));
             let _ = tx.send(result);
         })
@@ -1094,6 +1098,24 @@ mod tests {
         ));
         let _ = std::fs::remove_dir_all(&dir);
         dir
+    }
+
+    #[test]
+    fn deadline_watchdog_inherits_the_worker_mark() {
+        let policy = SupervisePolicy {
+            deadline: Some(Duration::from_secs(60)),
+            ..SupervisePolicy::default()
+        };
+        let on_worker =
+            |i: u64| match supervise_point("p", i, &policy, |_| Ok(crate::parallel::on_worker())) {
+                PointOutcome::Completed { value, .. } => value,
+                other => panic!("expected Completed, got {other:?}"),
+            };
+        assert_eq!(
+            crate::par_map_with(2, &[0u64, 1], |&i| on_worker(i)),
+            vec![true, true]
+        );
+        assert!(!on_worker(2), "a watchdog off the pool stays unmarked");
     }
 
     #[test]

@@ -784,7 +784,7 @@ fn run_gen(rest: &[String]) -> Result<ExitCode, String> {
 /// appending liveness records for the parent's watchdog. Writes nothing
 /// to stdout; exit 0 = clean, 2 = some points failed, 1 = hard error.
 fn run_shard_worker(rest: &[String]) -> Result<ExitCode, String> {
-    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::mpsc::{self, RecvTimeoutError};
     let mut dir: Option<std::path::PathBuf> = None;
     let mut shard: Option<usize> = None;
     let mut points_arg: Option<String> = None;
@@ -868,22 +868,19 @@ fn run_shard_worker(rest: &[String]) -> Result<ExitCode, String> {
         injections,
         journal_started: true,
     };
-    let stop = AtomicBool::new(false);
     let outcomes = std::thread::scope(|scope| {
         // Heartbeat: the parent's liveness watchdog keys on journal
         // growth, so a live worker must append even while every point is
         // busy. Append errors are ignored — heartbeats are advisory;
-        // point records fail loudly in the runner.
+        // point records fail loudly in the runner. Dropping `stop` (also
+        // on unwind) wakes the thread at once, so a worker exits as soon
+        // as its last point is journaled, not at the next beat.
         let beat_every = std::time::Duration::from_millis(heartbeat_ms);
-        let stop = &stop;
+        let (stop, stopped) = mpsc::channel::<()>();
         let journal = &journal;
         let heartbeat = scope.spawn(move || {
             let mut beat = 0u64;
-            while !stop.load(Ordering::SeqCst) {
-                std::thread::sleep(beat_every);
-                if stop.load(Ordering::SeqCst) {
-                    break;
-                }
+            while let Err(RecvTimeoutError::Timeout) = stopped.recv_timeout(beat_every) {
                 beat += 1;
                 let _ = journal.lock().expect("journal lock").append(
                     SHARD_CONTROL_LABEL,
@@ -893,7 +890,7 @@ fn run_shard_worker(rest: &[String]) -> Result<ExitCode, String> {
             }
         });
         let outcomes = run_supervised_points(&points, &cfg, Some(journal), &replay);
-        stop.store(true, Ordering::SeqCst);
+        drop(stop);
         let _ = heartbeat.join();
         outcomes
     })?;

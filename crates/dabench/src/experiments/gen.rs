@@ -520,31 +520,37 @@ pub struct CheckOutcome {
     pub violations: Vec<Violation>,
 }
 
-struct Checker {
+/// Position of `inv` in [`Invariant::ALL`], the index of its counters.
+fn slot(inv: Invariant) -> usize {
+    Invariant::ALL
+        .iter()
+        .position(|i| *i == inv)
+        .expect("listed")
+}
+
+/// One record's share of a population check: checks run per invariant,
+/// violations in check order, and the invariants with an observation a
+/// `gen=violate:` injection could perturb. Only counters, flags and
+/// violations — no ladder or re-rendered record outlives the check.
+#[derive(Default)]
+struct RecordCheck {
     counts: [u64; Invariant::ALL.len()],
     violations: Vec<Violation>,
+    perturbable: [bool; Invariant::ALL.len()],
+    /// Pending injection; spent on the first perturbable observation.
     inject: Option<Invariant>,
 }
 
-impl Checker {
-    fn new(inject: Option<Invariant>) -> Self {
-        Checker {
-            counts: [0; Invariant::ALL.len()],
-            violations: Vec::new(),
-            inject,
-        }
-    }
-
+impl RecordCheck {
     fn count(&mut self, inv: Invariant) {
-        self.counts[Invariant::ALL
-            .iter()
-            .position(|i| *i == inv)
-            .expect("listed")] += 1;
+        self.counts[slot(inv)] += 1;
     }
 
-    /// Take the pending injection if it targets `inv` — the caller then
-    /// perturbs the observation it was about to check.
-    fn take_injection(&mut self, inv: Invariant) -> bool {
+    /// Note an observation the caller can perturb for `inv`; returns
+    /// whether the pending injection targets `inv` (spending it) — the
+    /// caller then perturbs that observation.
+    fn perturb(&mut self, inv: Invariant) -> bool {
+        self.perturbable[slot(inv)] = true;
         if self.inject == Some(inv) {
             self.inject = None;
             return true;
@@ -553,13 +559,11 @@ impl Checker {
     }
 
     fn push(&mut self, v: Option<Violation>) {
-        if let Some(v) = v {
-            self.violations.push(v);
-        }
+        self.violations.extend(v);
     }
 }
 
-fn check_scenario(ck: &mut Checker, scenario: &Scenario, obs: &[GenObs]) {
+fn check_scenario(ck: &mut RecordCheck, scenario: &Scenario, obs: &[GenObs]) {
     let label = scenario.label();
     match scenario.kind {
         ScenarioKind::Train => {
@@ -581,7 +585,7 @@ fn check_scenario(ck: &mut Checker, scenario: &Scenario, obs: &[GenObs]) {
                     let Ok(healthy) = healthy else { continue };
                     ck.count(Invariant::FaultMonotone);
                     let mut healthy_tps = quantize_tps(healthy.throughput_tokens_per_s);
-                    if ck.take_injection(Invariant::FaultMonotone) {
+                    if ck.perturb(Invariant::FaultMonotone) {
                         healthy_tps = faulty / 2.0;
                     }
                     ck.push(check_fault_monotone(
@@ -602,7 +606,7 @@ fn check_scenario(ck: &mut Checker, scenario: &Scenario, obs: &[GenObs]) {
             let w8 = w16.clone().with_kv_precision(Precision::Fp8);
             ck.count(Invariant::Fp8KvSmaller);
             let mut fp8_bytes = w8.kv_cache_peak_bytes();
-            if ck.take_injection(Invariant::Fp8KvSmaller) {
+            if ck.perturb(Invariant::Fp8KvSmaller) {
                 fp8_bytes = w16.kv_cache_peak_bytes();
             }
             ck.push(check_fp8_kv(
@@ -655,20 +659,21 @@ fn check_scenario(ck: &mut Checker, scenario: &Scenario, obs: &[GenObs]) {
                         }
                     })
                     .collect();
-                if ck.take_injection(Invariant::BatchMonotone) {
-                    // Halve the second fitting rung of a same-level pair.
-                    for k in 1..ladder.len() {
-                        if ladder[k].tokens_per_s.is_some()
-                            && ladder[k].level == ladder[k - 1].level
-                            && ladder[k - 1].tokens_per_s.is_some()
-                        {
-                            ladder[k].tokens_per_s = ladder[k - 1].tokens_per_s.map(|t| t / 2.0);
-                            break;
-                        }
+                // The perturbable observation is the second rung of the
+                // first same-level fitting pair; a ladder without one
+                // offers the injection nothing to halve.
+                let pair = (1..ladder.len()).find(|&k| {
+                    ladder[k].tokens_per_s.is_some()
+                        && ladder[k].level == ladder[k - 1].level
+                        && ladder[k - 1].tokens_per_s.is_some()
+                });
+                if let Some(k) = pair {
+                    if ck.perturb(Invariant::BatchMonotone) {
+                        ladder[k].tokens_per_s = ladder[k - 1].tokens_per_s.map(|t| t / 2.0);
                     }
                 }
                 let mut wall_violation: Option<Violation> = None;
-                if ck.take_injection(Invariant::OomWallConsistent) {
+                if ck.perturb(Invariant::OomWallConsistent) {
                     // Fabricate a fit-after-OOM pair: a rung that fails
                     // admission followed by a larger one that "fits".
                     // (A lone fitting rung would read as a monotonicity
@@ -715,23 +720,73 @@ fn check_scenario(ck: &mut Checker, scenario: &Scenario, obs: &[GenObs]) {
                 }
                 ck.count(Invariant::BatchMonotone);
                 ck.count(Invariant::OomWallConsistent);
-                for v in check_batch_ladder(platform, &label, &ladder) {
-                    ck.violations.push(v);
-                }
+                ck.violations
+                    .extend(check_batch_ladder(platform, &label, &ladder));
                 ck.push(wall_violation);
             }
         }
     }
 }
 
+/// Check journaled record `index` of the population, perturbing its first
+/// observation perturbable for `inject`, if any.
+fn check_record(
+    tier: Tier,
+    seed: u64,
+    index: u64,
+    record: &str,
+    inject: Option<Invariant>,
+) -> RecordCheck {
+    let mut ck = RecordCheck {
+        inject,
+        ..RecordCheck::default()
+    };
+    let scenario = sample(tier, seed, index);
+    let Some((label, obs)) = parse_record(record) else {
+        ck.violations.push(Violation {
+            invariant: Invariant::SeedDeterminism,
+            scenario: format_label(tier, seed, index),
+            platform: "-".to_owned(),
+            detail: "journaled record is not a parsable gen-v1 block".to_owned(),
+        });
+        return ck;
+    };
+    if label != scenario.label() {
+        ck.violations.push(Violation {
+            invariant: Invariant::SeedDeterminism,
+            scenario: scenario.label(),
+            platform: "-".to_owned(),
+            detail: format!("journaled record carries label `{label}`"),
+        });
+        return ck;
+    }
+    check_scenario(&mut ck, &scenario, &obs);
+    // Determinism: re-derive the whole record from the label alone and
+    // compare byte-for-byte. Sampled (every DETERMINISM_STRIDE-th index)
+    // because it doubles the scenario's evaluation cost.
+    if index.is_multiple_of(DETERMINISM_STRIDE) {
+        ck.count(Invariant::SeedDeterminism);
+        let mut fresh = render_scenario(tier, seed, index);
+        if ck.perturb(Invariant::SeedDeterminism) {
+            fresh.push('#');
+        }
+        ck.push(check_determinism(&scenario.label(), record, &fresh));
+    }
+    ck
+}
+
 /// Check the invariant catalog over a population of journaled records.
 ///
-/// `records` maps scenario index → record text, in index order. `inject`
-/// carries a `gen=violate:<invariant>` clause from `DABENCH_INJECT`: the
-/// first eligible observation is perturbed so the named invariant fails
-/// loudly — proof the checker is alive. If the population offers no
-/// eligible observation (e.g. `fault_monotone` on an all-healthy baby
-/// tier), a synthetic counterexample is fed through the same checker.
+/// `records` maps scenario index → record text, in index order. Records
+/// are checked independently on the `par_map` pool, then folded in index
+/// order, so the outcome is the same at any `--jobs`. `inject` carries a
+/// `gen=violate:<invariant>` clause from `DABENCH_INJECT`: the first
+/// record with an observation perturbable for it is re-checked with that
+/// observation perturbed, so the named invariant fails loudly — proof the
+/// checker is alive. If the population offers no such observation (e.g.
+/// `fault_monotone` on an all-healthy baby tier), a synthetic
+/// counterexample is fed through the same checker. The checker records
+/// nothing on the obs bus: its re-derivations are not sweep points.
 #[must_use]
 pub fn check_population(
     tier: Tier,
@@ -739,84 +794,61 @@ pub fn check_population(
     records: &[(u64, String)],
     inject: Option<Invariant>,
 ) -> CheckOutcome {
-    let mut ck = Checker::new(inject);
-    for (index, record) in records {
-        let scenario = sample(tier, seed, *index);
-        let Some((label, obs)) = parse_record(record) else {
-            ck.violations.push(Violation {
-                invariant: Invariant::SeedDeterminism,
-                scenario: format_label(tier, seed, *index),
-                platform: "-".to_owned(),
-                detail: "journaled record is not a parsable gen-v1 block".to_owned(),
-            });
-            continue;
-        };
-        if label != scenario.label() {
-            ck.violations.push(Violation {
-                invariant: Invariant::SeedDeterminism,
-                scenario: scenario.label(),
-                platform: "-".to_owned(),
-                detail: format!("journaled record carries label `{label}`"),
-            });
-            continue;
-        }
-        check_scenario(&mut ck, &scenario, &obs);
-        // Determinism: re-derive the whole record from the label alone
-        // and compare byte-for-byte. Sampled (every DETERMINISM_STRIDE-th
-        // index) because it doubles the scenario's evaluation cost.
-        if index % DETERMINISM_STRIDE == 0 {
-            ck.count(Invariant::SeedDeterminism);
-            let mut fresh = render_scenario(tier, seed, *index);
-            if ck.take_injection(Invariant::SeedDeterminism) {
-                fresh.push('#');
+    dabench_core::obs::muted(|| {
+        let checks = par_map(records, |(index, record)| {
+            check_record(tier, seed, *index, record, None)
+        });
+        let mut counts = [0_u64; Invariant::ALL.len()];
+        let mut violations = Vec::new();
+        let mut pending = inject;
+        for ((index, record), mut ck) in records.iter().zip(checks) {
+            if let Some(inv) = pending.filter(|inv| ck.perturbable[slot(*inv)]) {
+                ck = check_record(tier, seed, *index, record, Some(inv));
+                pending = None;
             }
-            ck.push(check_determinism(&scenario.label(), record, &fresh));
-        }
-    }
-    // A requested injection that found no eligible observation still must
-    // prove the checker fires: feed a synthetic counterexample through
-    // the same comparator.
-    if let Some(inv) = ck.inject.take() {
-        ck.count(inv);
-        let label = "gen:injected";
-        match inv {
-            Invariant::FaultMonotone => {
-                ck.push(check_fault_monotone("injected", label, 1.0, 2.0));
+            for (total, n) in counts.iter_mut().zip(ck.counts) {
+                *total += n;
             }
-            Invariant::Fp8KvSmaller => ck.push(check_fp8_kv(label, 100, 100, 1, 1)),
-            Invariant::BatchMonotone | Invariant::OomWallConsistent => {
-                let lvl = Some("injected".to_owned());
-                let ladder = [
-                    LadderPoint {
-                        batch: 1,
-                        level: lvl.clone(),
-                        tokens_per_s: Some(10.0),
-                    },
-                    LadderPoint {
-                        batch: 2,
-                        level: None,
-                        tokens_per_s: None,
-                    },
-                    LadderPoint {
-                        batch: 4,
-                        level: lvl,
-                        tokens_per_s: Some(5.0),
-                    },
-                ];
-                for v in check_batch_ladder("injected", label, &ladder) {
-                    ck.violations.push(v);
-                }
-            }
-            Invariant::SeedDeterminism => ck.push(check_determinism(label, "a", "b")),
+            violations.extend(ck.violations);
         }
-    }
-    CheckOutcome {
-        checked: Invariant::ALL
-            .iter()
-            .enumerate()
-            .map(|(i, inv)| (*inv, ck.counts[i]))
+        // A requested injection that found no perturbable observation
+        // still must prove the checker fires: feed a synthetic
+        // counterexample through the same comparator.
+        if let Some(inv) = pending {
+            counts[slot(inv)] += 1;
+            violations.extend(synthetic_counterexample(inv));
+        }
+        CheckOutcome {
+            checked: Invariant::ALL.iter().copied().zip(counts).collect(),
+            violations,
+        }
+    })
+}
+
+/// The violations a hand-made counterexample of `inv` raises.
+fn synthetic_counterexample(inv: Invariant) -> Vec<Violation> {
+    let label = "gen:injected";
+    match inv {
+        Invariant::FaultMonotone => check_fault_monotone("injected", label, 1.0, 2.0)
+            .into_iter()
             .collect(),
-        violations: ck.violations,
+        Invariant::Fp8KvSmaller => check_fp8_kv(label, 100, 100, 1, 1).into_iter().collect(),
+        Invariant::BatchMonotone | Invariant::OomWallConsistent => {
+            let rung = |batch, tokens_per_s: Option<f64>| LadderPoint {
+                batch,
+                level: tokens_per_s.map(|_| "injected".to_owned()),
+                tokens_per_s,
+            };
+            // A drop between adjacent rungs of one level, or a fit after
+            // an OOM.
+            let ladder = if inv == Invariant::BatchMonotone {
+                vec![rung(1, Some(10.0)), rung(2, Some(5.0))]
+            } else {
+                vec![rung(1, Some(10.0)), rung(2, None), rung(4, Some(5.0))]
+            };
+            check_batch_ladder("injected", label, &ladder)
+        }
+        Invariant::SeedDeterminism => check_determinism(label, "a", "b").into_iter().collect(),
     }
 }
 
@@ -1027,16 +1059,56 @@ mod tests {
 
     #[test]
     fn injection_fails_loudly_for_every_invariant() {
-        let records: Vec<(u64, String)> = (0..2)
-            .map(|i| (i, render_scenario(Tier::Baby, 42, i)))
-            .collect();
-        for inv in Invariant::ALL {
-            let outcome = check_population(Tier::Baby, 42, &records, Some(inv));
-            assert!(
-                outcome.violations.iter().any(|v| v.invariant == inv),
-                "{inv}: injection did not surface"
-            );
+        // Every tier: on cosmic the first ladder checked (wse at index 0)
+        // has no same-level fitting pair, so a `batch_monotone` injection
+        // must move on to the next perturbable ladder instead of being
+        // spent on nothing.
+        for tier in Tier::ALL {
+            let records: Vec<(u64, String)> =
+                (0..2).map(|i| (i, render_scenario(tier, 42, i))).collect();
+            let clean = check_population(tier, 42, &records, None);
+            for inv in Invariant::ALL {
+                let outcome = check_population(tier, 42, &records, Some(inv));
+                assert!(
+                    outcome.violations.iter().any(|v| v.invariant == inv),
+                    "{} {inv}: injection did not surface",
+                    tier.as_str()
+                );
+                // A perturbation changes what a check finds, never how
+                // many checks ran; the synthetic fallback adds one.
+                let synthetic = outcome
+                    .violations
+                    .iter()
+                    .any(|v| v.scenario == "gen:injected");
+                for ((i, n), (_, base)) in outcome.checked.iter().zip(&clean.checked) {
+                    let extra = u64::from(synthetic && *i == inv);
+                    assert_eq!(*n, base + extra, "{} {inv}: {i} count", tier.as_str());
+                }
+            }
         }
+    }
+
+    #[test]
+    fn injection_lands_on_the_first_perturbable_record() {
+        // Easy seed 42 opens with training scenarios, which carry no FP8
+        // KV check: a `fp8_kv_smaller` injection skips them and perturbs
+        // the first serving scenario, and only its violation appears.
+        let tier = Tier::Easy;
+        let records: Vec<(u64, String)> =
+            (0..8).map(|i| (i, render_scenario(tier, 42, i))).collect();
+        let first_infer = records
+            .iter()
+            .map(|(i, _)| sample(tier, 42, *i))
+            .find(|s| s.kind == ScenarioKind::Infer)
+            .expect("an inference scenario among the first 8");
+        assert!(first_infer.index > 0, "precondition: records to skip");
+        let outcome = check_population(tier, 42, &records, Some(Invariant::Fp8KvSmaller));
+        let hits: Vec<&str> = outcome
+            .violations
+            .iter()
+            .map(|v| v.scenario.as_str())
+            .collect();
+        assert_eq!(hits, vec![first_infer.label().as_str()]);
     }
 
     #[test]

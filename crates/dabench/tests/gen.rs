@@ -199,3 +199,125 @@ fn unknown_violate_target_is_rejected_at_parse_time() {
     assert_eq!(r.code, Some(1), "{}", r.stderr);
     assert!(r.stderr.contains("unknown invariant"), "{}", r.stderr);
 }
+
+/// `Checked` column of the invariant summary row of `invariant`.
+fn checked(stdout: &str, invariant: &str) -> u64 {
+    let row = stdout
+        .lines()
+        .find(|l| l.trim_start_matches(['|', ' ']).starts_with(invariant))
+        .unwrap_or_else(|| panic!("no `{invariant}` row:\n{stdout}"));
+    let cells: Vec<&str> = row.split('|').map(str::trim).collect();
+    cells[cells.len() - 3]
+        .parse()
+        .expect("numeric Checked cell")
+}
+
+#[test]
+fn hard_population_checks_are_identical_at_any_jobs_and_shards() {
+    // The checker runs on the worker pool and folds in index order, so
+    // every count and violation prints the same whatever the pool size.
+    // Hard seed 3 exercises every invariant: faulted single-chip training
+    // (fault_monotone), serving ladders and walls, and two determinism
+    // re-renders (indices 0 and 8).
+    let base = &["gen", "--tier", "hard", "--seed", "3", "--count", "16"];
+    let serial = run(&[base as &[&str], &["--jobs", "1"]].concat());
+    assert_eq!(serial.code, Some(0), "{}", serial.stderr);
+    for invariant in [
+        "fault_monotone",
+        "fp8_kv_smaller",
+        "batch_monotone",
+        "oom_wall_consistent",
+    ] {
+        assert!(
+            checked(&serial.stdout, invariant) > 0,
+            "{invariant} unchecked"
+        );
+    }
+    assert_eq!(checked(&serial.stdout, "seed_determinism"), 2);
+
+    let parallel = run(&[base as &[&str], &["--jobs", "4"]].concat());
+    assert_eq!(parallel.code, Some(0), "{}", parallel.stderr);
+    assert_eq!(serial.stdout, parallel.stdout, "--jobs 4 moved the output");
+
+    let dir = temp_dir("hard-shards");
+    let dir_s = dir.to_str().expect("utf-8 temp path");
+    let sharded = run(&[base as &[&str], &["--shards", "2", "--run-dir", dir_s]].concat());
+    assert_eq!(sharded.code, Some(0), "{}", sharded.stderr);
+    assert_eq!(serial.stdout, sharded.stdout, "--shards 2 moved the output");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn trace_is_identical_at_any_jobs_and_holds_no_checker_track() {
+    // Sweep points record under paths headed by their index, with a
+    // labelled or nested track per platform. The checker's determinism
+    // re-renders used to add unlabelled top-level `point N` tracks that
+    // collide with those paths; it now records nothing.
+    let dir = temp_dir("trace");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let trace = |jobs: &str| {
+        let path = dir.join(format!("trace-{jobs}.json"));
+        let path_s = path.to_str().expect("utf-8 temp path");
+        let r = run(&[
+            "gen",
+            "--tier",
+            "hard",
+            "--seed",
+            "3",
+            "--count",
+            "16",
+            "--jobs",
+            jobs,
+            "--trace-out",
+            path_s,
+        ]);
+        assert_eq!(r.code, Some(0), "{}", r.stderr);
+        std::fs::read_to_string(&path).expect("trace written")
+    };
+    let serial = trace("1");
+    assert_eq!(serial, trace("4"), "--jobs moved the trace");
+    let tracks: Vec<&str> = serial
+        .split("\"thread_name\"")
+        .skip(1)
+        .filter_map(|rest| rest.split("\"args\":{\"name\":\"").nth(1))
+        .filter_map(|rest| rest.split('"').next())
+        .collect();
+    assert!(!tracks.is_empty(), "trace has no tracks");
+    for track in tracks {
+        let top_level = track
+            .strip_prefix("point ")
+            .is_some_and(|path| !path.contains('.'));
+        assert!(!top_level, "checker track `{track}` in the trace");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn finished_shard_workers_exit_without_waiting_for_a_heartbeat() {
+    // A worker whose points are journaled must exit at once, not at its
+    // next heartbeat: with a 10-minute beat, a worker that waited would
+    // stall the journal and be killed by the parent's watchdog.
+    let dir = temp_dir("heartbeat");
+    let dir_s = dir.to_str().expect("utf-8 temp path");
+    let r = run(&[
+        "gen",
+        "--tier",
+        "baby",
+        "--count",
+        "2",
+        "--shards",
+        "2",
+        "--heartbeat-ms",
+        "600000",
+        "--run-dir",
+        dir_s,
+    ]);
+    assert_eq!(r.code, Some(0), "{}", r.stderr);
+    assert!(
+        r.stderr.contains("2 clean, 0 partial, 0 dead"),
+        "{}",
+        r.stderr
+    );
+    assert!(!r.stderr.contains("died"), "{}", r.stderr);
+    let _ = std::fs::remove_dir_all(&dir);
+}
