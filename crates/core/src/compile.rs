@@ -8,36 +8,39 @@
 //! - [`training_graph`] memoizes whole graphs per [`TrainingWorkload`]
 //!   (the workload is `Eq + Hash`, playing the role the tier-1
 //!   [`crate::CacheKey`] plays for profiles), and
-//! - when the previous point's graph has the **same topology** (same
-//!   layer count, positional encoding, and activation family — the only
-//!   model knobs that change the node/edge structure), it *patches* that
-//!   graph via [`DataflowGraph::with_costs`] instead of rebuilding:
-//!   re-derive the per-op costs with [`ops::step_costs`] (no name
-//!   rendering, no interning, no edge construction) and share the frozen
-//!   topology arena behind its `Arc`.
+//! - when a graph of the **same topology** (same layer count, positional
+//!   encoding, and activation family — the only model knobs that change
+//!   the node/edge structure) was built before, it *patches* that graph
+//!   via [`DataflowGraph::with_costs`] instead of rebuilding: re-derive
+//!   the per-op costs with [`ops::step_costs`] (no name rendering, no
+//!   interning, no edge construction) and share the frozen topology arena
+//!   behind its `Arc`.
 //!
 //! # Invalidation rules
 //!
 //! A cached graph is keyed by the full workload, so any change hits a
-//! different entry. The *patch basis* (most recently built graph) is only
-//! reused when the topology triple matches; hidden size, FFN width,
-//! vocab, batch size, sequence length, and precision changes all patch,
-//! while layer-count or model-family changes rebuild.
+//! different entry. A *patch basis* is only reused for a workload of its
+//! own topology triple; hidden size, heads, KV heads, FFN width, vocab,
+//! batch size, sequence length, and precision changes all patch, while
+//! the first graph of a new layer count or model family is a full build.
 //!
 //! # Determinism
 //!
 //! The rendered output of a sweep must be byte-identical at any `--jobs`,
 //! under `--shards`, and across `--resume`. Two regimes keep it so:
 //!
-//! - **Recorder off** (plain runs): a process-global [`LruStore`] plus a
-//!   last-built basis slot. Caching is invisible here because a hit
-//!   returns a value bitwise equal to a rebuild (proven by the
-//!   differential test layer and the `intern_props` property tests).
+//! - **Recorder off** (plain runs): a process-global [`LruStore`] of
+//!   graphs plus a bounded [`LruStore`] of patch bases, one per topology
+//!   triple. Caching is invisible here because a hit or a patch returns a
+//!   value bitwise equal to a rebuild (proven by the differential test
+//!   layer and the `intern_props` property tests).
 //! - **Recorder on** (`--metrics`/`--trace-out`): the cache lives in the
 //!   *per-point* observability context instead, so the new
 //!   `compile.incremental_hits`/`misses`/`patched_nodes` and
 //!   `graph.interned_symbols` counters depend only on the point's own
-//!   call sequence, never on sweep scheduling. This mirrors how
+//!   call sequence, never on sweep scheduling. Its basis is the single
+//!   most recently built graph: which calls patch is part of those
+//!   counters, and the golden traces pin them. This mirrors how
 //!   [`crate::tier1_cached`] bypasses its global cache when the recorder
 //!   is on.
 //!
@@ -50,19 +53,19 @@
 
 use crate::lru::LruStore;
 use crate::obs;
-use dabench_graph::{DataflowGraph, GraphBuilder};
-use dabench_model::ops::{self, OpCost};
-use dabench_model::TrainingWorkload;
+use dabench_graph::{DataflowGraph, GraphBuilder, NodeId};
+use dabench_model::ops;
+use dabench_model::{Activation, PositionalEncoding, TrainingWorkload};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 
 /// Per-point compile cache, stored inside the observability context when
 /// the recorder is on (see [`crate::obs`]).
 #[derive(Debug, Default)]
 pub(crate) struct CompileScratch {
     map: HashMap<TrainingWorkload, Arc<DataflowGraph>>,
-    last: Option<(TrainingWorkload, Arc<DataflowGraph>)>,
+    last: Option<(TopologyKey, Arc<DataflowGraph>)>,
 }
 
 /// Incremental-compilation switch: 0 = read `DABENCH_NO_INCREMENTAL` on
@@ -73,11 +76,18 @@ static INCREMENTAL: AtomicU8 = AtomicU8::new(0);
 /// distinct workload of the largest paper sweep with headroom.
 static GRAPH_CACHE: OnceLock<LruStore<TrainingWorkload, Arc<DataflowGraph>>> = OnceLock::new();
 
-/// Most recently *built* graph — the patch basis when the recorder is off.
-static LAST_BUILT: Mutex<Option<(TrainingWorkload, Arc<DataflowGraph>)>> = Mutex::new(None);
+/// Patch bases used when the recorder is off: the first graph built for
+/// each topology triple. Capacity covers the widest `gen` tier menu
+/// (medium: 16–48 layers in two families, 66 triples); a base is one
+/// graph whose topology arena the cached graphs of its triple share.
+static PATCH_BASES: OnceLock<LruStore<TopologyKey, Arc<DataflowGraph>>> = OnceLock::new();
 
 fn graph_cache() -> &'static LruStore<TrainingWorkload, Arc<DataflowGraph>> {
     GRAPH_CACHE.get_or_init(|| LruStore::new(256))
+}
+
+fn patch_bases() -> &'static LruStore<TopologyKey, Arc<DataflowGraph>> {
+    PATCH_BASES.get_or_init(|| LruStore::new(96))
 }
 
 /// Whether incremental compilation (memoize + diff-and-patch) is active.
@@ -111,56 +121,48 @@ pub fn set_incremental(on: bool) {
 /// calls this between cases so cold-path timings stay cold.
 pub fn clear_compile_cache() {
     graph_cache().clear();
-    *LAST_BUILT
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner) = None;
+    patch_bases().clear();
 }
 
 /// The only model knobs that change graph *topology* (node set + edges):
 /// layer count, rope presence (positional encoding), and gate presence
 /// (activation family). Everything else only re-scales costs.
-fn same_topology(a: &TrainingWorkload, b: &TrainingWorkload) -> bool {
-    let (ma, mb) = (a.model(), b.model());
-    ma.num_layers == mb.num_layers
-        && ma.positional == mb.positional
-        && ma.activation == mb.activation
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct TopologyKey {
+    layers: u64,
+    positional: PositionalEncoding,
+    activation: Activation,
 }
 
-/// Outcome of one graph construction, for counter attribution.
-enum Built {
-    /// Patched the basis: topology shared, `n` node costs changed.
-    Patched(Arc<DataflowGraph>, usize),
-    /// Full rebuild from records.
-    Full(Arc<DataflowGraph>),
-}
-
-impl Built {
-    fn graph(&self) -> Arc<DataflowGraph> {
-        match self {
-            Built::Patched(g, _) | Built::Full(g) => Arc::clone(g),
+impl TopologyKey {
+    fn of(w: &TrainingWorkload) -> Self {
+        let m = w.model();
+        Self {
+            layers: m.num_layers,
+            positional: m.positional,
+            activation: m.activation,
         }
     }
 }
 
-/// Build the graph for `w`, patching `basis` when its topology matches.
-fn build_or_patch(
-    w: &TrainingWorkload,
-    basis: Option<&(TrainingWorkload, Arc<DataflowGraph>)>,
-) -> Built {
-    if let Some((bw, bg)) = basis {
-        if same_topology(bw, w) {
-            let costs: Vec<OpCost> = ops::step_costs(w.model(), w.batch_size(), w.seq_len());
-            if costs.len() == bg.node_count() {
-                let patched = costs
-                    .iter()
-                    .enumerate()
-                    .filter(|&(i, c)| bg.op(dabench_graph::NodeId(i)).cost() != *c)
-                    .count();
-                return Built::Patched(Arc::new(bg.with_costs(costs)), patched);
-            }
+/// The graph of `w`: a patch of `basis` — a graph of the same
+/// [`TopologyKey`] — when there is one, else a full build. A patch shares
+/// the basis's topology arena; a full build never does.
+fn build_or_patch(w: &TrainingWorkload, basis: Option<&DataflowGraph>) -> Arc<DataflowGraph> {
+    if let Some(bg) = basis {
+        let costs = ops::step_costs(w.model(), w.batch_size(), w.seq_len());
+        if costs.len() == bg.node_count() {
+            return Arc::new(bg.with_costs(costs));
         }
     }
-    Built::Full(Arc::new(GraphBuilder::for_workload(w)))
+    Arc::new(GraphBuilder::for_workload(w))
+}
+
+/// Number of nodes whose cost differs between two same-topology graphs.
+fn changed_nodes(a: &DataflowGraph, b: &DataflowGraph) -> usize {
+    (0..a.node_count())
+        .filter(|&i| a.op(NodeId(i)).cost() != b.op(NodeId(i)).cost())
+        .count()
 }
 
 /// The training-step dataflow graph of `w`, built through the incremental
@@ -194,16 +196,15 @@ pub fn training_graph(w: &TrainingWorkload) -> Arc<DataflowGraph> {
     if let Some(g) = cache.get(w) {
         return g;
     }
-    let basis = LAST_BUILT
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .clone();
-    let built = build_or_patch(w, basis.as_ref()).graph();
-    *LAST_BUILT
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner) = Some((w.clone(), Arc::clone(&built)));
-    cache.insert(w.clone(), Arc::clone(&built));
-    built
+    let key = TopologyKey::of(w);
+    let bases = patch_bases();
+    let basis = bases.get(&key);
+    let g = build_or_patch(w, basis.as_deref());
+    if !basis.is_some_and(|b| b.shares_topology(&g)) {
+        bases.insert(key, Arc::clone(&g));
+    }
+    cache.insert(w.clone(), Arc::clone(&g));
+    g
 }
 
 /// Recorder-on path: per-point scratch plus compile counters. All scratch
@@ -220,20 +221,22 @@ fn training_graph_recorded(w: &TrainingWorkload) -> Arc<DataflowGraph> {
         obs::counter("compile.incremental_hits", 1.0);
         return g;
     }
-    let basis = obs::with_compile_scratch(|s| s.last.clone()).flatten();
-    let built = build_or_patch(w, basis.as_ref());
+    let key = TopologyKey::of(w);
+    let basis = obs::with_compile_scratch(|s| {
+        s.last
+            .as_ref()
+            .filter(|(k, _)| *k == key)
+            .map(|(_, g)| Arc::clone(g))
+    })
+    .flatten();
+    let g = build_or_patch(w, basis.as_deref());
     obs::counter("compile.incremental_misses", 1.0);
-    match &built {
-        Built::Patched(_, patched) => {
-            obs::counter("compile.patched_nodes", *patched as f64);
-        }
-        Built::Full(g) => {
-            obs::counter("graph.interned_symbols", g.interned_symbol_count() as f64);
-        }
+    match basis.filter(|b| b.shares_topology(&g)) {
+        Some(b) => obs::counter("compile.patched_nodes", changed_nodes(&b, &g) as f64),
+        None => obs::counter("graph.interned_symbols", g.interned_symbol_count() as f64),
     }
-    let g = built.graph();
     obs::with_compile_scratch(|s| {
-        s.last = Some((w.clone(), Arc::clone(&g)));
+        s.last = Some((key, Arc::clone(&g)));
         s.map.insert(w.clone(), Arc::clone(&g));
     });
     g
@@ -361,5 +364,62 @@ mod tests {
         assert_eq!(t.counter_total("compile.incremental_misses"), Some(2.0));
         assert!(t.counter_total("compile.patched_nodes").unwrap() > 0.0);
         assert!(t.counter_total("graph.interned_symbols").unwrap() > 10.0);
+    }
+
+    #[test]
+    fn returning_topology_patches_from_its_first_arena() {
+        let _g = locked();
+        clear_compile_cache();
+        // A, B, A′: B's layer count differs, so it is a full build, and
+        // A′ still patches from A rather than rebuilding.
+        let a = training_graph(&w(768, 3, 4));
+        let b = training_graph(&w(768, 5, 4));
+        assert!(!a.shares_topology(&b));
+        let a2 = training_graph(&w(1024, 3, 16));
+        assert!(a2.shares_topology(&a), "A′ must patch A's arena");
+        let b2 = training_graph(&w(512, 5, 2));
+        assert!(b2.shares_topology(&b), "B′ must patch B's arena");
+        let fresh = GraphBuilder::for_workload(&w(1024, 3, 16));
+        for (id, node) in fresh.iter() {
+            assert_eq!(a2.op(id).name(), node.name(), "node {id}");
+            assert_eq!(a2.op(id).cost(), node.cost(), "node {id}");
+        }
+    }
+
+    #[test]
+    fn clearing_the_cache_makes_the_next_call_a_full_build() {
+        let _g = locked();
+        clear_compile_cache();
+        let a = training_graph(&w(768, 3, 4));
+        clear_compile_cache();
+        // Same topology, but the bases are gone: cold cases stay cold.
+        let b = training_graph(&w(768, 3, 8));
+        assert!(!a.shares_topology(&b), "cleared basis was patched");
+        let again = training_graph(&w(768, 3, 4));
+        assert!(!Arc::ptr_eq(&a, &again), "cleared graph was returned");
+        assert!(
+            again.shares_topology(&b),
+            "new basis is the post-clear build"
+        );
+    }
+
+    #[test]
+    fn recorded_path_keeps_a_single_basis() {
+        let _g = locked();
+        clear_compile_cache();
+        obs::disable();
+        obs::enable();
+        obs::with_point(0, "single-basis", || {
+            let a = training_graph(&w(768, 2, 4)); // full build
+            let b = training_graph(&w(768, 3, 4)); // full build
+            let a2 = training_graph(&w(768, 2, 8)); // basis is B: full build
+            assert!(!a2.shares_topology(&a));
+            assert!(!a2.shares_topology(&b));
+        });
+        let traces = obs::take();
+        obs::disable();
+        let t = &traces[0];
+        assert_eq!(t.counter_total("compile.incremental_misses"), Some(3.0));
+        assert_eq!(t.counter_total("compile.patched_nodes"), None);
     }
 }

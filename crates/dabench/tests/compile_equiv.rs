@@ -90,6 +90,32 @@ fn inference_and_generated_sweeps_are_identical() {
 }
 
 #[test]
+fn populations_that_revisit_topologies_are_identical_at_any_jobs() {
+    // Baby's 8 scenarios never return to an earlier layer count; these
+    // populations do, so later scenarios patch from per-topology bases
+    // in whatever order the workers reach them.
+    for population in [
+        ["gen", "--tier", "hard", "--count", "48"],
+        ["gen", "--tier", "cosmic", "--count", "32"],
+    ] {
+        let with_jobs = |jobs| [&population[..], &["--jobs", jobs]].concat();
+        let reference = run_mode(&with_jobs("1"), false);
+        assert_eq!(reference.code, Some(0), "{}", reference.stderr);
+        for (jobs, incremental) in [("1", true), ("4", true), ("4", false)] {
+            let r = run_mode(&with_jobs(jobs), incremental);
+            assert_eq!(r.code, Some(0), "{}", r.stderr);
+            assert_eq!(
+                r.stdout,
+                reference.stdout,
+                "`dabench {}` --jobs {jobs} (incremental: {incremental}) differs \
+                 from the scratch --jobs 1 run",
+                population.join(" ")
+            );
+        }
+    }
+}
+
+#[test]
 fn csv_exports_are_identical() {
     assert_equivalent(&["csv", "infer"]);
     assert_equivalent(&["csv", "gen"]);

@@ -6,10 +6,12 @@
 //! Generators draw from the seeded [`SplitMix64`]: every case reproduces
 //! from the printed seed.
 
+use dabench_core::gen::{self, Tier};
 use dabench_core::SplitMix64;
 use dabench_graph::{DataflowGraph, GraphBuilder, Interner};
 use dabench_model::ops::{self, Phase};
-use dabench_model::{ModelConfig, Precision, TrainingWorkload};
+use dabench_model::{Activation, ModelConfig, PositionalEncoding, Precision, TrainingWorkload};
+use std::collections::BTreeMap;
 
 /// A uniformly chosen element of `items`.
 fn pick<T: Copy>(rng: &mut SplitMix64, items: &[T]) -> T {
@@ -216,4 +218,84 @@ fn cost_patch_equals_rebuild_from_scratch_on_random_deltas() {
         );
         assert_graphs_identical(&patched, &fresh, &format!("trial {trial}"));
     }
+}
+
+/// Every `gen` tier's training workloads, grouped by topology triple
+/// (layers, rotary positions, gated MLP): within a group, hidden size,
+/// heads, GQA vs MHA KV heads, FFN width, batch, sequence length and
+/// precision vary as the tier menus draw them, across tiers where their
+/// layer ranges overlap.
+fn gen_topology_groups() -> BTreeMap<(u64, bool, bool), Vec<(Tier, TrainingWorkload)>> {
+    let mut groups: BTreeMap<_, Vec<_>> = BTreeMap::new();
+    for tier in Tier::ALL {
+        for index in 0..64 {
+            let w = gen::sample(tier, 0x5EED_0003, index).training_workload();
+            let m = w.model();
+            let key = (
+                m.num_layers,
+                m.positional == PositionalEncoding::Rotary,
+                m.activation == Activation::SwiGlu,
+            );
+            groups.entry(key).or_default().push((tier, w));
+        }
+    }
+    groups
+}
+
+#[test]
+fn patch_from_any_same_topology_basis_equals_a_fresh_build() {
+    let groups: Vec<_> = gen_topology_groups()
+        .into_values()
+        .filter(|g| g.len() >= 2)
+        .collect();
+    let vocabs = [
+        ModelConfig::gpt2_probe(768, 1).vocab_size,
+        ModelConfig::llama2_probe(1024, 1).vocab_size,
+    ];
+    let mut rng = SplitMix64::new(0x5EED_0004);
+    let (mut cross_tier, mut gqa_vs_mha, mut new_hidden, mut new_vocab) = (0, 0, 0, 0);
+    for trial in 0..64 {
+        let group = &groups[rng.below(groups.len() as u64) as usize];
+        let i = rng.below(group.len() as u64) as usize;
+        let j = (i + 1 + rng.below(group.len() as u64 - 1) as usize) % group.len();
+        let (basis_tier, basis) = &group[i];
+        let (target_tier, target) = &group[j];
+        // The tier menus tie vocab to the family; redraw it for half the
+        // targets so vocab varies within a topology too.
+        let target = if rng.below(2) == 0 {
+            let model = ModelConfig {
+                vocab_size: pick(&mut rng, &vocabs),
+                ..target.model().clone()
+            };
+            TrainingWorkload::new(
+                model,
+                target.batch_size(),
+                target.seq_len(),
+                target.precision(),
+            )
+        } else {
+            target.clone()
+        };
+        let (bm, tm) = (basis.model(), target.model());
+        cross_tier += usize::from(basis_tier != target_tier);
+        gqa_vs_mha +=
+            usize::from((bm.num_kv_heads < bm.num_heads) != (tm.num_kv_heads < tm.num_heads));
+        new_hidden += usize::from(bm.hidden_size != tm.hidden_size);
+        new_vocab += usize::from(bm.vocab_size != tm.vocab_size);
+
+        let base_graph = GraphBuilder::for_workload(basis);
+        let costs = ops::step_costs(tm, target.batch_size(), target.seq_len());
+        let patched = base_graph.with_costs(costs);
+        assert!(
+            patched.shares_topology(&base_graph),
+            "trial {trial}: patch re-allocated topology"
+        );
+        let ctx = format!("trial {trial}: {} from {}", tm.name, bm.name);
+        assert_graphs_identical(&patched, &GraphBuilder::for_workload(&target), &ctx);
+    }
+    // The draw must reach the pairs the single-model deltas above cannot.
+    assert!(cross_tier > 0, "no cross-tier pair drawn");
+    assert!(gqa_vs_mha > 0, "no GQA-vs-MHA pair drawn");
+    assert!(new_hidden > 0, "no hidden-size change drawn");
+    assert!(new_vocab > 0, "no vocab change drawn");
 }

@@ -30,20 +30,16 @@ pub struct TpPlan {
 
 /// Shard each section's weights and compute over `degree` chips (Megatron
 /// style); boundary activations stay replicated.
-fn shard_sections(sections: &[Section], degree: u32) -> Vec<Section> {
+fn shard_sections(mut sections: Vec<Section>, degree: u32) -> Vec<Section> {
     let d = f64::from(degree);
+    for s in &mut sections {
+        s.flops_per_invocation /= d;
+        s.weight_bytes = (s.weight_bytes as f64 / d) as u64;
+        for op in &mut s.ops {
+            op.flops /= d;
+        }
+    }
     sections
-        .iter()
-        .map(|s| {
-            let mut out = s.clone();
-            out.flops_per_invocation /= d;
-            out.weight_bytes = (s.weight_bytes as f64 / d) as u64;
-            for op in &mut out.ops {
-                op.flops /= d;
-            }
-            out
-        })
-        .collect()
 }
 
 /// Execute `workload` tensor-parallel over `degree` RDUs under `mode`.
@@ -69,9 +65,19 @@ pub fn tensor_parallel(
         )));
     }
 
-    let sections = partition(workload, spec, params, mode);
-    let sharded = shard_sections(&sections, degree);
-    let exec = execute_sections(&sharded, workload, spec, params);
+    let sharded = shard_sections(partition(workload, spec, params, mode), degree);
+    Ok(plan_sharded(spec, params, workload, degree, &sharded))
+}
+
+/// The TP plan of sections already sharded over `degree` chips.
+fn plan_sharded(
+    spec: &RduSpec,
+    params: &RduCompilerParams,
+    workload: &TrainingWorkload,
+    degree: u32,
+    sharded: &[Section],
+) -> TpPlan {
+    let exec = execute_sections(sharded, workload, spec, params);
 
     // Megatron-style TP: two allreduces per layer per pass (fwd + bwd), on
     // B×S×h activations, volume scaled by (d-1)/d.
@@ -115,7 +121,7 @@ pub fn tensor_parallel(
     let pcu_allocation = (compute_pcu + comm_pcu) / step_time;
     let pmu_allocation = (compute_pmu + comm_pmu) / step_time;
 
-    Ok(TpPlan {
+    TpPlan {
         degree,
         throughput_tokens_per_s: workload.tokens_per_step() as f64 / step_time,
         communication_fraction: comm_fraction,
@@ -123,7 +129,7 @@ pub fn tensor_parallel(
         pmu_allocation,
         step_time_s: step_time,
         cross_machine,
-    })
+    }
 }
 
 #[cfg(test)]
@@ -192,6 +198,60 @@ mod tests {
             )
             .unwrap_err();
             assert!(matches!(err, PlatformError::Unsupported(_)), "{d}");
+        }
+    }
+
+    /// Reference sharding: clone every section, then scale the copy.
+    fn shard_by_clone(sections: &[Section], degree: u32) -> Vec<Section> {
+        let d = f64::from(degree);
+        sections
+            .iter()
+            .map(|s| {
+                let mut out = s.clone();
+                out.flops_per_invocation /= d;
+                out.weight_bytes = (s.weight_bytes as f64 / d) as u64;
+                for op in &mut out.ops {
+                    op.flops /= d;
+                }
+                out
+            })
+            .collect()
+    }
+
+    #[test]
+    fn in_place_sharding_matches_the_clone_reference_bit_for_bit() {
+        let (spec, params) = (RduSpec::sn30(), RduCompilerParams::default());
+        let works = [
+            llama7b(),
+            TrainingWorkload::new(ModelConfig::gpt2_probe(1600, 12), 16, 1024, Precision::Fp16),
+        ];
+        for work in &works {
+            for mode in [
+                CompilationMode::O0,
+                CompilationMode::O1,
+                CompilationMode::O3,
+            ] {
+                for degree in [1u32, 2, 4, 8] {
+                    let got = tensor_parallel(&spec, &params, mode, work, degree).unwrap();
+                    let sections = partition(work, &spec, &params, mode);
+                    let sharded = shard_by_clone(&sections, degree);
+                    let want = plan_sharded(&spec, &params, work, degree, &sharded);
+                    let ctx = format!("{} {mode} tp{degree}", work.model().name);
+                    // Per-op FLOPs feed no plan field; compare the sections too.
+                    assert_eq!(shard_sections(sections, degree), sharded, "{ctx}");
+                    assert_eq!(got.degree, want.degree, "{ctx}");
+                    assert_eq!(got.cross_machine, want.cross_machine, "{ctx}");
+                    for (g, w) in [
+                        (got.throughput_tokens_per_s, want.throughput_tokens_per_s),
+                        (got.communication_fraction, want.communication_fraction),
+                        (got.pcu_allocation, want.pcu_allocation),
+                        (got.pmu_allocation, want.pmu_allocation),
+                        (got.step_time_s, want.step_time_s),
+                    ] {
+                        assert_eq!(g.to_bits(), w.to_bits(), "{ctx}");
+                    }
+                }
+            }
         }
     }
 

@@ -144,6 +144,16 @@ pub fn kernels_of(workload: &TrainingWorkload) -> Vec<Kernel> {
         })
         .collect();
 
+    // Each kind's position in the pipeline order above.
+    let head = 2 * model.num_layers as usize + 1;
+    let slot = |kind| match kind {
+        KernelKind::Embedding => 0,
+        KernelKind::Attention { layer } => 1 + 2 * layer as usize,
+        KernelKind::Ffn { layer } => 2 + 2 * layer as usize,
+        KernelKind::LmHead => head,
+        KernelKind::Loss => head + 1,
+    };
+
     // Graph node order equals the op-catalogue order, so every per-kernel
     // float accumulation below is bitwise identical to the legacy
     // `step_ops()` walk.
@@ -151,10 +161,7 @@ pub fn kernels_of(workload: &TrainingWorkload) -> Vec<Kernel> {
     for (_, op) in graph.iter() {
         match kind_of(op) {
             Some(kind) => {
-                let k = kernels
-                    .iter_mut()
-                    .find(|k| k.kind == kind)
-                    .expect("kernel order covers all kinds");
+                let k = &mut kernels[slot(kind)];
                 k.flops += op.flops();
                 if op.phase() == Phase::Forward {
                     k.params += op.params();
@@ -248,6 +255,86 @@ mod tests {
         let ks = kernels_of(&w(2));
         let l1: Vec<_> = ks.iter().filter(|k| k.is_layer(1)).collect();
         assert_eq!(l1.len(), 2);
+    }
+
+    /// Reference `kernels_of`: a linear `find` of each op's kernel.
+    fn kernels_by_find(workload: &TrainingWorkload) -> Vec<Kernel> {
+        let graph = training_graph(workload);
+        let mut kernels = vec![KernelKind::Embedding];
+        for l in 0..workload.model().num_layers {
+            kernels.push(KernelKind::Attention { layer: l });
+            kernels.push(KernelKind::Ffn { layer: l });
+        }
+        kernels.extend([KernelKind::LmHead, KernelKind::Loss]);
+        let mut kernels: Vec<Kernel> = kernels
+            .into_iter()
+            .map(|kind| Kernel {
+                kind,
+                flops: 0.0,
+                flops_per_token: 0.0,
+                params: 0,
+                stored_act_elems: 0,
+            })
+            .collect();
+        let mut optimizer_flops = 0.0;
+        for (_, op) in graph.iter() {
+            match kind_of(op) {
+                Some(kind) => {
+                    let k = kernels.iter_mut().find(|k| k.kind == kind).unwrap();
+                    k.flops += op.flops();
+                    if op.phase() == Phase::Forward {
+                        k.params += op.params();
+                        k.stored_act_elems += op.out_elems();
+                    }
+                }
+                None => optimizer_flops += op.flops(),
+            }
+        }
+        let total_params: u64 = kernels.iter().map(|k| k.params).sum();
+        if total_params > 0 {
+            for k in &mut kernels {
+                k.flops += optimizer_flops * k.params as f64 / total_params as f64;
+            }
+        }
+        for k in &mut kernels {
+            k.flops_per_token = k.flops / workload.tokens_per_step() as f64;
+        }
+        kernels
+    }
+
+    #[test]
+    fn direct_slots_match_the_linear_find_reference_bit_for_bit() {
+        for layers in 1..=96 {
+            let model = if layers % 2 == 0 {
+                ModelConfig::gpt2_probe(512, layers)
+            } else {
+                ModelConfig::llama2_probe(1024, layers)
+            };
+            let work = TrainingWorkload::new(model, 4, 512, Precision::Bf16);
+            let (got, want) = (kernels_of(&work), kernels_by_find(&work));
+            assert_eq!(got.len(), want.len(), "L={layers}");
+            for (g, r) in got.iter().zip(&want) {
+                assert_eq!(g.kind, r.kind, "L={layers}");
+                assert_eq!(
+                    g.flops.to_bits(),
+                    r.flops.to_bits(),
+                    "L={layers} {}",
+                    g.kind
+                );
+                assert_eq!(
+                    g.flops_per_token.to_bits(),
+                    r.flops_per_token.to_bits(),
+                    "L={layers} {}",
+                    g.kind
+                );
+                assert_eq!(g.params, r.params, "L={layers} {}", g.kind);
+                assert_eq!(
+                    g.stored_act_elems, r.stored_act_elems,
+                    "L={layers} {}",
+                    g.kind
+                );
+            }
+        }
     }
 
     #[test]
