@@ -25,6 +25,7 @@
 //! themselves are machine-dependent; the gate ([`regressions`]) therefore
 //! takes a percentage tolerance and ignores sub-[`GATE_FLOOR_NS`] deltas.
 
+use crate::jsonl;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -388,21 +389,6 @@ pub fn regressions(
 // JSON writer
 // ---------------------------------------------------------------------------
 
-fn json_escape(s: &str) -> String {
-    crate::supervise::json_escape(s)
-}
-
-/// Finite-f64 rendering that round-trips through `from_str` (`{:?}` picks
-/// the shortest such decimal); non-finite values clamp to 0 like the
-/// Chrome-trace exporter.
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:?}")
-    } else {
-        "0.0".to_owned()
-    }
-}
-
 impl BenchReport {
     /// Serialize with fixed key order: one benchmark (or trajectory
     /// entry) per line, flat hand-rolled JSON like the run journal.
@@ -420,7 +406,7 @@ impl BenchReport {
                 "{{\"name\":\"{}\",\"kind\":\"{}\",\"warmup\":{},\"iters\":{},\"inner\":{},\
                  \"kept\":{},\"median_ns\":{},\"mad_ns\":{},\"min_ns\":{},\"max_ns\":{},\
                  \"phases\":[",
-                json_escape(&b.name),
+                jsonl::escape(&b.name),
                 b.kind.as_str(),
                 b.plan.warmup,
                 b.plan.iters,
@@ -438,7 +424,7 @@ impl BenchReport {
                 let _ = write!(
                     out,
                     "{{\"phase\":\"{}\",\"spans\":{}}}",
-                    json_escape(&p.phase),
+                    jsonl::escape(&p.phase),
                     p.spans
                 );
             }
@@ -450,8 +436,8 @@ impl BenchReport {
                 let _ = write!(
                     out,
                     "{{\"key\":\"{}\",\"total\":{}}}",
-                    json_escape(&c.key),
-                    json_f64(c.total)
+                    jsonl::escape(&c.key),
+                    jsonl::number(c.total)
                 );
             }
             out.push_str("]}");
@@ -462,8 +448,8 @@ impl BenchReport {
             let _ = write!(
                 out,
                 "{{\"bench\":\"{}\",\"label\":\"{}\",\"median_ns\":{}}}",
-                json_escape(&t.bench),
-                json_escape(&t.label),
+                jsonl::escape(&t.bench),
+                jsonl::escape(&t.label),
                 t.median_ns
             );
         }
@@ -629,6 +615,14 @@ impl<'a> Parser<'a> {
         tok.parse().map_err(|e| format!("bad integer {tok:?}: {e}"))
     }
 
+    /// `"name":` then a `u32`; a wider integer is an error naming the
+    /// key, never a truncated value.
+    fn u32_field(&mut self, name: &str) -> Result<u32, String> {
+        self.key(name)?;
+        let v = self.u64()?;
+        u32::try_from(v).map_err(|_| format!("{name} {v} does not fit in u32"))
+    }
+
     fn f64(&mut self) -> Result<f64, String> {
         let tok = self.number_token();
         tok.parse().map_err(|e| format!("bad number {tok:?}: {e}"))
@@ -657,17 +651,13 @@ impl<'a> Parser<'a> {
         let kind =
             BenchKind::parse(&kind_s).ok_or_else(|| format!("unknown bench kind {kind_s:?}"))?;
         self.expect(',')?;
-        self.key("warmup")?;
-        let warmup = self.u64()? as u32;
+        let warmup = self.u32_field("warmup")?;
         self.expect(',')?;
-        self.key("iters")?;
-        let iters = self.u64()? as u32;
+        let iters = self.u32_field("iters")?;
         self.expect(',')?;
-        self.key("inner")?;
-        let inner = self.u64()? as u32;
+        let inner = self.u32_field("inner")?;
         self.expect(',')?;
-        self.key("kept")?;
-        let kept = self.u64()? as u32;
+        let kept = self.u32_field("kept")?;
         self.expect(',')?;
         self.key("median_ns")?;
         let median_ns = self.u64()?;
@@ -854,6 +844,28 @@ mod tests {
         assert!(BenchReport::parse(&wrong).is_err());
         let trailing = format!("{}x", sample_report().to_json());
         assert!(BenchReport::parse(&trailing).is_err());
+    }
+
+    #[test]
+    fn parse_rejects_plan_fields_wider_than_u32() {
+        let report = sample_report();
+        let b = &report.benchmarks[0];
+        let json = report.to_json();
+        for (key, value) in [
+            ("warmup", b.plan.warmup),
+            ("iters", b.plan.iters),
+            ("inner", b.plan.inner),
+            ("kept", b.summary.kept),
+        ] {
+            // 2^32 + 1 would read back as 1 through an `as u32` cast.
+            let wide = json.replace(
+                &format!("\"{key}\":{value},"),
+                &format!("\"{key}\":4294967297,"),
+            );
+            assert_ne!(wide, json, "{key} not found");
+            let err = BenchReport::parse(&wide).expect_err(key);
+            assert!(err.contains(key), "{key}: {err}");
+        }
     }
 
     #[test]

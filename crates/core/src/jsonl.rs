@@ -12,6 +12,9 @@
 //! Escaping covers `"`/`\\`/control characters (as `\uXXXX`); parsing
 //! accepts exactly what [`escape`] emits plus the standard short escapes,
 //! so `parse_object(&write_object(pairs))` is an identity on the pairs.
+//! The bench report and the Chrome-trace exporter write richer JSON by
+//! hand but take their string escaping ([`escape`]) and float rendering
+//! (`number`) from here.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -36,6 +39,17 @@ pub fn escape(s: &str) -> String {
     out
 }
 
+/// Render `v` as a JSON number that round-trips through `f64::from_str`
+/// (`{:?}` picks the shortest such decimal). JSON has no NaN or
+/// infinity, so non-finite values clamp to `0.0`.
+pub(crate) fn number(v: f64) -> String {
+    if v.is_finite() {
+        format!("{v:?}")
+    } else {
+        "0.0".to_owned()
+    }
+}
+
 /// Serialize `pairs` as one flat JSON object, keys in the given order.
 ///
 /// The writer is the dual of [`parse_object`]: every value is a string,
@@ -58,7 +72,9 @@ pub fn write_object(pairs: &[(&str, &str)]) -> String {
 ///
 /// Returns `None` on any syntactic deviation — the caller decides whether
 /// that means a truncated tail (journal), corruption, or a malformed
-/// request (serve). Duplicate keys keep the last occurrence.
+/// request (serve). Duplicate keys keep the last occurrence. Pairs are
+/// separated by exactly one `,`, so a record whose separator was flipped
+/// into whitespace reads as malformed, never as a valid object.
 #[must_use]
 pub fn parse_object(line: &str) -> Option<BTreeMap<String, String>> {
     let mut chars = line.trim().chars().peekable();
@@ -100,26 +116,24 @@ pub fn parse_object(line: &str) -> Option<BTreeMap<String, String>> {
     if chars.next()? != '{' {
         return None;
     }
-    loop {
-        skip_ws(&mut chars);
-        match chars.peek()? {
-            '}' => {
-                chars.next();
-                break;
+    skip_ws(&mut chars);
+    if chars.peek() == Some(&'}') {
+        chars.next();
+    } else {
+        loop {
+            let key = parse_string(&mut chars)?;
+            skip_ws(&mut chars);
+            if chars.next()? != ':' {
+                return None;
             }
-            ',' => {
-                chars.next();
-                continue;
-            }
-            _ => {
-                let key = parse_string(&mut chars)?;
-                skip_ws(&mut chars);
-                if chars.next()? != ':' {
-                    return None;
-                }
-                skip_ws(&mut chars);
-                let value = parse_string(&mut chars)?;
-                fields.insert(key, value);
+            skip_ws(&mut chars);
+            let value = parse_string(&mut chars)?;
+            fields.insert(key, value);
+            skip_ws(&mut chars);
+            match chars.next()? {
+                ',' => skip_ws(&mut chars),
+                '}' => break,
+                _ => return None,
             }
         }
     }
@@ -177,6 +191,17 @@ mod tests {
         assert_eq!(parse_object("{\"a\":\"b\"} extra"), None);
         assert_eq!(parse_object("{\"a\":1}"), None, "non-string value");
         assert_eq!(parse_object("{\"a\":\"b"), None, "unterminated string");
+        assert_eq!(
+            parse_object("{\"a\":\"b\"\"c\":\"d\"}"),
+            None,
+            "missing comma"
+        );
+        assert_eq!(parse_object("{,\"a\":\"b\"}"), None, "leading comma");
+        assert_eq!(
+            parse_object("{\"a\":\"b\",,\"c\":\"d\",}"),
+            None,
+            "doubled and trailing commas"
+        );
     }
 
     #[test]

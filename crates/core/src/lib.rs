@@ -84,7 +84,7 @@ pub use infer::{
     max_admissible_batch, profile_inference, AdmissionProbe, InferModel, InferenceReport,
 };
 pub use lru::{LruStore, StoreStats};
-pub use obs::{Phase, PointTrace, Recorder};
+pub use obs::{Phase, PointTrace};
 pub use parallel::{jobs, par_map, par_map_with, set_jobs};
 pub use platform::{
     ChipProfile, ComputeUnitSpec, HardwareSpec, MemoryLevelSpec, MemoryLevelUsage, MemoryScope,

@@ -169,19 +169,6 @@ impl<K: Eq + Hash + Clone, V: Clone> LruStore<K, V> {
             len: inner.map.len(),
         }
     }
-
-    /// Publish the counter totals to the [`crate::obs`] bus as
-    /// `<prefix>.hits` / `.misses` / `.inserts` / `.evictions` /
-    /// `.resident`. No-op when the recorder is disabled or no point
-    /// context is open (see `docs/observability.md`).
-    pub fn publish_obs(&self, prefix: &str) {
-        let stats = self.stats();
-        crate::obs::counter(&format!("{prefix}.hits"), stats.hits as f64);
-        crate::obs::counter(&format!("{prefix}.misses"), stats.misses as f64);
-        crate::obs::counter(&format!("{prefix}.inserts"), stats.inserts as f64);
-        crate::obs::counter(&format!("{prefix}.evictions"), stats.evictions as f64);
-        crate::obs::counter(&format!("{prefix}.resident"), stats.len as f64);
-    }
 }
 
 #[cfg(test)]

@@ -36,6 +36,7 @@
 //!
 //! [`par_map`]: crate::parallel::par_map
 
+use crate::jsonl;
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -371,54 +372,6 @@ fn current_path() -> Vec<u64> {
 // ---------------------------------------------------------------------------
 // Public recording API
 // ---------------------------------------------------------------------------
-
-/// Thread-safe handle to the process-wide recorder.
-///
-/// The handle is zero-sized — all state is global — but gives call sites
-/// an explicit object to thread around when that reads better than free
-/// functions. `Recorder::global().span(…)` and [`span`] are equivalent.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Recorder;
-
-impl Recorder {
-    /// The process-wide recorder.
-    #[must_use]
-    pub fn global() -> Self {
-        Recorder
-    }
-
-    /// See [`enable`].
-    pub fn enable(self) {
-        enable();
-    }
-
-    /// See [`disable`].
-    pub fn disable(self) {
-        disable();
-    }
-
-    /// See [`is_enabled`].
-    #[must_use]
-    pub fn is_enabled(self) -> bool {
-        is_enabled()
-    }
-
-    /// See [`span`].
-    pub fn span<R>(self, phase: Phase, name: &str, f: impl FnOnce() -> R) -> R {
-        span(phase, name, f)
-    }
-
-    /// See [`counter`].
-    pub fn counter(self, key: &str, value: f64) {
-        counter(key, value);
-    }
-
-    /// See [`take`].
-    #[must_use]
-    pub fn take(self) -> Vec<PointTrace> {
-        take()
-    }
-}
 
 /// Turn recording on. Until this is called every instrumentation entry
 /// point is a single relaxed atomic load.
@@ -840,20 +793,6 @@ impl PointTrace {
 // Chrome trace export
 // ---------------------------------------------------------------------------
 
-fn json_escape(s: &str) -> String {
-    crate::supervise::json_escape(s)
-}
-
-fn json_f64(v: f64) -> String {
-    // JSON has no NaN/Infinity; clamp to 0 (platform models never emit
-    // them, this is belt-and-braces for hand-written traces).
-    if v.is_finite() {
-        format!("{v:?}")
-    } else {
-        "0.0".to_owned()
-    }
-}
-
 /// Render traces as Chrome `trace_event` JSON (the "JSON array format"),
 /// loadable in `chrome://tracing` or <https://ui.perfetto.dev>.
 ///
@@ -886,7 +825,7 @@ pub fn chrome_trace(traces: &[PointTrace]) -> String {
             format!(
                 "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":{tid},\
                  \"args\":{{\"name\":\"{}\"}}}}",
-                json_escape(&thread_name)
+                jsonl::escape(&thread_name)
             ),
         );
         for e in &trace.events {
@@ -894,13 +833,13 @@ pub fn chrome_trace(traces: &[PointTrace]) -> String {
                 Event::Begin { phase, name, ts } => format!(
                     "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"B\",\"pid\":0,\
                      \"tid\":{tid},\"ts\":{ts}}}",
-                    json_escape(name),
+                    jsonl::escape(name),
                     phase.as_str()
                 ),
                 Event::End { phase, name, ts } => format!(
                     "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"E\",\"pid\":0,\
                      \"tid\":{tid},\"ts\":{ts}}}",
-                    json_escape(name),
+                    jsonl::escape(name),
                     phase.as_str()
                 ),
                 Event::Counter {
@@ -911,9 +850,9 @@ pub fn chrome_trace(traces: &[PointTrace]) -> String {
                 } => format!(
                     "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"C\",\"pid\":0,\
                      \"tid\":{tid},\"ts\":{ts},\"args\":{{\"value\":{}}}}}",
-                    json_escape(key),
+                    jsonl::escape(key),
                     phase.map_or("-", Phase::as_str),
-                    json_f64(*value)
+                    jsonl::number(*value)
                 ),
                 Event::Slice {
                     track,
@@ -923,8 +862,8 @@ pub fn chrome_trace(traces: &[PointTrace]) -> String {
                 } => format!(
                     "{{\"name\":\"{}\",\"cat\":\"timeline:{}\",\"ph\":\"X\",\"pid\":0,\
                      \"tid\":{tid},\"ts\":{start_us},\"dur\":{dur_us}}}",
-                    json_escape(name),
-                    json_escape(track)
+                    jsonl::escape(name),
+                    jsonl::escape(track)
                 ),
             };
             push(&mut out, line);

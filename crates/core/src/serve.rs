@@ -21,7 +21,7 @@
 //! - **Per-client deadlines**: a `deadline_ms` on a submit bounds the
 //!   queue wait; jobs that expire before a worker picks them up are
 //!   cancelled and journaled, never silently dropped. Execution itself
-//!   runs under the [`supervise`] watchdog/retry policy.
+//!   runs under the [`supervise`](crate::supervise) watchdog/retry policy.
 //! - **Shared result store**: completed renderings live in a size-bounded
 //!   concurrency-safe [`LruStore`]; repeated identical requests are
 //!   answered from memory on the sub-millisecond path without touching
@@ -30,7 +30,7 @@
 //!   finishes in-flight points, answers queued jobs with a `drained`
 //!   response (their `accepted` journal records survive), and exits
 //!   clean.
-//! - **Crash-safe resume**: the [`supervise`] run journal is the job
+//! - **Crash-safe resume**: the [`supervise`](crate::supervise) run journal is the job
 //!   store. Every admitted job is journaled `accepted` before it becomes
 //!   visible to workers and `completed` with its rendered bytes when done,
 //!   so a SIGKILL'd daemon restarted with `--resume` re-adopts in-flight

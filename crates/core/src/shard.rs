@@ -20,8 +20,8 @@ use std::process::{Child, Command, ExitStatus};
 use std::time::{Duration, Instant};
 
 use crate::supervise::{
-    format_record, journal_parse_io_error, parse_journal, ParsedJournal, JOURNAL_FILE,
-    JOURNAL_SCHEMA, STATUS_STARTED,
+    format_record, journal_header, journal_parse_io_error, parse_journal, ParsedJournal,
+    JOURNAL_FILE, STATUS_STARTED,
 };
 
 // ---------------------------------------------------------------------------
@@ -201,7 +201,7 @@ pub fn merge_journals(
         .collect();
 
     let mut result = MergeResult {
-        text: format!("{{\"schema\":\"{JOURNAL_SCHEMA}\"}}\n"),
+        text: journal_header() + "\n",
         points: BTreeMap::new(),
     };
     for label in order {
@@ -610,7 +610,9 @@ pub fn emit_shard_counters(statuses: &[ShardStatus]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::supervise::{JournalRecord, SHARD_CONTROL_LABEL, STATUS_HEARTBEAT, STATUS_STARTED};
+    use crate::supervise::{
+        JournalRecord, JOURNAL_SCHEMA, SHARD_CONTROL_LABEL, STATUS_HEARTBEAT, STATUS_STARTED,
+    };
 
     fn labels(names: &[&str]) -> Vec<String> {
         names.iter().map(|s| (*s).to_owned()).collect()

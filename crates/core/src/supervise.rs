@@ -150,12 +150,6 @@ impl<U> PointOutcome<U> {
         }
     }
 
-    /// Whether the sweep got a value for this point.
-    #[must_use]
-    pub fn is_success(&self) -> bool {
-        self.value().is_some()
-    }
-
     /// Stable status keyword (also the journal's `status` field).
     #[must_use]
     pub fn status(&self) -> &'static str {
@@ -584,24 +578,13 @@ pub const SHARD_CONTROL_LABEL: &str = "__shard__";
 /// the combined journal byte-identically to a single-process run.
 #[must_use]
 pub fn format_record(label: &str, status: &str, data: &str) -> String {
-    format!(
-        "{{\"label\":\"{}\",\"status\":\"{}\",\"data\":\"{}\"}}",
-        json_escape(label),
-        json_escape(status),
-        json_escape(data)
-    )
+    jsonl::write_object(&[("label", label), ("status", status), ("data", data)])
 }
 
-pub(crate) fn json_escape(s: &str) -> String {
-    jsonl::escape(s)
-}
-
-/// Parse one journal line — a flat JSON object with string values only
-/// (the shared [`jsonl`] dialect). Returns `None` on any syntactic
-/// deviation (the caller decides whether that is a truncated tail or
-/// corruption).
-fn parse_journal_line(line: &str) -> Option<BTreeMap<String, String>> {
-    jsonl::parse_object(line)
+/// The journal's first line, `{"schema":"dabench-journal-v1"}` (no
+/// trailing newline).
+pub(crate) fn journal_header() -> String {
+    jsonl::write_object(&[("schema", JOURNAL_SCHEMA)])
 }
 
 /// One journal record after the schema header. Fields the line did not
@@ -699,7 +682,7 @@ pub fn parse_journal(contents: &str) -> Result<ParsedJournal, JournalParseError>
         };
         line_no += 1;
         let fields = if complete {
-            parse_journal_line(line)
+            jsonl::parse_object(line)
         } else {
             None // no trailing newline: the append was cut mid-line
         };
@@ -786,6 +769,34 @@ pub struct Replay {
 }
 
 impl Replay {
+    /// Fold a parsed journal's point records (control records skipped)
+    /// into what a resumed run replays, adopts and re-runs.
+    #[must_use]
+    pub fn from_journal(parsed: &ParsedJournal) -> Self {
+        let mut replay = Replay::default();
+        for record in &parsed.records {
+            if record.is_control() {
+                continue;
+            }
+            let label = record.label.clone();
+            match (record.status.as_deref(), record.data.as_ref()) {
+                (Some("completed"), Some(data)) => {
+                    replay.completed.insert(label, data.clone());
+                }
+                (Some("metrics"), Some(data)) => {
+                    replay.metrics.insert(label, data.clone());
+                }
+                (Some(STATUS_STARTED), _) => {
+                    *replay.started.entry(label.clone()).or_insert(0) += 1;
+                    replay.unfinished.push(label);
+                }
+                _ => replay.unfinished.push(label),
+            }
+        }
+        replay.dropped_tail = parsed.dropped_tail.clone();
+        replay
+    }
+
     /// Labels with journal records but no completed rendering — the
     /// points a resumed run re-adopts (deduplicated, sorted).
     #[must_use]
@@ -873,7 +884,7 @@ impl RunJournal {
             .create_new(true)
             .append(true)
             .open(&path)?;
-        writeln!(file, "{{\"schema\":\"{JOURNAL_SCHEMA}\"}}")?;
+        writeln!(file, "{}", journal_header())?;
         file.sync_all()?;
         Ok(Self { file, path })
     }
@@ -911,27 +922,7 @@ impl RunJournal {
         File::open(&path)?.read_to_string(&mut contents)?;
 
         let parsed = parse_journal(&contents).map_err(|e| journal_parse_io_error(&path, &e))?;
-        let mut replay = Replay::default();
-        for record in &parsed.records {
-            if record.is_control() {
-                continue;
-            }
-            let label = record.label.clone();
-            match (record.status.as_deref(), record.data.as_ref()) {
-                (Some("completed"), Some(data)) => {
-                    replay.completed.insert(label, data.clone());
-                }
-                (Some("metrics"), Some(data)) => {
-                    replay.metrics.insert(label, data.clone());
-                }
-                (Some(STATUS_STARTED), _) => {
-                    *replay.started.entry(label.clone()).or_insert(0) += 1;
-                    replay.unfinished.push(label);
-                }
-                _ => replay.unfinished.push(label),
-            }
-        }
-        replay.dropped_tail = parsed.dropped_tail;
+        let replay = Replay::from_journal(&parsed);
 
         // Heal a dropped tail: truncate to the last valid record so the
         // next append starts on a fresh line.
@@ -943,7 +934,7 @@ impl RunJournal {
         let mut journal = Self { file, path };
         if parsed.valid_bytes == 0 {
             // Empty (or fully discarded) file: rewrite the header.
-            writeln!(journal.file, "{{\"schema\":\"{JOURNAL_SCHEMA}\"}}")?;
+            writeln!(journal.file, "{}", journal_header())?;
             journal.file.sync_all()?;
         }
         journal.file.seek(io::SeekFrom::End(0))?;
@@ -1249,12 +1240,8 @@ mod tests {
     #[test]
     fn json_escaping_roundtrips_through_the_parser() {
         let nasty = "line1\nline2\t\"quoted\" \\ back\u{1}slash é";
-        let line = format!(
-            "{{\"label\":\"{}\",\"status\":\"completed\",\"data\":\"{}\"}}",
-            json_escape("p"),
-            json_escape(nasty)
-        );
-        let fields = parse_journal_line(&line).expect("parses");
+        let line = format_record("p", "completed", nasty);
+        let fields = jsonl::parse_object(&line).expect("parses");
         assert_eq!(fields.get("data").map(String::as_str), Some(nasty));
     }
 

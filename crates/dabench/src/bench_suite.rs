@@ -11,7 +11,7 @@
 //!   before each benchmark and repopulated by the warmup batches, so timed
 //!   samples measure the deterministic steady state;
 //! - `cache_lookup_legacy` is a pinned replica of the string-keyed memo
-//!   lookup this repository used before the [`CacheKey`] rework; it stays
+//!   lookup this repository used before the [`CacheKey`](crate::core::CacheKey) rework; it stays
 //!   in the suite permanently so the before/after of that optimization
 //!   remains measurable on any machine, not just the one that recorded the
 //!   trajectory;

@@ -504,22 +504,7 @@ fn run_sweep_sharded(
         drop(journal);
     }
     let combined = read_journal(&RunJournal::path_in(&dir)).map_err(|e| e.to_string())?;
-    let mut replay = Replay::default();
-    for rec in &combined.records {
-        if rec.is_control() {
-            continue;
-        }
-        match (rec.status.as_deref(), rec.data.as_ref()) {
-            (Some("completed"), Some(data)) => {
-                replay.completed.insert(rec.label.clone(), data.clone());
-            }
-            (Some("metrics"), Some(data)) => {
-                replay.metrics.insert(rec.label.clone(), data.clone());
-            }
-            _ => replay.unfinished.push(rec.label.clone()),
-        }
-    }
-    replay.dropped_tail = combined.dropped_tail.clone();
+    let replay = Replay::from_journal(&combined);
     if let Some(tail) = &replay.dropped_tail {
         eprintln!("warning: discarded truncated journal record {tail:?}; its point will re-run");
     }

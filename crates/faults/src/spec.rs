@@ -109,7 +109,7 @@ impl PlanSpec {
         }
     }
 
-    /// Build a spec from the generator's sampled [`FaultIntensity`]
+    /// Build a spec from the generator's sampled [`FaultIntensity`](dabench_core::FaultIntensity)
     /// (`dabench_core::gen`) — core cannot depend on this crate, so the
     /// sampler carries plain intensities and this bridge re-validates
     /// them on the way into a concrete fault plan.

@@ -1,10 +1,9 @@
 //! Construction of training-step dataflow graphs.
 
-use crate::graph::{DataflowGraph, NodeId, NodeRef};
+use crate::graph::DataflowGraph;
 use crate::intern::Interner;
-use dabench_model::ops::{self, Op, OpClass, Phase};
+use dabench_model::ops::{self, Phase};
 use dabench_model::{ModelConfig, TrainingWorkload};
-use std::collections::HashMap;
 use std::fmt::Write as _;
 
 /// Builds [`DataflowGraph`]s for complete LLM training steps.
@@ -179,96 +178,6 @@ impl GraphBuilder {
     pub fn for_workload(w: &TrainingWorkload) -> DataflowGraph {
         Self::training_step(w.model(), w.batch_size(), w.seq_len())
     }
-
-    /// Build the forward-only subgraph (used by inference-style probes).
-    #[must_use]
-    pub fn forward_only(cfg: &ModelConfig, batch: u64, seq: u64) -> DataflowGraph {
-        let full = Self::training_step(cfg, batch, seq);
-        let (nodes, edges) = Self::subgraph_parts(&full, |op| op.phase() == Phase::Forward);
-        DataflowGraph::from_parts(nodes, &edges).expect("forward subgraph invalid")
-    }
-
-    /// Build the prefill graph of an autoregressive inference step: the
-    /// forward pass over the whole prompt with the training-only loss node
-    /// removed (inference produces logits, not a loss).
-    #[must_use]
-    pub fn prefill(cfg: &ModelConfig, batch: u64, prompt_len: u64) -> DataflowGraph {
-        let full = Self::training_step(cfg, batch, prompt_len);
-        let (nodes, edges) = Self::subgraph_parts(&full, |op| {
-            op.phase() == Phase::Forward && op.class() != OpClass::Loss
-        });
-        DataflowGraph::from_parts(nodes, &edges).expect("prefill subgraph invalid")
-    }
-
-    /// Build the operator graph of one decode step at context length
-    /// `ctx`: a forward pass over a single new token per sequence, with
-    /// the attention score/softmax/context operators re-scaled to attend
-    /// over the `ctx`-position KV cache (their seq-1 accounting only
-    /// covers the one new position).
-    #[must_use]
-    pub fn decode_step(cfg: &ModelConfig, batch: u64, ctx: u64) -> DataflowGraph {
-        let full = Self::training_step(cfg, batch, 1);
-        let (mut nodes, edges) = Self::subgraph_parts(&full, |op| {
-            op.phase() == Phase::Forward && op.class() != OpClass::Loss
-        });
-        for op in &mut nodes {
-            if matches!(
-                op.class,
-                OpClass::AttnScores | OpClass::Softmax | OpClass::AttnContext
-            ) {
-                op.flops *= ctx as f64;
-                // Scores and probabilities span the whole cached context;
-                // the context GEMM still emits one h-vector per sequence.
-                if op.class != OpClass::AttnContext {
-                    op.out_elems = op.out_elems.saturating_mul(ctx);
-                }
-            }
-        }
-        DataflowGraph::from_parts(nodes, &edges).expect("decode subgraph invalid")
-    }
-
-    /// Nodes and remapped edges of the induced subgraph of `full` on the
-    /// ops satisfying `keep`.
-    fn subgraph_parts(
-        full: &DataflowGraph,
-        keep: impl Fn(NodeRef<'_>) -> bool,
-    ) -> (Vec<Op>, Vec<(usize, usize)>) {
-        let kept: Vec<NodeId> = full
-            .iter()
-            .filter(|&(_, op)| keep(op))
-            .map(|(id, _)| id)
-            .collect();
-        let remap: HashMap<NodeId, usize> =
-            kept.iter().enumerate().map(|(i, &id)| (id, i)).collect();
-        let nodes: Vec<Op> = kept.iter().map(|&id| full.op(id).to_op()).collect();
-        let mut edges = Vec::new();
-        for &id in &kept {
-            for &s in full.succs(id) {
-                if let (Some(&a), Some(&b)) = (remap.get(&id), remap.get(&s)) {
-                    edges.push((a, b));
-                }
-            }
-        }
-        (nodes, edges)
-    }
-}
-
-/// Convenience: ids of all nodes in `g` belonging to decoder layer `layer`.
-#[must_use]
-pub fn layer_nodes(g: &DataflowGraph, layer: u64) -> Vec<NodeId> {
-    g.iter()
-        .filter(|&(_, op)| op.layer() == Some(layer))
-        .map(|(id, _)| id)
-        .collect()
-}
-
-/// Convenience: ids of all nodes of a given class.
-#[must_use]
-pub fn class_nodes(g: &DataflowGraph, class: OpClass) -> Vec<NodeId> {
-    g.iter()
-        .filter(|&(_, op)| op.class() == class)
-        .map(|(id, _)| id)
-        .collect()
 }
 
 #[cfg(test)]
@@ -320,90 +229,12 @@ mod tests {
     }
 
     #[test]
-    fn forward_only_has_no_backward_nodes() {
-        let fwd = GraphBuilder::forward_only(&ModelConfig::gpt2_probe(768, 2), 1, 64);
-        fwd.validate().unwrap();
-        assert!(fwd.iter().all(|(_, op)| op.phase() == Phase::Forward));
-        assert!(fwd.find("loss.fwd").is_some());
-    }
-
-    #[test]
-    fn prefill_drops_the_loss_node() {
-        let cfg = ModelConfig::gpt2_probe(768, 2);
-        let p = GraphBuilder::prefill(&cfg, 1, 64);
-        p.validate().unwrap();
-        assert!(p.find("loss.fwd").is_none());
-        assert!(p.find("lm_head.fwd").is_some());
-        assert!(p.iter().all(|(_, op)| op.phase() == Phase::Forward));
-        // Exactly one node fewer than the forward-only graph.
-        let fwd = GraphBuilder::forward_only(&cfg, 1, 64);
-        assert_eq!(p.node_count() + 1, fwd.node_count());
-    }
-
-    #[test]
-    fn decode_step_attention_grows_with_context() {
-        let cfg = ModelConfig::gpt2_probe(768, 2);
-        let short = GraphBuilder::decode_step(&cfg, 4, 128);
-        let long = GraphBuilder::decode_step(&cfg, 4, 1024);
-        short.validate().unwrap();
-        long.validate().unwrap();
-        let attn_flops = |g: &DataflowGraph| -> f64 {
-            g.iter()
-                .filter(|&(_, op)| op.class() == OpClass::AttnScores)
-                .map(|(_, op)| op.flops())
-                .sum()
-        };
-        // Score FLOPs scale linearly with cached context.
-        assert!((attn_flops(&long) / attn_flops(&short) - 8.0).abs() < 1e-9);
-        // Non-attention ops (the GEMMs on the single new token) do not.
-        let qkv = |g: &DataflowGraph| {
-            g.find("l0.qkv_proj.fwd")
-                .map(|id| g.op(id).flops())
-                .unwrap()
-        };
-        assert!((qkv(&long) - qkv(&short)).abs() < f64::EPSILON);
-    }
-
-    #[test]
-    fn decode_step_is_a_single_token_pass() {
-        let cfg = ModelConfig::llama2_probe(512, 2);
-        let g = GraphBuilder::decode_step(&cfg, 2, 256);
-        g.validate().unwrap();
-        assert!(g.find("loss.fwd").is_none());
-        // Softmax output spans the cached context.
-        let sm = g.find("l0.softmax.fwd").unwrap();
-        assert!(g.op(sm).out_elems() >= 256);
-    }
-
-    #[test]
     fn workload_builder_matches_direct() {
         let w = TrainingWorkload::new(ModelConfig::gpt2_probe(768, 2), 2, 128, Precision::Fp16);
         let a = GraphBuilder::for_workload(&w);
         let b = GraphBuilder::training_step(&ModelConfig::gpt2_probe(768, 2), 2, 128);
         assert_eq!(a.node_count(), b.node_count());
         assert_eq!(a.edge_count(), b.edge_count());
-    }
-
-    #[test]
-    fn layer_nodes_cover_both_phases() {
-        let g = g();
-        let nodes = layer_nodes(&g, 0);
-        let fwd = nodes
-            .iter()
-            .filter(|&&id| g.op(id).phase() == Phase::Forward)
-            .count();
-        let bwd = nodes
-            .iter()
-            .filter(|&&id| g.op(id).phase() == Phase::Backward)
-            .count();
-        assert_eq!(fwd, bwd);
-        assert!(fwd >= 12);
-    }
-
-    #[test]
-    fn class_query_finds_attention() {
-        let g = g();
-        assert_eq!(class_nodes(&g, OpClass::AttnScores).len(), 6); // 3 layers × fwd+bwd
     }
 
     #[test]

@@ -20,9 +20,10 @@
 //! - [`intern`]: the symbol table behind every node name.
 //! - [`partition`]: reusable contiguous/weighted partitioning utilities used
 //!   by the platform compilers.
-//! - [`analysis`]: graph statistics (depth, width, per-phase FLOPs).
-//! - [`fuse`]: a generic operator-fusion pass (the O1-style transform).
-//! - [`dot`]: Graphviz export for debugging.
+//!
+//! Each platform crate maps this one IR onto its own unit of work (WSE
+//! kernels, RDU sections, IPU pipeline stages). RDU O1 fusion lives in
+//! `dabench-rdu`, and prefill/decode costs in `dabench_model::inference`.
 //!
 //! # Example
 //!
@@ -39,14 +40,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod analysis;
 mod builder;
-pub mod dot;
-pub mod fuse;
 mod graph;
 pub mod intern;
 pub mod partition;
 
-pub use builder::{class_nodes, layer_nodes, GraphBuilder};
+pub use builder::GraphBuilder;
 pub use graph::{DataflowGraph, GraphError, NodeId, NodeRef, StepSummary};
 pub use intern::{Interner, Symbol};

@@ -147,14 +147,6 @@ pub struct Op {
     pub out_elems: u64,
 }
 
-impl Op {
-    /// Whether the op carries weights.
-    #[must_use]
-    pub fn has_params(&self) -> bool {
-        self.params > 0
-    }
-}
-
 impl fmt::Display for Op {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{} [{:.3e} FLOPs]", self.name, self.flops)

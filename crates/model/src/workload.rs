@@ -3,7 +3,7 @@
 use crate::activation::ActivationMemory;
 use crate::config::ModelConfig;
 use crate::intensity::arithmetic_intensity;
-use crate::ops::{self, Op, Phase};
+use crate::ops::{self, Op};
 use crate::precision::Precision;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -85,12 +85,6 @@ impl TrainingWorkload {
         ops::training_step_ops(&self.model, self.batch_size, self.seq_len)
     }
 
-    /// Exact forward-pass FLOPs of one step.
-    #[must_use]
-    pub fn forward_flops_per_step(&self) -> f64 {
-        ops::phase_flops(&self.step_ops(), Phase::Forward)
-    }
-
     /// Exact total training FLOPs of one step (fwd + bwd + update).
     #[must_use]
     pub fn training_flops_per_step(&self) -> f64 {
@@ -154,12 +148,6 @@ impl TrainingWorkload {
     #[must_use]
     pub fn with_precision(&self, precision: Precision) -> Self {
         Self::new(self.model.clone(), self.batch_size, self.seq_len, precision)
-    }
-
-    /// Returns a copy with a different model.
-    #[must_use]
-    pub fn with_model(&self, model: ModelConfig) -> Self {
-        Self::new(model, self.batch_size, self.seq_len, self.precision)
     }
 }
 

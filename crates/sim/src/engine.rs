@@ -125,30 +125,6 @@ impl TaskSpec {
         self.deps.extend(deps);
         self
     }
-
-    /// Task name.
-    #[must_use]
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Service duration in seconds.
-    #[must_use]
-    pub fn duration(&self) -> f64 {
-        self.duration
-    }
-
-    /// Bound resource index.
-    #[must_use]
-    pub fn resource(&self) -> usize {
-        self.resource
-    }
-
-    /// Declared dependencies.
-    #[must_use]
-    pub fn deps(&self) -> &[TaskId] {
-        &self.deps
-    }
 }
 
 /// Errors reported by [`Simulation::run`] and the fallible constructors.
@@ -276,24 +252,6 @@ impl Simulation {
     pub fn add_task(&mut self, task: TaskSpec) -> TaskId {
         self.tasks.push(task);
         self.tasks.len() - 1
-    }
-
-    /// Number of registered tasks.
-    #[must_use]
-    pub fn task_count(&self) -> usize {
-        self.tasks.len()
-    }
-
-    /// The registered tasks, in id order.
-    #[must_use]
-    pub fn tasks(&self) -> &[TaskSpec] {
-        &self.tasks
-    }
-
-    /// The registered resources, in index order.
-    #[must_use]
-    pub fn resources(&self) -> &[Resource] {
-        &self.resources
     }
 
     /// Execute the simulation to completion.

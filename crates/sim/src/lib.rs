@@ -11,7 +11,10 @@
 //! The platform models in `dabench-wse` / `dabench-rdu` / `dabench-ipu` use
 //! it for the paper's *runtime* metrics (per-task throughput feeding the
 //! load-imbalance computation, pipeline steady-state throughput) while
-//! their analytic compilers supply the *compile-time* metrics.
+//! their analytic compilers supply the *compile-time* metrics. Their
+//! fault models price recovery with the two cost models in [`faulty`]
+//! ([`RetryPolicy`], [`CheckpointModel`]), and [`trace`] bridges
+//! simulated timelines into the Chrome trace.
 //!
 //! # Example
 //!
@@ -37,8 +40,6 @@ mod stats;
 pub mod trace;
 
 pub use engine::{Resource, SimError, Simulation, TaskId, TaskSpec};
-pub use faulty::{
-    run_with_faults, CheckpointModel, FaultyRun, RetryPolicy, RetryRecord, TaskFault,
-};
+pub use faulty::{CheckpointModel, RetryPolicy};
 pub use pipeline::{steady_state_analysis, PipelineReport, PipelineStage};
 pub use stats::{SimResult, TaskTiming};
