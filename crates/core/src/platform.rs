@@ -107,11 +107,17 @@ impl TaskProfile {
 
 /// Profiling record of one RDU-style *section*: a subgraph executed as a
 /// unit, with its runtime used as weight in Eqs. 2 and 4.
+///
+/// One record may stand for `copies` identical sections run back to back
+/// (the RDU's O3 decoder runs); Eqs. 2 and 4 then weight each copy by
+/// `runtime_s`, adding it once per copy in schedule order.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SectionProfile {
     /// Section name.
     pub name: String,
-    /// Wall-clock runtime of the section in seconds (`L_i`).
+    /// Identical copies of the section, run back to back (usually 1).
+    pub copies: u64,
+    /// Wall-clock runtime of one copy in seconds (`L_i`).
     pub runtime_s: f64,
     /// Per-resource-kind usage: `(kind, used, available)`.
     pub unit_usage: Vec<(String, u64, u64)>,

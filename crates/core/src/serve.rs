@@ -867,9 +867,10 @@ mod tests {
     use std::io::BufRead;
     use std::sync::atomic::AtomicU32;
 
-    /// Test executor: `slow-*` jobs sleep, `fail-*` jobs raise a
-    /// retryable error forever, `flaky` fails twice then succeeds,
-    /// `heavy-*` jobs are heavy. Everything else echoes deterministically.
+    /// Test executor: `heavy-gated` jobs block on a test-held flag,
+    /// `fail-*` jobs raise a retryable error forever, `flaky` fails twice
+    /// then succeeds, `heavy-*` jobs are heavy. Everything else echoes
+    /// deterministically.
     struct MockExec {
         calls: AtomicU32,
         gate: Option<Arc<AtomicBool>>,
@@ -907,7 +908,7 @@ mod tests {
         }
 
         fn is_heavy(&self, job: &str) -> bool {
-            job.starts_with("heavy-") || job.starts_with("slow-")
+            job.starts_with("heavy-")
         }
 
         fn execute(&self, job: &str, _seed: u64) -> Result<String, PlatformError> {
@@ -920,11 +921,6 @@ mod tests {
                     std::thread::sleep(Duration::from_millis(5));
                 }
                 return Ok(format!("result for {job}\n"));
-            }
-            if let Some(ms) = job.strip_prefix("slow-") {
-                let ms: u64 = ms.parse().unwrap_or(200);
-                std::thread::sleep(Duration::from_millis(ms));
-                return Ok(format!("slow result for {job}\n"));
             }
             if job.starts_with("fail-") {
                 return Err(PlatformError::DeviceFault {
@@ -1106,23 +1102,23 @@ mod tests {
             queue_capacity: 1,
             ..quick_cfg()
         };
-        let daemon = spawn_daemon(cfg, MockExec::boxed());
+        let (exec, release) = MockExec::gated();
+        let daemon = spawn_daemon(cfg, exec);
+        let mut stats = Client::connect(daemon.addr);
 
-        // Connection A occupies the single worker with a slow job.
+        // Connection A occupies the single worker with a gated job.
         let mut a = Client::connect(daemon.addr);
-        let a_thread = std::thread::spawn({
-            let addr = daemon.addr;
-            move || {
-                let _ = addr;
-                a.submit("a", "slow-400")
-            }
+        let a_thread = std::thread::spawn(move || a.submit("a", "heavy-gated"));
+        wait_for_stats(&mut stats, "a never started", |s| {
+            stat_is(s, "accepted", "1") && stat_is(s, "queued", "0")
         });
-        std::thread::sleep(Duration::from_millis(100));
 
         // Connection B fills the queue; connection C must be shed fast.
         let mut b = Client::connect(daemon.addr);
-        let b_thread = std::thread::spawn(move || b.submit("b", "slow-400"));
-        std::thread::sleep(Duration::from_millis(100));
+        let b_thread = std::thread::spawn(move || b.submit("b", "heavy-gated"));
+        wait_for_stats(&mut stats, "b never queued", |s| {
+            stat_is(s, "accepted", "2") && stat_is(s, "queued", "1")
+        });
 
         let mut c = Client::connect(daemon.addr);
         let start = Instant::now();
@@ -1139,6 +1135,7 @@ mod tests {
         assert_eq!(shed.get("reason").map(String::as_str), Some("queue full"));
         assert_eq!(shed.get("retry_after_ms").map(String::as_str), Some("250"));
 
+        release.store(true, Ordering::SeqCst);
         let a_reply = a_thread.join().expect("a");
         let b_reply = b_thread.join().expect("b");
         assert_eq!(a_reply.get("status").map(String::as_str), Some("ok"));
@@ -1273,19 +1270,37 @@ mod tests {
             queue_capacity: 8,
             ..quick_cfg()
         };
-        let daemon = spawn_daemon(cfg, MockExec::boxed());
+        let (exec, release) = MockExec::gated();
+        let daemon = spawn_daemon(cfg, exec);
+        let mut stats = Client::connect(daemon.addr);
 
         let mut a = Client::connect(daemon.addr);
-        let a_thread = std::thread::spawn(move || a.submit("a", "slow-400"));
-        std::thread::sleep(Duration::from_millis(100));
+        let a_thread = std::thread::spawn(move || a.submit("a", "heavy-gated"));
+        wait_for_stats(&mut stats, "a never started", |s| {
+            stat_is(s, "accepted", "1") && stat_is(s, "queued", "0")
+        });
 
         let mut b = Client::connect(daemon.addr);
-        let reply = b.request(&jsonl::write_object(&[
-            ("op", "submit"),
-            ("id", "b"),
-            ("job", "light-b"),
-            ("deadline_ms", "1"),
-        ]));
+        let b_thread = std::thread::spawn(move || {
+            b.request(&jsonl::write_object(&[
+                ("op", "submit"),
+                ("id", "b"),
+                ("job", "light-b"),
+                ("deadline_ms", "1"),
+            ]))
+        });
+        wait_for_stats(&mut stats, "b never queued", |s| {
+            stat_is(s, "accepted", "2") && stat_is(s, "queued", "1")
+        });
+        // B's deadline started when the daemon read it, before this stats
+        // reply; once 1 ms more has passed here it has expired, whatever
+        // the host load, and only then may the worker dequeue B.
+        let seen = Instant::now();
+        while seen.elapsed() <= Duration::from_millis(1) {
+            std::thread::yield_now();
+        }
+        release.store(true, Ordering::SeqCst);
+        let reply = b_thread.join().expect("b");
         assert_eq!(
             reply.get("status").map(String::as_str),
             Some("expired"),
@@ -1325,20 +1340,26 @@ mod tests {
             queue_capacity: 8,
             ..quick_cfg()
         };
-        let daemon = spawn_daemon(cfg, MockExec::boxed());
+        let (exec, release) = MockExec::gated();
+        let daemon = spawn_daemon(cfg, exec);
+        let mut ctl = Client::connect(daemon.addr);
 
         let mut a = Client::connect(daemon.addr);
-        let a_thread = std::thread::spawn(move || a.submit("a", "slow-300"));
-        std::thread::sleep(Duration::from_millis(80));
+        let a_thread = std::thread::spawn(move || a.submit("a", "heavy-gated"));
+        wait_for_stats(&mut ctl, "a never started", |s| {
+            stat_is(s, "accepted", "1") && stat_is(s, "queued", "0")
+        });
         let mut b = Client::connect(daemon.addr);
         let b_thread = std::thread::spawn(move || b.submit("b", "light-queued"));
-        std::thread::sleep(Duration::from_millis(80));
+        wait_for_stats(&mut ctl, "b never queued", |s| {
+            stat_is(s, "accepted", "2") && stat_is(s, "queued", "1")
+        });
 
-        let mut ctl = Client::connect(daemon.addr);
         let drained = ctl.request("{\"op\":\"drain\",\"id\":\"d\"}");
         assert_eq!(drained.get("draining").map(String::as_str), Some("true"));
 
         // In-flight job finishes; the queued one gets a drained response.
+        release.store(true, Ordering::SeqCst);
         let a_reply = a_thread.join().expect("a");
         assert_eq!(
             a_reply.get("status").map(String::as_str),

@@ -20,14 +20,16 @@ use std::collections::BTreeMap;
 #[must_use]
 pub fn allocation_ratios(profile: &ChipProfile) -> Vec<(String, f64)> {
     if profile.is_sectioned() {
-        // Gather (runtime, used, available) per kind across sections.
+        // Gather (runtime, used, available) per kind across sections, one
+        // record per copy so the weighted sums add each copy in order.
         let mut by_kind: BTreeMap<&str, Vec<(f64, u64, u64)>> = BTreeMap::new();
         for s in &profile.sections {
             for (kind, used, avail) in &s.unit_usage {
-                by_kind
-                    .entry(kind.as_str())
-                    .or_default()
-                    .push((s.runtime_s, *used, *avail));
+                let recs = by_kind.entry(kind.as_str()).or_default();
+                recs.extend(std::iter::repeat_n(
+                    (s.runtime_s, *used, *avail),
+                    s.copies as usize,
+                ));
             }
         }
         by_kind
@@ -54,7 +56,8 @@ pub fn profile_load_imbalance(profile: &ChipProfile) -> Option<f64> {
         let per_section: Vec<(f64, f64)> = profile
             .sections
             .iter()
-            .filter_map(|s| load_imbalance(&s.tasks).map(|li| (s.runtime_s, li)))
+            .filter_map(|s| load_imbalance(&s.tasks).map(|li| (s, li)))
+            .flat_map(|(s, li)| std::iter::repeat_n((s.runtime_s, li), s.copies as usize))
             .collect();
         if per_section.is_empty() {
             return None;
@@ -209,12 +212,14 @@ mod tests {
             sections: vec![
                 SectionProfile {
                     name: "s0".into(),
+                    copies: 1,
                     runtime_s: 3.0,
                     unit_usage: vec![("pcu".into(), 100, 200)],
                     tasks: vec![TaskProfile::new("a", 1.0, 1.0)],
                 },
                 SectionProfile {
                     name: "s1".into(),
+                    copies: 1,
                     runtime_s: 1.0,
                     unit_usage: vec![("pcu".into(), 200, 200)],
                     tasks: vec![TaskProfile::new("b", 1.0, 1.0)],
@@ -231,6 +236,42 @@ mod tests {
         assert!((ratios[0].1 - 0.625).abs() < 1e-12);
         let li = profile_load_imbalance(&profile).unwrap();
         assert!((li - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn a_run_of_copies_weighs_like_its_expansion() {
+        let section = |copies, runtime_s| SectionProfile {
+            name: "s".into(),
+            copies,
+            runtime_s,
+            unit_usage: vec![("pcu".into(), 130, 640)],
+            tasks: vec![
+                TaskProfile::new("a", 3.0, 7.0),
+                TaskProfile::new("b", 1.1, 5.0),
+            ],
+        };
+        let profile = |sections| ChipProfile {
+            unit_usage: vec![],
+            tasks: vec![],
+            sections,
+            memory: vec![],
+            achieved_tflops: 0.0,
+            throughput_tokens_per_s: 0.0,
+            step_time_s: 0.0,
+        };
+        let mut expanded = vec![section(1, 0.37)];
+        expanded.extend((0..97).map(|_| section(1, 0.1)));
+        let runs = profile(vec![section(1, 0.37), section(97, 0.1)]);
+        let expanded = profile(expanded);
+        let bits = |v: &[(String, f64)]| v.iter().map(|(_, r)| r.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(&allocation_ratios(&runs)),
+            bits(&allocation_ratios(&expanded))
+        );
+        assert_eq!(
+            profile_load_imbalance(&runs).map(f64::to_bits),
+            profile_load_imbalance(&expanded).map(f64::to_bits)
+        );
     }
 
     #[test]

@@ -109,7 +109,10 @@ pub fn rdu_fusion() -> Vec<AblationRow> {
                     1.0
                 },
                 metrics: vec![
-                    ("sections".to_owned(), sections.len() as f64),
+                    (
+                        "sections".to_owned(),
+                        sections.iter().map(|s| s.copies).sum::<u64>() as f64,
+                    ),
                     (
                         "ddr_gb_per_step".to_owned(),
                         e.ddr_bytes_per_step as f64 / 1e9,

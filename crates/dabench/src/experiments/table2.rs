@@ -50,13 +50,15 @@ pub fn run_o3() -> Vec<O3PartitionRow> {
                 rdu.compiler_params(),
                 CompilationMode::O3,
             );
+            // Mean PCU claim per decoder section, counting every copy.
             let alloc = |prefix: &str| -> f64 {
-                let selected: Vec<&dabench_rdu::Section> = sections
+                let (count, total) = sections
                     .iter()
                     .filter(|s| s.name.starts_with(prefix))
-                    .collect();
-                let total: u64 = selected.iter().map(|s| s.pcus).sum();
-                total as f64 / (selected.len().max(1) as f64 * 640.0)
+                    .fold((0u64, 0u64), |(n, pcus), s| {
+                        (n + s.copies, pcus + s.pcus * s.copies)
+                    });
+                total as f64 / (count.max(1) as f64 * 640.0)
             };
             O3PartitionRow {
                 hidden_size: hs,

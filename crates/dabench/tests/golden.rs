@@ -192,6 +192,26 @@ fn gen_baby_population_matches_golden() {
 }
 
 #[test]
+fn gen_cosmic_population_matches_golden() {
+    // Population scale on the deepest models: 70B-shaped LLaMA-2 with 8 KV
+    // heads at 64-96 layers. Its 12 training scenarios reach ratio-3 O3
+    // decoder runs, RDU tensor parallelism at 4/8/16, three faulted
+    // single-chip degrade runs (at the RDU's DDR wall) and the WSE
+    // weight-floor failure. The results print 4 significant digits, so
+    // this pins structure (a wrong run length), not summation order.
+    let r = run(&["gen", "--tier", "cosmic", "--count", "24", "--seed", "6"]);
+    assert_eq!(r.code, Some(0), "{}", r.stderr);
+    assert_golden("gen_cosmic.stdout.golden", &r.stdout);
+}
+
+#[test]
+fn gen_hard_population_matches_golden() {
+    let r = run(&["gen", "--tier", "hard", "--count", "24", "--seed", "3"]);
+    assert_eq!(r.code, Some(0), "{}", r.stderr);
+    assert_golden("gen_hard.stdout.golden", &r.stdout);
+}
+
+#[test]
 fn gen_csv_matches_golden() {
     let r = run(&["csv", "gen"]);
     assert_eq!(r.code, Some(0), "{}", r.stderr);

@@ -121,6 +121,26 @@ impl Client {
     }
 }
 
+/// Poll the daemon's `stats` op until `accepted`, `queued` and
+/// `completed` read as given: tests order events by daemon state, never by
+/// sleeping. Fails with `what` after 60 s.
+fn wait_for_stats(client: &mut Client, what: &str, accepted: u64, queued: u64, completed: u64) {
+    let deadline = Instant::now() + Duration::from_secs(60);
+    loop {
+        let reply = client.request("{\"op\":\"stats\",\"id\":\"s\"}");
+        let stats = jsonl::parse_object(&reply).unwrap_or_else(|| panic!("stats reply: {reply}"));
+        let count = |key: &str| stats.get(key).and_then(|v| v.parse::<u64>().ok());
+        if count("accepted") == Some(accepted)
+            && count("queued") == Some(queued)
+            && count("completed") == Some(completed)
+        {
+            return;
+        }
+        assert!(Instant::now() < deadline, "{what}: {reply}");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+}
+
 /// Extract the escaped `data` payload from an `ok` response line. Escaped
 /// payloads compare byte-identically iff the unescaped renderings do.
 fn data_field(reply: &str) -> &str {
@@ -218,17 +238,18 @@ fn saturated_queue_sheds_instead_of_blocking() {
         Some("fig6=sleep:2,fig10=sleep:2"),
     );
 
+    let mut stats = daemon.connect();
     let addr = daemon.addr.clone();
     let a = std::thread::spawn({
         let addr = addr.clone();
         move || Client::connect(&addr).submit("a", "fig6")
     });
-    std::thread::sleep(Duration::from_millis(300));
+    wait_for_stats(&mut stats, "a never started", 1, 0, 0);
     let b = std::thread::spawn({
         let addr = addr.clone();
         move || Client::connect(&addr).submit("b", "fig10")
     });
-    std::thread::sleep(Duration::from_millis(300));
+    wait_for_stats(&mut stats, "b never queued behind a", 2, 1, 0);
 
     let mut c = daemon.connect();
     let started = Instant::now();
@@ -247,6 +268,7 @@ fn saturated_queue_sheds_instead_of_blocking() {
     assert!(a_reply.contains("\"status\":\"ok\""), "{a_reply}");
     assert!(b_reply.contains("\"status\":\"ok\""), "{b_reply}");
 
+    drop(stats);
     let (code, stderr) = daemon.drain_and_wait();
     assert_eq!(code, Some(0), "{stderr}");
     assert!(stderr.contains("1 shed"), "{stderr}");
@@ -296,7 +318,8 @@ fn sigkill_then_resume_serves_byte_identical_results() {
         // This submission never gets an answer: the daemon dies mid-job.
         let _ = Client::connect(&addr).submit("2", "fig10");
     });
-    std::thread::sleep(Duration::from_millis(500));
+    // `accepted` counts a job only after its journal record is durable.
+    wait_for_stats(&mut client, "fig10 never started", 2, 0, 1);
     daemon.kill();
 
     // Second daemon resumes the journal: the completed rendering replays
@@ -349,20 +372,20 @@ fn gen_job_sheds_under_pressure_and_resumes_byte_identically() {
         Some("fig6=sleep:2,fig10=sleep:2"),
     );
 
+    let mut c = daemon.connect();
     let addr = daemon.addr.clone();
     let a = std::thread::spawn({
         let addr = addr.clone();
         move || Client::connect(&addr).submit("a", "fig6")
     });
-    std::thread::sleep(Duration::from_millis(300));
+    wait_for_stats(&mut c, "a never started", 1, 0, 0);
     let b = std::thread::spawn({
         let addr = addr.clone();
         move || Client::connect(&addr).submit("b", "fig10")
     });
-    std::thread::sleep(Duration::from_millis(300));
+    wait_for_stats(&mut c, "b never queued behind a", 2, 1, 0);
 
     // Queue full: the generated-population job is shed, not queued.
-    let mut c = daemon.connect();
     let shed = c.submit("c", "gen");
     assert!(shed.contains("\"status\":\"shed\""), "{shed}");
 

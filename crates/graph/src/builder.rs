@@ -247,6 +247,26 @@ mod tests {
     }
 
     #[test]
+    fn template_nodes_are_the_fixed_ops_and_layer_0() {
+        for cfg in [
+            ModelConfig::gpt2_probe(768, 3),
+            ModelConfig::llama2_probe(512, 1),
+        ] {
+            let g = GraphBuilder::training_step(&cfg, 2, 128);
+            let want: Vec<_> = g
+                .iter()
+                .filter(|(_, op)| matches!(op.layer(), None | Some(0)))
+                .map(|(id, _)| id)
+                .collect();
+            let got: Vec<_> = g.template_nodes().map(|op| op.id()).collect();
+            assert_eq!(got, want, "{}", cfg.name);
+            // The patch path shares the index with its basis.
+            let patched = g.with_costs(g.iter().map(|(_, op)| op.cost()).collect());
+            assert!(patched.template_nodes().map(|op| op.id()).eq(got));
+        }
+    }
+
+    #[test]
     fn builder_matches_legacy_string_construction() {
         // Rebuild the same step from the legacy `Vec<Op>` path and compare
         // full topology: same names in the same node order, same edge set.

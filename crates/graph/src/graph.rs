@@ -91,6 +91,9 @@ struct Topology {
     /// For each backward node, the id of its forward twin (same operator,
     /// `.fwd` suffix); `None` for forward/update nodes.
     fwd_twin: Vec<Option<NodeId>>,
+    /// Nodes outside every decoder layer plus those of layer 0, in node
+    /// order (see [`DataflowGraph::template_nodes`]).
+    template: Vec<usize>,
 }
 
 /// Borrowed view of one node: identity plus cost, resolved on demand.
@@ -336,6 +339,9 @@ impl DataflowGraph {
                     .and_then(|s| index.get(&s).copied().map(NodeId))
             })
             .collect();
+        let template: Vec<usize> = (0..n)
+            .filter(|&i| matches!(layers[i], None | Some(0)))
+            .collect();
         let summary = summarize(&classes, &phases, &layers, &costs);
         Ok(Self {
             topo: Arc::new(Topology {
@@ -350,6 +356,7 @@ impl DataflowGraph {
                 succ_off,
                 succ_adj,
                 fwd_twin,
+                template,
             }),
             costs,
             summary,
@@ -441,6 +448,14 @@ impl DataflowGraph {
     /// Iterate over `(id, node)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (NodeId, NodeRef<'_>)> {
         (0..self.node_count()).map(|i| (NodeId(i), NodeRef { g: self, i }))
+    }
+
+    /// The nodes outside every decoder layer plus those of decoder layer
+    /// 0, in node order. Every decoder layer repeats layer 0's operators,
+    /// so this is the per-layer template together with the step's fixed
+    /// operators, and walking it costs the same at any depth.
+    pub fn template_nodes(&self) -> impl Iterator<Item = NodeRef<'_>> {
+        self.topo.template.iter().map(|&i| NodeRef { g: self, i })
     }
 
     /// Predecessors (producers) of `id`.

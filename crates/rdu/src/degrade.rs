@@ -16,7 +16,7 @@ use dabench_model::TrainingWorkload;
 use dabench_sim::{CheckpointModel, RetryPolicy};
 
 /// Coarse wall-clock cost of re-compiling one section, seconds.
-const RECOMPILE_S_PER_SECTION: f64 = 8.0;
+pub(crate) const RECOMPILE_S_PER_SECTION: f64 = 8.0;
 
 /// Build the surviving hardware description under `faults`.
 ///
@@ -88,7 +88,8 @@ impl Degradable for Rdu {
             .sum();
         let recovery_cost = RecoveryCost {
             remap_time_s: if faults.has_permanent() {
-                degraded.sections.len() as f64 * RECOMPILE_S_PER_SECTION
+                let sections: u64 = degraded.sections.iter().map(|s| s.copies).sum();
+                sections as f64 * RECOMPILE_S_PER_SECTION
             } else {
                 0.0
             },

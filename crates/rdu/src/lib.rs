@@ -42,6 +42,8 @@ mod degrade;
 mod infer;
 mod modes;
 mod platform_impl;
+#[cfg(test)]
+mod reference;
 mod schedule;
 mod section;
 mod sharding;

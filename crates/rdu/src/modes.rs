@@ -74,7 +74,8 @@ pub fn partition(
                 CompilationMode::O1 => partition_o1(workload, spec, params),
                 CompilationMode::O3 => partition_o3(workload, spec, params),
             };
-            obs::counter("rdu.sections", sections.len() as f64);
+            let copies: u64 = sections.iter().map(|s| s.copies).sum();
+            obs::counter("rdu.sections", copies as f64);
             sections
         },
     )
@@ -89,17 +90,13 @@ fn elem_bytes(w: &TrainingWorkload) -> u64 {
 /// float accumulations stay bitwise identical to the legacy `step_ops()`
 /// walks.
 fn layer_template(g: &DataflowGraph) -> Vec<NodeRef<'_>> {
-    g.iter()
-        .map(|(_, op)| op)
+    g.template_nodes()
         .filter(|o| o.layer() == Some(0))
         .collect()
 }
 
 fn non_layer_ops(g: &DataflowGraph) -> Vec<NodeRef<'_>> {
-    g.iter()
-        .map(|(_, op)| op)
-        .filter(|o| o.layer().is_none())
-        .collect()
+    g.template_nodes().filter(|o| o.layer().is_none()).collect()
 }
 
 /// Whether an op's tensors are quadratic attention internals that fused
@@ -384,14 +381,16 @@ pub fn o3_ratios(workload: &TrainingWorkload, params: &RduCompilerParams) -> (f6
     (fwd, bwd)
 }
 
-fn o3_decoder_sections(
+/// The decoder sections of one phase: `ceil(L × ratio)` copies of one
+/// section, built once and returned as a single run.
+fn o3_decoder_run(
     workload: &TrainingWorkload,
     spec: &RduSpec,
     params: &RduCompilerParams,
     g: &DataflowGraph,
     phase: Phase,
     ratio: f64,
-) -> Vec<Section> {
+) -> Section {
     // O3's automatic partitioner places operators at a coarser PCU grain
     // than O1's fusion templates.
     let mut params = params.clone();
@@ -415,43 +414,38 @@ fn o3_decoder_sections(
         .sum();
     let boundary = template.first().map_or(0, |o| o.in_elems() * eb);
     let decoders_per_section = layers as f64 / count as f64;
+    let section_acts = (stored_acts as f64 * decoders_per_section) as u64;
 
-    let suffix = if phase == Phase::Forward {
-        "fwd"
+    let name = if phase == Phase::Forward {
+        "o3.decoders.fwd"
     } else {
-        "bwd"
+        "o3.decoders.bwd"
     };
     let template_ops: Vec<(&str, f64)> = template.iter().map(|o| (o.name(), o.flops())).collect();
     // Unit sizing uses the one-decoder template even when a section holds a
     // fractional number of decoders (ratio ≠ 1): SambaFlow sizes sections
     // from the repeated decoder program, and the sqrt template's
     // sublinearity makes the correction second-order.
-    (0..count)
-        .map(|i| {
-            let mut sec = assign_units(
-                &format!("o3.decoders.{suffix}.{i}"),
-                &template_ops,
-                1,
-                (layer_weights as f64 * decoders_per_section) as u64,
-                boundary
-                    + if phase == Phase::Backward {
-                        (stored_acts as f64 * decoders_per_section) as u64
-                    } else {
-                        0
-                    },
-                boundary
-                    + if phase == Phase::Forward {
-                        (stored_acts as f64 * decoders_per_section) as u64
-                    } else {
-                        0
-                    },
-                spec,
-                params,
-            );
-            sec.flops_per_invocation = layer_flops * decoders_per_section;
-            sec
-        })
-        .collect()
+    // Forward sections write the stored activations, backward ones read
+    // them back.
+    let (acts_in, acts_out) = if phase == Phase::Forward {
+        (0, section_acts)
+    } else {
+        (section_acts, 0)
+    };
+    let mut sec = assign_units(
+        name,
+        &template_ops,
+        1,
+        (layer_weights as f64 * decoders_per_section) as u64,
+        boundary + acts_in,
+        boundary + acts_out,
+        spec,
+        params,
+    );
+    sec.flops_per_invocation = layer_flops * decoders_per_section;
+    sec.copies = count;
+    sec
 }
 
 fn partition_o3(
@@ -468,22 +462,9 @@ fn partition_o3(
             sections.push(op_section(op, 1, &graph, workload, spec, params));
         }
     }
-    sections.extend(o3_decoder_sections(
-        workload,
-        spec,
-        params,
-        &graph,
-        Phase::Forward,
-        r_fwd,
-    ));
-    sections.extend(o3_decoder_sections(
-        workload,
-        spec,
-        params,
-        &graph,
-        Phase::Backward,
-        r_bwd,
-    ));
+    for (phase, ratio) in [(Phase::Forward, r_fwd), (Phase::Backward, r_bwd)] {
+        sections.push(o3_decoder_run(workload, spec, params, &graph, phase, ratio));
+    }
     sections.push(optimizer_section(workload, spec, params, &graph));
     sections
 }
@@ -550,10 +531,11 @@ mod tests {
     #[test]
     fn o3_fwd_section_count_follows_ratio() {
         let sections = parts(&w(768, 12), CompilationMode::O3);
-        let fwd = sections
+        let fwd: u64 = sections
             .iter()
             .filter(|s| s.name.starts_with("o3.decoders.fwd"))
-            .count();
+            .map(|s| s.copies)
+            .sum();
         // 12 layers × 2/3 = 8 sections.
         assert_eq!(fwd, 8);
     }
@@ -561,15 +543,25 @@ mod tests {
     #[test]
     fn o3_backward_has_more_sections_than_forward() {
         let sections = parts(&w(1024, 12), CompilationMode::O3);
-        let fwd = sections
-            .iter()
-            .filter(|s| s.name.starts_with("o3.decoders.fwd"))
-            .count();
-        let bwd = sections
-            .iter()
-            .filter(|s| s.name.starts_with("o3.decoders.bwd"))
-            .count();
-        assert!(bwd > fwd);
+        let copies = |prefix: &str| -> u64 {
+            sections
+                .iter()
+                .filter(|s| s.name.starts_with(prefix))
+                .map(|s| s.copies)
+                .sum()
+        };
+        assert!(copies("o3.decoders.bwd") > copies("o3.decoders.fwd"));
+    }
+
+    #[test]
+    fn o3_builds_one_decoder_run_per_phase() {
+        let sections = parts(&w(768, 48), CompilationMode::O3);
+        let runs: Vec<&Section> = sections.iter().filter(|s| s.copies > 1).collect();
+        let names: Vec<&str> = runs.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(names, ["o3.decoders.fwd", "o3.decoders.bwd"]);
+        // 48 layers × 2/3 forward, × 11/6 backward.
+        assert_eq!(runs[0].copies, 32);
+        assert_eq!(runs[1].copies, 88);
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! [`Platform`] and [`Scalable`] implementations for the RDU model.
 
 use crate::modes::partition;
-use crate::schedule::execute_sections;
+use crate::schedule::{execute_sections, SectionTiming};
 use crate::tp::tensor_parallel;
-use crate::Rdu;
+use crate::{Rdu, RduSpec, Section};
 use dabench_core::{
     ChipProfile, ComputeUnitSpec, HardwareSpec, Memoizable, MemoryLevelSpec, MemoryLevelUsage,
     MemoryScope, ParallelStrategy, Platform, PlatformError, Scalable, ScalingProfile,
@@ -81,25 +81,7 @@ impl Platform for Rdu {
         let sections = partition(workload, spec, params, self.mode());
         let exec = execute_sections(&sections, workload, spec, params);
 
-        let section_profiles: Vec<SectionProfile> = sections
-            .iter()
-            .zip(&exec.timings)
-            .map(|(s, t)| SectionProfile {
-                name: s.name.clone(),
-                runtime_s: t.runtime_s,
-                unit_usage: vec![
-                    ("pcu".to_owned(), s.pcus, spec.pcu_count()),
-                    ("pmu".to_owned(), s.pmus, spec.pmu_count()),
-                ],
-                tasks: s
-                    .ops
-                    .iter()
-                    .filter(|o| o.flops > 0.0)
-                    .map(|o| TaskProfile::new(o.name.clone(), o.throughput(), o.pcus as f64))
-                    .collect(),
-            })
-            .collect();
-
+        let section_profiles = section_profiles(&sections, &exec.timings, spec);
         let peak_working = sections
             .iter()
             .map(|s| s.ddr_bytes_per_invocation())
@@ -127,6 +109,33 @@ impl Platform for Rdu {
             step_time_s: exec.step_time_s,
         })
     }
+}
+
+/// One [`SectionProfile`] per section run, carrying its copy count.
+pub(crate) fn section_profiles(
+    sections: &[Section],
+    timings: &[SectionTiming],
+    spec: &RduSpec,
+) -> Vec<SectionProfile> {
+    sections
+        .iter()
+        .zip(timings)
+        .map(|(s, t)| SectionProfile {
+            name: s.name.clone(),
+            copies: s.copies,
+            runtime_s: t.runtime_s,
+            unit_usage: vec![
+                ("pcu".to_owned(), s.pcus, spec.pcu_count()),
+                ("pmu".to_owned(), s.pmus, spec.pmu_count()),
+            ],
+            tasks: s
+                .ops
+                .iter()
+                .filter(|o| o.flops > 0.0)
+                .map(|o| TaskProfile::new(o.name.clone(), o.throughput(), o.pcus as f64))
+                .collect(),
+        })
+        .collect()
 }
 
 impl Memoizable for Rdu {

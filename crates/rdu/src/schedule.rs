@@ -33,12 +33,13 @@ fn precision_traffic_factor(p: Precision) -> f64 {
     }
 }
 
-/// Timing of one section over a whole training step.
+/// Timing of one copy of a section over a whole training step.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SectionTiming {
     /// Section name.
     pub name: String,
-    /// Total runtime across all invocations (incl. load and fill), seconds.
+    /// Runtime of one copy across all its invocations (incl. load and
+    /// fill), seconds.
     pub runtime_s: f64,
     /// Pure compute time per invocation, seconds.
     pub compute_time_s: f64,
@@ -49,7 +50,8 @@ pub struct SectionTiming {
 /// Outcome of executing a section schedule on one RDU.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RduExecution {
-    /// Per-section timing, aligned with the input sections.
+    /// Per-section timing, aligned with the input sections. Each entry
+    /// times one copy, so a run spends `copies × runtime_s` of the step.
     pub timings: Vec<SectionTiming>,
     /// Wall-clock time of one optimizer step, seconds.
     pub step_time_s: f64,
@@ -63,13 +65,21 @@ pub struct RduExecution {
     pub memory_bound_fraction: f64,
 }
 
+/// Each run's value once per copy, in schedule order. A float sum over
+/// this equals the sum over the one-section-per-copy schedule bit for bit;
+/// `copies × value` rounds differently.
+pub(crate) fn per_copy(runs: impl Iterator<Item = (u64, f64)>) -> impl Iterator<Item = f64> {
+    runs.flat_map(|(copies, value)| std::iter::repeat_n(value, copies as usize))
+}
+
 /// Execute `sections` sequentially for one step of `workload`.
 ///
 /// Per invocation a section is limited by the slower of its compute and its
 /// DDR traffic; per step it additionally pays its fabric-load overhead and
 /// a pipeline fill proportional to its size (big sections amortize their
 /// fill over more invocations — the mechanism behind Fig. 7(a)'s falling
-/// O0/O1 allocation share with depth).
+/// O0/O1 allocation share with depth). The copies of a run execute back to
+/// back, each paying its own load and fill.
 #[must_use]
 pub fn execute_sections(
     sections: &[Section],
@@ -118,10 +128,13 @@ fn execute_sections_inner(
             + s.invocations as f64 * service
             + fill
             + s.invocations as f64 * params.invocation_overhead_s;
-        step_time += runtime;
-        ddr_bytes_total += ddr_bytes * s.invocations as f64;
-        if ddr >= compute {
-            ddr_limited_time += runtime;
+        let copy_ddr_bytes = ddr_bytes * s.invocations as f64;
+        for _ in 0..s.copies {
+            step_time += runtime;
+            ddr_bytes_total += copy_ddr_bytes;
+            if ddr >= compute {
+                ddr_limited_time += runtime;
+            }
         }
         timings.push(SectionTiming {
             name: s.name.clone(),
@@ -130,7 +143,7 @@ fn execute_sections_inner(
             ddr_time_s: ddr,
         });
     }
-    let flops: f64 = sections.iter().map(Section::flops_per_step).sum();
+    let flops: f64 = per_copy(sections.iter().map(|s| (s.copies, s.flops_per_copy()))).sum();
     RduExecution {
         timings,
         step_time_s: step_time,
@@ -233,8 +246,15 @@ mod tests {
 
     #[test]
     fn step_time_accounts_all_sections() {
-        let e = run(CompilationMode::O3, 768, 12, 8);
-        let sum: f64 = e.timings.iter().map(|t| t.runtime_s).sum();
+        let (spec, params) = (RduSpec::sn30(), RduCompilerParams::default());
+        let w = TrainingWorkload::new(ModelConfig::gpt2_probe(768, 12), 8, 1024, Precision::Fp16);
+        let sections = partition(&w, &spec, &params, CompilationMode::O3);
+        let e = execute_sections(&sections, &w, &spec, &params);
+        let sum: f64 = sections
+            .iter()
+            .zip(&e.timings)
+            .map(|(s, t)| s.copies as f64 * t.runtime_s)
+            .sum();
         assert!((sum - e.step_time_s).abs() / e.step_time_s < 1e-9);
     }
 }

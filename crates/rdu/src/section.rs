@@ -30,13 +30,23 @@ impl OpAssignment {
 
 /// One section: a subgraph loaded onto the fabric and invoked one or more
 /// times per training step.
+///
+/// A section may stand for a *run* of `copies` identical sections that
+/// execute back to back: O3 repeats one decoder program, so its decoder
+/// sections are one run per phase. Every per-invocation field below
+/// describes one copy. Float sums over a schedule add each copy's value
+/// `copies` times in schedule order, never `copies × value`, so they equal
+/// those of the one-section-per-copy list bit for bit.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Section {
-    /// Section name, e.g. `"o3.decoders.fwd.3"` or `"op.l0.qkv_proj.fwd"`.
+    /// Section name, e.g. `"o3.decoders.fwd"` or `"op.l0.qkv_proj.fwd"`.
     pub name: String,
-    /// Times the section executes per training step.
+    /// Identical copies of the section, run back to back (1 everywhere
+    /// except O3's decoder runs).
+    pub copies: u64,
+    /// Times each copy executes per training step.
     pub invocations: u64,
-    /// FLOPs per invocation.
+    /// FLOPs per invocation of one copy.
     pub flops_per_invocation: f64,
     /// Weight bytes read from DDR per invocation.
     pub weight_bytes: u64,
@@ -58,21 +68,29 @@ pub struct Section {
 }
 
 impl Section {
-    /// Total DDR traffic per invocation, bytes.
+    /// DDR traffic of one invocation of one copy, bytes.
     #[must_use]
     pub fn ddr_bytes_per_invocation(&self) -> u64 {
         self.weight_bytes + self.input_bytes + self.output_bytes
     }
 
-    /// Total DDR traffic per step, bytes.
+    /// DDR traffic of the whole run per step (every copy), bytes.
     #[must_use]
     pub fn ddr_bytes_per_step(&self) -> u64 {
-        self.ddr_bytes_per_invocation() * self.invocations
+        self.ddr_bytes_per_invocation() * self.invocations * self.copies
     }
 
-    /// Total FLOPs per step.
+    /// FLOPs of the whole run per step (every copy). A product, so it may
+    /// differ in the last bits from a per-copy sum; schedule arithmetic
+    /// adds [`Section::flops_per_copy`] once per copy instead.
     #[must_use]
     pub fn flops_per_step(&self) -> f64 {
+        self.flops_per_copy() * self.copies as f64
+    }
+
+    /// FLOPs of one copy per step.
+    #[must_use]
+    pub fn flops_per_copy(&self) -> f64 {
         self.flops_per_invocation * self.invocations as f64
     }
 }
@@ -141,6 +159,7 @@ pub fn assign_units(
     let flops_per_invocation: f64 = assignments.iter().map(|a| a.flops).sum();
     Section {
         name: name.to_owned(),
+        copies: 1,
         invocations,
         flops_per_invocation,
         weight_bytes,
@@ -246,6 +265,10 @@ mod tests {
         );
         assert_eq!(s.ddr_bytes_per_invocation(), 130);
         assert_eq!(s.ddr_bytes_per_step(), 390);
+        let run = Section { copies: 4, ..s };
+        assert_eq!(run.ddr_bytes_per_invocation(), 130);
+        assert_eq!(run.ddr_bytes_per_step(), 4 * 390);
+        assert_eq!(run.flops_per_step(), 4.0 * run.flops_per_copy());
     }
 
     #[test]

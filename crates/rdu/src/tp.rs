@@ -2,7 +2,7 @@
 
 use crate::chip::{RduCompilerParams, RduSpec};
 use crate::modes::{partition, CompilationMode};
-use crate::schedule::execute_sections;
+use crate::schedule::{execute_sections, per_copy};
 use crate::section::Section;
 use dabench_core::PlatformError;
 use dabench_model::TrainingWorkload;
@@ -106,16 +106,12 @@ fn plan_sharded(
     // unit claims, the communication phase holds only the DMA fabric
     // (Fig. 11(b)'s allocation collapse under cross-machine TP).
     let total_units = spec.pcu_count() as f64;
-    let compute_pcu: f64 = sharded
-        .iter()
-        .zip(&exec.timings)
-        .map(|(s, t)| s.pcus as f64 / total_units * t.runtime_s)
-        .sum::<f64>();
-    let compute_pmu: f64 = sharded
-        .iter()
-        .zip(&exec.timings)
-        .map(|(s, t)| s.pmus as f64 / spec.pmu_count() as f64 * t.runtime_s)
-        .sum::<f64>();
+    let claim = |units: fn(&Section) -> u64, total: f64| -> f64 {
+        let runs = sharded.iter().zip(&exec.timings);
+        per_copy(runs.map(|(s, t)| (s.copies, units(s) as f64 / total * t.runtime_s))).sum()
+    };
+    let compute_pcu = claim(|s| s.pcus, total_units);
+    let compute_pmu = claim(|s| s.pmus, spec.pmu_count() as f64);
     let comm_pcu = 64.0 / total_units * comm_time;
     let comm_pmu = 160.0 / spec.pmu_count() as f64 * comm_time;
     let pcu_allocation = (compute_pcu + comm_pcu) / step_time;
@@ -218,27 +214,29 @@ mod tests {
             .collect()
     }
 
+    /// The reference shards the one-section-per-copy list, so the plan
+    /// over section runs must also add each copy's share in order.
     #[test]
     fn in_place_sharding_matches_the_clone_reference_bit_for_bit() {
+        use crate::reference::{expand, workloads, MODES};
         let (spec, params) = (RduSpec::sn30(), RduCompilerParams::default());
-        let works = [
-            llama7b(),
-            TrainingWorkload::new(ModelConfig::gpt2_probe(1600, 12), 16, 1024, Precision::Fp16),
-        ];
+        let mut works = workloads();
+        works.push(TrainingWorkload::new(
+            ModelConfig::gpt2_probe(1600, 12),
+            16,
+            1024,
+            Precision::Fp16,
+        ));
         for work in &works {
-            for mode in [
-                CompilationMode::O0,
-                CompilationMode::O1,
-                CompilationMode::O3,
-            ] {
-                for degree in [1u32, 2, 4, 8] {
+            for mode in MODES {
+                for degree in [1u32, 2, 4, 8, 16] {
                     let got = tensor_parallel(&spec, &params, mode, work, degree).unwrap();
                     let sections = partition(work, &spec, &params, mode);
-                    let sharded = shard_by_clone(&sections, degree);
+                    let sharded = shard_by_clone(&expand(&sections), degree);
                     let want = plan_sharded(&spec, &params, work, degree, &sharded);
                     let ctx = format!("{} {mode} tp{degree}", work.model().name);
                     // Per-op FLOPs feed no plan field; compare the sections too.
-                    assert_eq!(shard_sections(sections, degree), sharded, "{ctx}");
+                    assert_eq!(expand(&shard_sections(sections, degree)), sharded, "{ctx}");
                     assert_eq!(got.degree, want.degree, "{ctx}");
                     assert_eq!(got.cross_machine, want.cross_machine, "{ctx}");
                     for (g, w) in [

@@ -10,7 +10,7 @@ use serde::{Deserialize, Serialize};
 /// Per-category DDR traffic of one training step, bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct TrafficReport {
-    /// Weight reads (per section invocation).
+    /// Weight reads (every invocation of every copy).
     pub weight_bytes: u64,
     /// Boundary/activation tensor reads.
     pub input_bytes: u64,
@@ -55,7 +55,7 @@ impl TrafficReport {
 pub fn traffic_report(sections: &[Section]) -> TrafficReport {
     let mut r = TrafficReport::default();
     for s in sections {
-        let inv = s.invocations;
+        let inv = s.invocations * s.copies;
         if s.name == "optimizer" {
             r.optimizer_bytes += s.ddr_bytes_per_step();
             continue;

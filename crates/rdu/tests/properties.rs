@@ -66,7 +66,7 @@ fn sections_respect_hardware() {
 }
 
 /// The executor's step time is positive, finite, and decomposes into
-/// the per-section runtimes.
+/// the per-section runtimes, each counted once per copy.
 #[test]
 fn schedule_times_decompose() {
     let spec = RduSpec::sn30();
@@ -81,7 +81,11 @@ fn schedule_times_decompose() {
         let sections = partition(&w, &spec, &params, mode);
         let e = execute_sections(&sections, &w, &spec, &params);
         assert!(e.step_time_s.is_finite() && e.step_time_s > 0.0);
-        let sum: f64 = e.timings.iter().map(|t| t.runtime_s).sum();
+        let sum: f64 = sections
+            .iter()
+            .zip(&e.timings)
+            .map(|(s, t)| s.copies as f64 * t.runtime_s)
+            .sum();
         assert!((sum - e.step_time_s).abs() / e.step_time_s < 1e-9);
         assert!((0.0..=1.0).contains(&e.memory_bound_fraction));
     }

@@ -7,6 +7,7 @@ use crate::placement::Placement;
 use dabench_core::PlatformError;
 use dabench_model::{Precision, TrainingWorkload};
 use serde::{Deserialize, Serialize};
+use std::cell::OnceCell;
 
 /// A kernel after compilation: PE allocation and memory layout.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -144,7 +145,10 @@ fn weight_state_bytes(params: u64, precision: Precision) -> f64 {
 /// every shrink step.
 struct CompilePlan {
     kernels: Vec<Kernel>,
-    names: Vec<String>,
+    /// Kernel names for placement, formatted on first use: a plan whose
+    /// weight floors exceed the budget (every 70B-shaped model) never
+    /// places, so it never formats them.
+    names: OnceCell<Vec<String>>,
     caps: Vec<u64>,
     floors: Vec<u64>,
     floor_total: u64,
@@ -162,7 +166,6 @@ fn plan_of(params: &WseCompilerParams, workload: &TrainingWorkload) -> CompilePl
     let batch = workload.batch_size() as f64;
     let elem = precision.bytes_per_element() as f64;
 
-    let names: Vec<String> = kernels.iter().map(Kernel::name).collect();
     let caps: Vec<u64> = kernels.iter().map(|k| cap_pes(k, params)).collect();
     let floors: Vec<u64> = kernels
         .iter()
@@ -182,7 +185,7 @@ fn plan_of(params: &WseCompilerParams, workload: &TrainingWorkload) -> CompilePl
 
     CompilePlan {
         kernels,
-        names,
+        names: OnceCell::new(),
         caps,
         floors,
         floor_total,
@@ -328,6 +331,7 @@ fn compile_with_plan(
 
     // Placement: full-height strips in pipeline order. Names are borrowed
     // from the plan — no per-attempt String clones.
+    let names = names.get_or_init(|| kernels.iter().map(Kernel::name).collect());
     let regions: Vec<(&str, u64)> = names
         .iter()
         .zip(comp.iter().zip(&trans))

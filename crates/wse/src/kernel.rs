@@ -108,6 +108,10 @@ fn kind_of(op: NodeRef<'_>) -> Option<KernelKind> {
 
 /// Extract the kernel list of a workload, in pipeline order.
 ///
+/// Only the graph's template nodes are walked (the fixed operators plus
+/// decoder layer 0); every decoder layer repeats layer 0, so its two
+/// kernels are copies of layer 0's, and the cost is the same at any depth.
+///
 /// # Example
 ///
 /// ```
@@ -123,45 +127,38 @@ fn kind_of(op: NodeRef<'_>) -> Option<KernelKind> {
 pub fn kernels_of(workload: &TrainingWorkload) -> Vec<Kernel> {
     let graph = training_graph(workload);
     let tokens = workload.tokens_per_step() as f64;
-    let model = workload.model();
+    let layers = workload.model().num_layers;
 
-    let mut order: Vec<KernelKind> = vec![KernelKind::Embedding];
-    for l in 0..model.num_layers {
-        order.push(KernelKind::Attention { layer: l });
-        order.push(KernelKind::Ffn { layer: l });
-    }
-    order.push(KernelKind::LmHead);
-    order.push(KernelKind::Loss);
-
-    let mut kernels: Vec<Kernel> = order
-        .into_iter()
-        .map(|kind| Kernel {
-            kind,
-            flops: 0.0,
-            flops_per_token: 0.0,
-            params: 0,
-            stored_act_elems: 0,
-        })
-        .collect();
-
-    // Each kind's position in the pipeline order above.
-    let head = 2 * model.num_layers as usize + 1;
+    let mut template = [
+        KernelKind::Embedding,
+        KernelKind::Attention { layer: 0 },
+        KernelKind::Ffn { layer: 0 },
+        KernelKind::LmHead,
+        KernelKind::Loss,
+    ]
+    .map(|kind| Kernel {
+        kind,
+        flops: 0.0,
+        flops_per_token: 0.0,
+        params: 0,
+        stored_act_elems: 0,
+    });
     let slot = |kind| match kind {
         KernelKind::Embedding => 0,
-        KernelKind::Attention { layer } => 1 + 2 * layer as usize,
-        KernelKind::Ffn { layer } => 2 + 2 * layer as usize,
-        KernelKind::LmHead => head,
-        KernelKind::Loss => head + 1,
+        KernelKind::Attention { .. } => 1,
+        KernelKind::Ffn { .. } => 2,
+        KernelKind::LmHead => 3,
+        KernelKind::Loss => 4,
     };
 
-    // Graph node order equals the op-catalogue order, so every per-kernel
-    // float accumulation below is bitwise identical to the legacy
-    // `step_ops()` walk.
+    // Graph node order equals the op-catalogue order, and every layer's
+    // ops and costs equal layer 0's, so each per-kernel float sum below is
+    // bitwise identical to accumulating that kernel over the whole step.
     let mut optimizer_flops = 0.0;
-    for (_, op) in graph.iter() {
+    for op in graph.template_nodes() {
         match kind_of(op) {
             Some(kind) => {
-                let k = &mut kernels[slot(kind)];
+                let k = &mut template[slot(kind)];
                 k.flops += op.flops();
                 if op.phase() == Phase::Forward {
                     k.params += op.params();
@@ -174,15 +171,30 @@ pub fn kernels_of(workload: &TrainingWorkload) -> Vec<Kernel> {
 
     // Distribute optimizer FLOPs onto weight-owning kernels, in proportion
     // to their parameters (the update runs in place on the owning PEs).
-    let total_params: u64 = kernels.iter().map(|k| k.params).sum();
-    if total_params > 0 {
-        for k in &mut kernels {
+    let [embedding, attention, ffn, lm_head, loss] = &template;
+    let total_params =
+        embedding.params + layers * (attention.params + ffn.params) + lm_head.params + loss.params;
+    for k in &mut template {
+        if total_params > 0 {
             k.flops += optimizer_flops * k.params as f64 / total_params as f64;
         }
-    }
-    for k in &mut kernels {
         k.flops_per_token = k.flops / tokens;
     }
+
+    let [embedding, attention, ffn, lm_head, loss] = template;
+    let mut kernels = Vec::with_capacity(2 * layers as usize + 3);
+    kernels.push(embedding);
+    for layer in 0..layers {
+        kernels.push(Kernel {
+            kind: KernelKind::Attention { layer },
+            ..attention
+        });
+        kernels.push(Kernel {
+            kind: KernelKind::Ffn { layer },
+            ..ffn
+        });
+    }
+    kernels.extend([lm_head, loss]);
     kernels
 }
 
@@ -302,15 +314,35 @@ mod tests {
         kernels
     }
 
+    /// The reference walks every node of the step; `kernels_of` walks the
+    /// template and copies layer 0, so this also pins the per-layer
+    /// identity it relies on, up to the `gen` cosmic tier's LLaMA h8192
+    /// with 8 KV heads.
     #[test]
     fn direct_slots_match_the_linear_find_reference_bit_for_bit() {
-        for layers in 1..=96 {
+        let small = (1..=96).map(|layers| {
             let model = if layers % 2 == 0 {
                 ModelConfig::gpt2_probe(512, layers)
             } else {
                 ModelConfig::llama2_probe(1024, layers)
             };
-            let work = TrainingWorkload::new(model, 4, 512, Precision::Bf16);
+            TrainingWorkload::new(model, 4, 512, Precision::Bf16)
+        });
+        let cosmic = [
+            (64, 32, 2048),
+            (75, 64, 4096),
+            (87, 128, 2048),
+            (96, 128, 4096),
+        ]
+        .map(|(layers, batch, seq)| {
+            let model = ModelConfig {
+                num_kv_heads: 8,
+                ..ModelConfig::llama2_probe(8192, layers)
+            };
+            TrainingWorkload::new(model, batch, seq, Precision::Fp16)
+        });
+        for work in small.chain(cosmic) {
+            let layers = work.model().num_layers;
             let (got, want) = (kernels_of(&work), kernels_by_find(&work));
             assert_eq!(got.len(), want.len(), "L={layers}");
             for (g, r) in got.iter().zip(&want) {

@@ -29,7 +29,8 @@ fn main() {
         let report = tier1::run(&rdu, &workload).expect("probe profiles");
 
         println!("=== mode {mode} ===");
-        println!("  sections               : {}", sections.len());
+        let copies: u64 = sections.iter().map(|s| s.copies).sum();
+        println!("  sections               : {copies}");
         println!(
             "  DDR traffic per step   : {:.2} GB",
             exec.ddr_bytes_per_step as f64 / 1e9
@@ -52,14 +53,20 @@ fn main() {
             println!("  load imbalance (Eq. 4) : {li:.3}");
         }
 
-        // The five slowest sections show where the time goes.
-        let mut timed: Vec<_> = exec.timings.iter().collect();
-        timed.sort_by(|a, b| b.runtime_s.partial_cmp(&a.runtime_s).expect("finite"));
+        // The five slowest sections show where the time goes; a run of
+        // identical O3 decoder sections is listed once, with its copy count.
+        let mut timed: Vec<_> = sections.iter().zip(&exec.timings).collect();
+        timed.sort_by(|(_, a), (_, b)| b.runtime_s.partial_cmp(&a.runtime_s).expect("finite"));
         println!("  slowest sections:");
-        for t in timed.iter().take(5) {
+        for (s, t) in timed.iter().take(5) {
+            let name = if s.copies > 1 {
+                format!("{} (x{})", t.name, s.copies)
+            } else {
+                t.name.clone()
+            };
             println!(
                 "    {:32} {:8.2} ms (compute {:.2} ms, ddr {:.2} ms per invocation)",
-                t.name,
+                name,
                 1e3 * t.runtime_s,
                 1e3 * t.compute_time_s,
                 1e3 * t.ddr_time_s
