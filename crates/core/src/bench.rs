@@ -25,7 +25,7 @@
 //! themselves are machine-dependent; the gate ([`regressions`]) therefore
 //! takes a percentage tolerance and ignores sub-[`GATE_FLOOR_NS`] deltas.
 
-use crate::jsonl;
+use crate::jsonl::{self, Value};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -65,17 +65,6 @@ impl BenchKind {
             BenchKind::Compile => "compile",
             BenchKind::Micro => "micro",
         }
-    }
-
-    /// Inverse of [`BenchKind::as_str`].
-    #[must_use]
-    pub fn parse(s: &str) -> Option<Self> {
-        Some(match s {
-            "experiment" => BenchKind::Experiment,
-            "compile" => BenchKind::Compile,
-            "micro" => BenchKind::Micro,
-            _ => return None,
-        })
     }
 }
 
@@ -457,280 +446,123 @@ impl BenchReport {
         out
     }
 
-    /// Parse a report produced by [`BenchReport::to_json`] (canonical key
-    /// order, whitespace-tolerant between tokens).
+    /// Parse a report [`BenchReport::to_json`] wrote, keys in any order.
     ///
     /// # Errors
     ///
-    /// A description of the first deviation: wrong schema, unexpected
-    /// key, or malformed token.
+    /// The first deviation: a JSON error naming its byte offset, a
+    /// missing, unknown, repeated or mistyped key, a number its field
+    /// cannot hold, or a foreign schema.
     pub fn parse(text: &str) -> Result<Self, String> {
-        let mut p = Parser::new(text);
-        p.expect('{')?;
-        p.key("schema")?;
-        let schema = p.string()?;
-        if schema != BENCH_SCHEMA {
-            return Err(format!(
-                "unsupported bench schema {schema:?} (expected {BENCH_SCHEMA:?})"
-            ));
-        }
-        p.expect(',')?;
-        p.key("quick")?;
-        let quick = p.bool()?;
-        p.expect(',')?;
-        p.key("benchmarks")?;
-        let mut benchmarks = Vec::new();
-        p.expect('[')?;
-        while !p.try_expect(']') {
-            if !benchmarks.is_empty() {
-                p.expect(',')?;
+        Fields::read(jsonl::parse(text)?, |report| {
+            let schema = report.string("schema")?;
+            if schema != BENCH_SCHEMA {
+                return Err(format!(
+                    "unsupported bench schema {schema:?} (expected {BENCH_SCHEMA:?})"
+                ));
             }
-            benchmarks.push(p.bench_record()?);
-        }
-        p.expect(',')?;
-        p.key("trajectory")?;
-        let mut trajectory = Vec::new();
-        p.expect('[')?;
-        while !p.try_expect(']') {
-            if !trajectory.is_empty() {
-                p.expect(',')?;
-            }
-            p.expect('{')?;
-            p.key("bench")?;
-            let bench = p.string()?;
-            p.expect(',')?;
-            p.key("label")?;
-            let label = p.string()?;
-            p.expect(',')?;
-            p.key("median_ns")?;
-            let median_ns = p.u64()?;
-            p.expect('}')?;
-            trajectory.push(TrajectoryEntry {
-                bench,
-                label,
-                median_ns,
-            });
-        }
-        p.expect('}')?;
-        p.end()?;
-        Ok(BenchReport {
-            quick,
-            benchmarks,
-            trajectory,
+            let Value::Bool(quick) = report.take("quick")? else {
+                return Err("quick: expected true or false".to_owned());
+            };
+            Ok(BenchReport {
+                quick,
+                benchmarks: report.list("benchmarks", |b| {
+                    let kind = b.string("kind")?;
+                    Ok(BenchRecord {
+                        name: b.string("name")?,
+                        kind: [BenchKind::Experiment, BenchKind::Compile, BenchKind::Micro]
+                            .into_iter()
+                            .find(|k| k.as_str() == kind)
+                            .ok_or_else(|| format!("unknown bench kind {kind:?}"))?,
+                        plan: IterPlan {
+                            warmup: b.number("warmup")?,
+                            iters: b.number("iters")?,
+                            inner: b.number("inner")?,
+                        },
+                        summary: Summary {
+                            kept: b.number("kept")?,
+                            median_ns: b.number("median_ns")?,
+                            mad_ns: b.number("mad_ns")?,
+                            min_ns: b.number("min_ns")?,
+                            max_ns: b.number("max_ns")?,
+                        },
+                        phases: b.list("phases", |p| {
+                            Ok(PhaseRow {
+                                phase: p.string("phase")?,
+                                spans: p.number("spans")?,
+                            })
+                        })?,
+                        counters: b.list("counters", |c| {
+                            Ok(CounterRow {
+                                key: c.string("key")?,
+                                total: c.number("total")?,
+                            })
+                        })?,
+                    })
+                })?,
+                trajectory: report.list("trajectory", |t| {
+                    Ok(TrajectoryEntry {
+                        bench: t.string("bench")?,
+                        label: t.string("label")?,
+                        median_ns: t.number("median_ns")?,
+                    })
+                })?,
+            })
         })
     }
 }
 
-/// Minimal recursive-descent parser for the canonical bench JSON.
-struct Parser<'a> {
-    chars: std::iter::Peekable<std::str::Chars<'a>>,
-}
+/// The pairs of one report object, taken out by key as it is read.
+struct Fields(Vec<(String, Value)>);
 
-impl<'a> Parser<'a> {
-    fn new(text: &'a str) -> Self {
-        Self {
-            chars: text.chars().peekable(),
+type Parsed<T> = Result<T, String>;
+
+impl Fields {
+    /// Read the object `value` with `item`; a key `item` did not take is
+    /// unknown or repeated, and an error.
+    fn read<T>(value: Value, item: impl FnOnce(&mut Self) -> Parsed<T>) -> Parsed<T> {
+        let Value::Object(pairs) = value else {
+            return Err("expected an object".to_owned());
+        };
+        let mut fields = Fields(pairs);
+        let parsed = item(&mut fields)?;
+        match fields.0.first() {
+            Some((key, _)) => Err(format!("unknown or repeated key {key:?}")),
+            None => Ok(parsed),
         }
     }
 
-    fn skip_ws(&mut self) {
-        while self.chars.peek().is_some_and(|c| c.is_whitespace()) {
-            self.chars.next();
+    fn take(&mut self, key: &str) -> Parsed<Value> {
+        let found = self.0.iter().position(|(k, _)| k == key);
+        let i = found.ok_or_else(|| format!("missing key {key:?}"))?;
+        Ok(self.0.remove(i).1)
+    }
+
+    fn string(&mut self, key: &str) -> Parsed<String> {
+        match self.take(key)? {
+            Value::String(s) => Ok(s),
+            _ => Err(format!("{key}: expected a string")),
         }
     }
 
-    fn expect(&mut self, want: char) -> Result<(), String> {
-        self.skip_ws();
-        match self.chars.next() {
-            Some(c) if c == want => Ok(()),
-            got => Err(format!("expected {want:?}, found {got:?}")),
+    /// The number at `key` as a `T`: one `T` cannot hold (a plan field
+    /// wider than `u32`, say) is an error naming the key, never truncated.
+    fn number<T: std::str::FromStr>(&mut self, key: &str) -> Parsed<T> {
+        match self.take(key)? {
+            Value::Number(n) => n
+                .parse()
+                .map_err(|_| format!("{key}: {n} is not a {}", std::any::type_name::<T>())),
+            _ => Err(format!("{key}: expected a number")),
         }
     }
 
-    /// Consume `want` if it is the next non-whitespace char.
-    fn try_expect(&mut self, want: char) -> bool {
-        self.skip_ws();
-        if self.chars.peek() == Some(&want) {
-            self.chars.next();
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Expect `"name":`.
-    fn key(&mut self, name: &str) -> Result<(), String> {
-        let got = self.string()?;
-        if got != name {
-            return Err(format!("expected key {name:?}, found {got:?}"));
-        }
-        self.expect(':')
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect('"')?;
-        let mut out = String::new();
-        loop {
-            match self.chars.next() {
-                None => return Err("unterminated string".to_owned()),
-                Some('"') => return Ok(out),
-                Some('\\') => match self.chars.next() {
-                    Some('"') => out.push('"'),
-                    Some('\\') => out.push('\\'),
-                    Some('/') => out.push('/'),
-                    Some('n') => out.push('\n'),
-                    Some('r') => out.push('\r'),
-                    Some('t') => out.push('\t'),
-                    Some('u') => {
-                        let hex: String = (0..4)
-                            .map(|_| self.chars.next())
-                            .collect::<Option<_>>()
-                            .ok_or("truncated \\u escape")?;
-                        let code = u32::from_str_radix(&hex, 16)
-                            .map_err(|e| format!("bad \\u escape: {e}"))?;
-                        out.push(char::from_u32(code).ok_or("bad \\u code point")?);
-                    }
-                    e => return Err(format!("bad escape {e:?}")),
-                },
-                Some(c) => out.push(c),
-            }
-        }
-    }
-
-    fn number_token(&mut self) -> String {
-        self.skip_ws();
-        let mut tok = String::new();
-        while self
-            .chars
-            .peek()
-            .is_some_and(|c| c.is_ascii_digit() || matches!(c, '-' | '+' | '.' | 'e' | 'E'))
-        {
-            tok.push(self.chars.next().expect("peeked"));
-        }
-        tok
-    }
-
-    fn u64(&mut self) -> Result<u64, String> {
-        let tok = self.number_token();
-        tok.parse().map_err(|e| format!("bad integer {tok:?}: {e}"))
-    }
-
-    /// `"name":` then a `u32`; a wider integer is an error naming the
-    /// key, never a truncated value.
-    fn u32_field(&mut self, name: &str) -> Result<u32, String> {
-        self.key(name)?;
-        let v = self.u64()?;
-        u32::try_from(v).map_err(|_| format!("{name} {v} does not fit in u32"))
-    }
-
-    fn f64(&mut self) -> Result<f64, String> {
-        let tok = self.number_token();
-        tok.parse().map_err(|e| format!("bad number {tok:?}: {e}"))
-    }
-
-    fn bool(&mut self) -> Result<bool, String> {
-        self.skip_ws();
-        let mut tok = String::new();
-        while self.chars.peek().is_some_and(char::is_ascii_alphabetic) {
-            tok.push(self.chars.next().expect("peeked"));
-        }
-        match tok.as_str() {
-            "true" => Ok(true),
-            "false" => Ok(false),
-            _ => Err(format!("bad bool {tok:?}")),
-        }
-    }
-
-    fn bench_record(&mut self) -> Result<BenchRecord, String> {
-        self.expect('{')?;
-        self.key("name")?;
-        let name = self.string()?;
-        self.expect(',')?;
-        self.key("kind")?;
-        let kind_s = self.string()?;
-        let kind =
-            BenchKind::parse(&kind_s).ok_or_else(|| format!("unknown bench kind {kind_s:?}"))?;
-        self.expect(',')?;
-        let warmup = self.u32_field("warmup")?;
-        self.expect(',')?;
-        let iters = self.u32_field("iters")?;
-        self.expect(',')?;
-        let inner = self.u32_field("inner")?;
-        self.expect(',')?;
-        let kept = self.u32_field("kept")?;
-        self.expect(',')?;
-        self.key("median_ns")?;
-        let median_ns = self.u64()?;
-        self.expect(',')?;
-        self.key("mad_ns")?;
-        let mad_ns = self.u64()?;
-        self.expect(',')?;
-        self.key("min_ns")?;
-        let min_ns = self.u64()?;
-        self.expect(',')?;
-        self.key("max_ns")?;
-        let max_ns = self.u64()?;
-        self.expect(',')?;
-        self.key("phases")?;
-        let mut phases = Vec::new();
-        self.expect('[')?;
-        while !self.try_expect(']') {
-            if !phases.is_empty() {
-                self.expect(',')?;
-            }
-            self.expect('{')?;
-            self.key("phase")?;
-            let phase = self.string()?;
-            self.expect(',')?;
-            self.key("spans")?;
-            let spans = self.u64()?;
-            self.expect('}')?;
-            phases.push(PhaseRow { phase, spans });
-        }
-        self.expect(',')?;
-        self.key("counters")?;
-        let mut counters = Vec::new();
-        self.expect('[')?;
-        while !self.try_expect(']') {
-            if !counters.is_empty() {
-                self.expect(',')?;
-            }
-            self.expect('{')?;
-            self.key("key")?;
-            let key = self.string()?;
-            self.expect(',')?;
-            self.key("total")?;
-            let total = self.f64()?;
-            self.expect('}')?;
-            counters.push(CounterRow { key, total });
-        }
-        self.expect('}')?;
-        Ok(BenchRecord {
-            name,
-            kind,
-            plan: IterPlan {
-                warmup,
-                iters,
-                inner,
-            },
-            summary: Summary {
-                kept,
-                median_ns,
-                mad_ns,
-                min_ns,
-                max_ns,
-            },
-            phases,
-            counters,
-        })
-    }
-
-    fn end(&mut self) -> Result<(), String> {
-        self.skip_ws();
-        match self.chars.next() {
-            None => Ok(()),
-            Some(c) => Err(format!("trailing garbage starting at {c:?}")),
-        }
+    /// The array at `key`, each of its objects read with `f`.
+    fn list<T>(&mut self, key: &str, mut f: impl FnMut(&mut Self) -> Parsed<T>) -> Parsed<Vec<T>> {
+        let Value::Array(values) = self.take(key)? else {
+            return Err(format!("{key}: expected an array"));
+        };
+        let read = |(i, v)| Self::read(v, &mut f).map_err(|e| format!("{key}[{i}]: {e}"));
+        values.into_iter().enumerate().map(read).collect()
     }
 }
 
@@ -866,6 +698,47 @@ mod tests {
             let err = BenchReport::parse(&wide).expect_err(key);
             assert!(err.contains(key), "{key}: {err}");
         }
+    }
+
+    #[test]
+    fn parse_rejects_missing_unknown_repeated_and_mistyped_keys() {
+        let json = sample_report().to_json();
+        let mad = "\"mad_ns\":4,";
+        for (from, to, needle) in [
+            (mad, "", "benchmarks[0]: missing key \"mad_ns\""),
+            (
+                mad,
+                "\"mad_ns\":4,\"extra\":1,",
+                "unknown or repeated key \"extra\"",
+            ),
+            (
+                mad,
+                "\"mad_ns\":4,\"mad_ns\":4,",
+                "unknown or repeated key \"mad_ns\"",
+            ),
+            (mad, "\"mad_ns\":\"4\",", "mad_ns: expected a number"),
+            (mad, "\"mad_ns\":-4,", "mad_ns: -4 is not a u64"),
+            (
+                "\"quick\":true",
+                "\"quick\":1",
+                "quick: expected true or false",
+            ),
+            (
+                "\"experiment\"",
+                "\"macro\"",
+                "unknown bench kind \"macro\"",
+            ),
+        ] {
+            let bad = json.replacen(from, to, 1);
+            assert_ne!(bad, json, "{from} not found");
+            let err = BenchReport::parse(&bad).expect_err(needle);
+            assert!(err.contains(needle), "{needle}: {err}");
+        }
+        // Key order is free.
+        let reordered = json
+            .replacen(mad, "", 1)
+            .replacen("\"kept\"", "\"mad_ns\":4,\"kept\"", 1);
+        assert_eq!(BenchReport::parse(&reordered), Ok(sample_report()));
     }
 
     #[test]

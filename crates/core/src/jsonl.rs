@@ -1,20 +1,12 @@
-//! Flat JSON-line codec shared by the run journal and the serve protocol.
+//! The one JSON codec of the repository's persisted records: a reader,
+//! an escaper ([`escape`]) and a float renderer (`number`).
 //!
-//! Both the crash-safe run journal (`dabench-journal-v1`, see
-//! [`crate::supervise`]) and the benchmark daemon's wire protocol
-//! (`dabench-serve-v1`, see [`crate::serve`]) speak the same restricted
-//! dialect: **one flat JSON object per line, string values only**. The
-//! restriction is deliberate — a flat string-only object round-trips
-//! byte-exactly through a hand-rolled parser small enough to audit, which
-//! is what lets the journal promise byte-identical replay and the daemon
-//! stay dependency-free.
-//!
-//! Escaping covers `"`/`\\`/control characters (as `\uXXXX`); parsing
-//! accepts exactly what [`escape`] emits plus the standard short escapes,
-//! so `parse_object(&write_object(pairs))` is an identity on the pairs.
-//! The bench report and the Chrome-trace exporter write richer JSON by
-//! hand but take their string escaping ([`escape`]) and float rendering
-//! (`number`) from here.
+//! The run journal (`dabench-journal-v1`, see [`crate::supervise`]) and
+//! the serve protocol (`dabench-serve-v1`, see [`crate::serve`]) are one
+//! flat JSON object of strings per line: [`write_object`] writes it and
+//! [`parse_object`], the reader's flat view, reads it. The hand-written
+//! bench report reads back through the reader itself, `parse`, which takes
+//! exactly the JSON these writers emit, in code small enough to audit.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -70,78 +62,151 @@ pub fn write_object(pairs: &[(&str, &str)]) -> String {
 
 /// Parse one line as a flat JSON object with string values only.
 ///
-/// Returns `None` on any syntactic deviation — the caller decides whether
-/// that means a truncated tail (journal), corruption, or a malformed
-/// request (serve). Duplicate keys keep the last occurrence. Pairs are
-/// separated by exactly one `,`, so a record whose separator was flipped
-/// into whitespace reads as malformed, never as a valid object.
+/// Returns `None` on any deviation — the caller decides whether that
+/// means a truncated tail (journal), corruption, or a malformed request
+/// (serve). Duplicate keys keep the last occurrence. Pairs are separated
+/// by exactly one `,`, so a record whose separator was flipped into
+/// whitespace reads as malformed, never as a valid object.
 #[must_use]
 pub fn parse_object(line: &str) -> Option<BTreeMap<String, String>> {
-    let mut chars = line.trim().chars().peekable();
-    let mut fields = BTreeMap::new();
-
-    fn parse_string(chars: &mut std::iter::Peekable<std::str::Chars>) -> Option<String> {
-        if chars.next()? != '"' {
-            return None;
-        }
-        let mut out = String::new();
-        loop {
-            match chars.next()? {
-                '"' => return Some(out),
-                '\\' => match chars.next()? {
-                    '"' => out.push('"'),
-                    '\\' => out.push('\\'),
-                    '/' => out.push('/'),
-                    'n' => out.push('\n'),
-                    'r' => out.push('\r'),
-                    't' => out.push('\t'),
-                    'u' => {
-                        let hex: String = (0..4).map(|_| chars.next()).collect::<Option<_>>()?;
-                        let code = u32::from_str_radix(&hex, 16).ok()?;
-                        out.push(char::from_u32(code)?);
-                    }
-                    _ => return None,
-                },
-                c => out.push(c),
-            }
-        }
-    }
-
-    fn skip_ws(chars: &mut std::iter::Peekable<std::str::Chars>) {
-        while chars.peek().is_some_and(|c| c.is_whitespace()) {
-            chars.next();
-        }
-    }
-
-    if chars.next()? != '{' {
+    let Ok(Value::Object(pairs)) = parse(line) else {
         return None;
-    }
-    skip_ws(&mut chars);
-    if chars.peek() == Some(&'}') {
-        chars.next();
-    } else {
-        loop {
-            let key = parse_string(&mut chars)?;
-            skip_ws(&mut chars);
-            if chars.next()? != ':' {
-                return None;
-            }
-            skip_ws(&mut chars);
-            let value = parse_string(&mut chars)?;
-            fields.insert(key, value);
-            skip_ws(&mut chars);
-            match chars.next()? {
-                ',' => skip_ws(&mut chars),
-                '}' => break,
-                _ => return None,
-            }
-        }
-    }
-    skip_ws(&mut chars);
-    if chars.next().is_some() {
-        return None; // trailing garbage after the object
+    };
+    let mut fields = BTreeMap::new();
+    for (key, value) in pairs {
+        let Value::String(value) = value else {
+            return None;
+        };
+        fields.insert(key, value);
     }
     Some(fields)
+}
+
+/// A JSON value as [`parse`] reads it. A number keeps its source text, so
+/// the caller parses it as the type it expects: a `u64` exactly, an `f64`
+/// through `str::parse`. An object keeps its pairs in order, repeats too.
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) enum Value {
+    String(String),
+    Number(String),
+    Bool(bool),
+    Array(Vec<Value>),
+    Object(Vec<(String, Value)>),
+}
+
+/// Parse `text` as exactly one JSON value: objects, arrays, strings,
+/// numbers (a run of digits, signs, `.`, `e` and `E` from a `-` or a
+/// digit), `true` and `false`, with exactly one `,` between items and
+/// pairs and `char::is_whitespace` around tokens. An error names the
+/// byte offset of the first deviation.
+pub(crate) fn parse(text: &str) -> Result<Value, String> {
+    let mut rest = text;
+    let value = read_value(&mut rest, 0).and_then(|value| {
+        rest = rest.trim_start();
+        rest.is_empty().then_some(value).ok_or("trailing bytes")
+    });
+    value.map_err(|what| format!("byte {}: {what}", text.len() - rest.len()))
+}
+
+/// A reader step: it advances `rest` (by whole chars) past what it read
+/// and returns it, or stops `rest` at a deviation and names it.
+type Read<T> = Result<T, &'static str>;
+
+/// How deep arrays and objects may nest: the bench report nests four
+/// deep, and the cap bounds the reader's recursion on hostile input.
+const MAX_DEPTH: u8 = 16;
+
+/// Skip whitespace, then consume `byte` if it comes next.
+fn eat(rest: &mut &str, byte: u8) -> bool {
+    *rest = rest.trim_start();
+    let next = rest.as_bytes().first() == Some(&byte);
+    *rest = &rest[usize::from(next)..];
+    next
+}
+
+fn read_value(rest: &mut &str, depth: u8) -> Read<Value> {
+    *rest = rest.trim_start();
+    let s = *rest;
+    match s.as_bytes().first() {
+        Some(b'"') => read_string(rest).map(Value::String),
+        Some(b'[' | b'{') if depth == MAX_DEPTH => Err("arrays and objects nest too deep"),
+        Some(b'[') => read_items(rest, depth, read_value).map(Value::Array),
+        Some(b'{') => read_items(rest, depth, read_pair).map(Value::Object),
+        Some(b'-' | b'0'..=b'9') => {
+            *rest = s.trim_start_matches(|c: char| c.is_ascii_digit() || "+-.eE".contains(c));
+            Ok(Value::Number(s[..s.len() - rest.len()].to_owned()))
+        }
+        _ => {
+            let word = ["true", "false"].into_iter().find(|w| s.starts_with(w));
+            let word = word.ok_or("expected a value")?;
+            *rest = &s[word.len()..];
+            Ok(Value::Bool(word == "true"))
+        }
+    }
+}
+
+fn read_pair(rest: &mut &str, depth: u8) -> Read<(String, Value)> {
+    let key = read_string(rest)?;
+    if !eat(rest, b':') {
+        return Err("expected `:`");
+    }
+    Ok((key, read_value(rest, depth)?))
+}
+
+/// The items of an array or object `depth` deep, from its opening bracket
+/// through the closing one (two past it in ASCII): exactly one `,`
+/// between items and none after the last.
+fn read_items<T>(rest: &mut &str, depth: u8, item: fn(&mut &str, u8) -> Read<T>) -> Read<Vec<T>> {
+    let close = rest.as_bytes()[0] + 2;
+    *rest = &rest[1..];
+    let mut items = Vec::new();
+    if eat(rest, close) {
+        return Ok(items);
+    }
+    loop {
+        items.push(item(rest, depth + 1)?);
+        if eat(rest, close) {
+            return Ok(items);
+        }
+        if !eat(rest, b',') {
+            return Err("expected `,` or a closing bracket");
+        }
+    }
+}
+
+/// A string literal, escapes decoded: the ones [`escape`] emits plus the
+/// standard short ones. Text between escapes is copied a run at a time;
+/// `"` and `\` are ASCII, so every run ends on a char boundary.
+fn read_string(rest: &mut &str) -> Read<String> {
+    if !eat(rest, b'"') {
+        return Err("expected a string");
+    }
+    let mut out = String::new();
+    loop {
+        let run = rest.bytes().position(|b| b == b'"' || b == b'\\');
+        let run = run.ok_or("unterminated string")?;
+        out.push_str(&rest[..run]);
+        let (closed, escape) = (rest.as_bytes()[run] == b'"', &rest[run + 1..]);
+        *rest = escape;
+        if closed {
+            return Ok(out);
+        }
+        let (c, len) = match escape.as_bytes().first() {
+            Some(b'u') => {
+                let code = u32::from_str_radix(escape.get(1..5).unwrap_or_default(), 16);
+                (code.ok().and_then(char::from_u32), 5)
+            }
+            Some(b'"') => (Some('"'), 1),
+            Some(b'\\') => (Some('\\'), 1),
+            Some(b'/') => (Some('/'), 1),
+            Some(b'n') => (Some('\n'), 1),
+            Some(b'r') => (Some('\r'), 1),
+            Some(b't') => (Some('\t'), 1),
+            _ => (None, 0),
+        };
+        out.push(c.ok_or("bad escape")?);
+        *rest = &escape[len..];
+    }
 }
 
 /// A truncated hex dump of `text`'s leading bytes, for diagnostics on
@@ -208,6 +273,50 @@ mod tests {
     fn empty_object_parses() {
         assert_eq!(parse_object("{}"), Some(BTreeMap::new()));
         assert_eq!(write_object(&[]), "{}");
+    }
+
+    #[test]
+    fn reader_keeps_number_text_and_nests() {
+        let text = " [18446744073709551615, -0.0, 1e-300, true, false, {\"k\": []}] ";
+        let num = |s: &str| Value::Number(s.to_owned());
+        let object = Value::Object(vec![("k".to_owned(), Value::Array(Vec::new()))]);
+        assert_eq!(
+            parse(text),
+            Ok(Value::Array(vec![
+                num("18446744073709551615"),
+                num("-0.0"),
+                num("1e-300"),
+                Value::Bool(true),
+                Value::Bool(false),
+                object,
+            ]))
+        );
+    }
+
+    #[test]
+    fn reader_errors_name_the_byte_offset() {
+        for (text, err) in [
+            ("{\"a\" \"b\"}", "byte 5: expected `:`"),
+            ("[1 2]", "byte 3: expected `,` or a closing bracket"),
+            ("[1] x", "byte 4: trailing bytes"),
+            ("\"a\\qb\"", "byte 3: bad escape"),
+            ("\"\\u00e\"", "byte 2: bad escape"),
+            ("\"abc", "byte 1: unterminated string"),
+            ("nul", "byte 0: expected a value"),
+            ("[true,]", "byte 6: expected a value"),
+        ] {
+            assert_eq!(parse(text), Err(err.to_owned()), "{text:?}");
+        }
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nested(usize::from(MAX_DEPTH))).is_ok());
+        let err = parse(&nested(usize::from(MAX_DEPTH) + 1)).unwrap_err();
+        assert!(err.contains("nest too deep"), "{err}");
+        let hostile = format!("{{\"a\":{}", "[".repeat(1_000_000));
+        assert_eq!(parse_object(&hostile), None);
     }
 
     #[test]

@@ -20,7 +20,7 @@ use std::process::{Child, Command, ExitStatus};
 use std::time::{Duration, Instant};
 
 use crate::supervise::{
-    format_record, journal_header, journal_parse_io_error, parse_journal, ParsedJournal,
+    format_record, journal_header, journal_parse_io_error, parse_journal_bytes, ParsedJournal,
     JOURNAL_FILE, STATUS_STARTED,
 };
 
@@ -78,9 +78,9 @@ pub fn plan_shards(labels: &[String], shards: usize) -> Vec<Vec<String>> {
     plan
 }
 
-/// Read and parse a journal file ([`parse_journal`] semantics: torn tail
-/// tolerated, mid-file corruption is a hard error). A missing file parses
-/// as empty — a shard killed before its first append lost nothing.
+/// Read and parse a journal file ([`parse_journal_bytes`] semantics: torn
+/// tail tolerated, mid-file corruption is a hard error). A missing file
+/// parses as empty — a shard killed before its first append lost nothing.
 ///
 /// # Errors
 ///
@@ -89,8 +89,8 @@ pub fn read_journal(path: &Path) -> io::Result<ParsedJournal> {
     if !path.exists() {
         return Ok(ParsedJournal::default());
     }
-    let contents = std::fs::read_to_string(path)?;
-    parse_journal(&contents).map_err(|e| journal_parse_io_error(path, &e))
+    let contents = std::fs::read(path)?;
+    parse_journal_bytes(&contents).map_err(|e| journal_parse_io_error(path, &e))
 }
 
 /// Labels with a durable final record (completed or failed any way) in
@@ -611,7 +611,8 @@ pub fn emit_shard_counters(statuses: &[ShardStatus]) {
 mod tests {
     use super::*;
     use crate::supervise::{
-        JournalRecord, JOURNAL_SCHEMA, SHARD_CONTROL_LABEL, STATUS_HEARTBEAT, STATUS_STARTED,
+        parse_journal, JournalRecord, JOURNAL_SCHEMA, SHARD_CONTROL_LABEL, STATUS_HEARTBEAT,
+        STATUS_STARTED,
     };
 
     fn labels(names: &[&str]) -> Vec<String> {

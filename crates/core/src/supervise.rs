@@ -34,7 +34,7 @@ use crate::rng::SplitMix64;
 use std::any::Any;
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
-use std::io::{self, Read as _, Seek as _, Write as _};
+use std::io::{self, Seek as _, Write as _};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -671,18 +671,30 @@ pub enum JournalParseError {
 ///
 /// [`JournalParseError`] on a schema mismatch or mid-file corruption.
 pub fn parse_journal(contents: &str) -> Result<ParsedJournal, JournalParseError> {
+    parse_journal_bytes(contents.as_bytes())
+}
+
+/// [`parse_journal`] over raw file bytes. A line that is not UTF-8 is an
+/// invalid line like any other: a tail cut inside a multi-byte character
+/// is dropped and healed, and one followed by more records is corruption.
+/// Error and dropped-tail texts decode such a line lossily.
+///
+/// # Errors
+///
+/// As for [`parse_journal`].
+pub fn parse_journal_bytes(contents: &[u8]) -> Result<ParsedJournal, JournalParseError> {
     let mut parsed = ParsedJournal::default();
     let mut line_no = 0usize;
     let mut invalid: Option<(usize, usize, String)> = None;
     let mut rest = contents;
     while !rest.is_empty() {
-        let (line, consumed, complete) = match rest.find('\n') {
+        let (line, consumed, complete) = match rest.iter().position(|&b| b == b'\n') {
             Some(pos) => (&rest[..pos], pos + 1, true),
             None => (rest, rest.len(), false),
         };
         line_no += 1;
         let fields = if complete {
-            jsonl::parse_object(line)
+            std::str::from_utf8(line).ok().and_then(jsonl::parse_object)
         } else {
             None // no trailing newline: the append was cut mid-line
         };
@@ -703,7 +715,8 @@ pub fn parse_journal(contents: &str) -> Result<ParsedJournal, JournalParseError>
                 parsed.valid_bytes += consumed;
             }
             Some(_) | None if invalid.is_none() => {
-                invalid = Some((line_no, parsed.valid_bytes, line.to_owned()));
+                let text = String::from_utf8_lossy(line).into_owned();
+                invalid = Some((line_no, parsed.valid_bytes, text));
             }
             _ => {
                 // A second line after an invalid one: mid-file corruption.
@@ -918,10 +931,9 @@ impl RunJournal {
             let journal = Self::create_named(dir, file_name)?;
             return Ok((journal, Replay::default()));
         }
-        let mut contents = String::new();
-        File::open(&path)?.read_to_string(&mut contents)?;
-
-        let parsed = parse_journal(&contents).map_err(|e| journal_parse_io_error(&path, &e))?;
+        let contents = std::fs::read(&path)?;
+        let parsed =
+            parse_journal_bytes(&contents).map_err(|e| journal_parse_io_error(&path, &e))?;
         let replay = Replay::from_journal(&parsed);
 
         // Heal a dropped tail: truncate to the last valid record so the

@@ -10,11 +10,6 @@
 //! - the Tier-1 memo cache and the incremental compile cache are cleared
 //!   before each benchmark and repopulated by the warmup batches, so timed
 //!   samples measure the deterministic steady state;
-//! - `cache_lookup_legacy` is a pinned replica of the string-keyed memo
-//!   lookup this repository used before the [`CacheKey`](crate::core::CacheKey) rework; it stays
-//!   in the suite permanently so the before/after of that optimization
-//!   remains measurable on any machine, not just the one that recorded the
-//!   trajectory;
 //! - cases run sequentially (timing under contention is noise), but the
 //!   bodies themselves use `par_map` internally, and the obs-bridged
 //!   per-phase breakdown is byte-identical at any `--jobs`.
@@ -26,17 +21,16 @@ use crate::core::bench::{
 use crate::core::cache::clear_tier1_cache;
 use crate::core::shard::{merge_journals, plan_shards};
 use crate::core::supervise::{
-    JournalRecord, ParsedJournal, SHARD_CONTROL_LABEL, STATUS_HEARTBEAT, STATUS_SHARD_META,
-    STATUS_STARTED,
+    parse_injections, Injection, JournalRecord, ParsedJournal, SHARD_CONTROL_LABEL,
+    STATUS_HEARTBEAT, STATUS_SHARD_META, STATUS_STARTED,
 };
-use crate::core::{obs, tier1_cached, Memoizable, PlatformError, Tier1Report};
+use crate::core::{obs, tier1_cached};
 use crate::experiments::validation;
 use crate::model::{InferenceWorkload, ModelConfig, Precision, TrainingWorkload};
 use crate::suite::render_experiment;
 use crate::wse::{compile, Wse, WseCompilerParams, WseSpec};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::hint::black_box;
-use std::sync::Mutex;
 
 /// One named benchmark in the suite.
 #[derive(Debug, Clone, Copy)]
@@ -49,7 +43,7 @@ pub struct BenchCase {
 
 /// The full suite, in report order: every paper artifact, the scorecard,
 /// then the hot-path compile and micro benchmarks.
-pub const CASES: [BenchCase; 23] = [
+pub const CASES: [BenchCase; 22] = [
     BenchCase {
         name: "table1",
         kind: BenchKind::Experiment,
@@ -128,10 +122,6 @@ pub const CASES: [BenchCase; 23] = [
     },
     BenchCase {
         name: "cache_lookup_hit",
-        kind: BenchKind::Micro,
-    },
-    BenchCase {
-        name: "cache_lookup_legacy",
         kind: BenchKind::Micro,
     },
     BenchCase {
@@ -288,28 +278,6 @@ fn make_body(name: &str) -> Box<dyn FnMut()> {
                 black_box(tier1_cached(&wse, w)).expect("warm lookup");
             })
         }
-        "cache_lookup_legacy" => {
-            // Pinned replica of the pre-CacheKey lookup: token string +
-            // workload Debug string allocated on every hit. Do not
-            // "optimize" this body — it IS the baseline.
-            let wse = Wse::default();
-            let workloads = cache_probe_workloads();
-            let store: Mutex<HashMap<(String, String), Result<Tier1Report, PlatformError>>> =
-                Mutex::new(HashMap::new());
-            for w in &workloads {
-                let key = (wse.cache_token(), format!("{w:?}"));
-                let result = tier1_cached(&wse, w);
-                store.lock().expect("legacy store").insert(key, result);
-            }
-            let mut i = 0usize;
-            Box::new(move || {
-                let w = &workloads[i % workloads.len()];
-                i += 1;
-                let key = (wse.cache_token(), format!("{w:?}"));
-                let hit = store.lock().expect("legacy store").get(&key).cloned();
-                black_box(hit).expect("warm lookup").expect("warm lookup");
-            })
-        }
         "infer_decode_step" => {
             // Hot inner loop of the inference profiler: summing per-step
             // decode costs over a growing KV cache, priced at the storage
@@ -451,31 +419,22 @@ pub fn parse_bench_opts(args: &[String]) -> Result<BenchOpts, String> {
     Ok(opts)
 }
 
-/// Parse `DABENCH_INJECT` for the bench runner: `name=sleep:SECS` clauses
-/// slow the named benchmark down inside its timed window (one sleep per
-/// timed sample) — the hook the regression-gate integration tests use.
-/// `panic` injections are rejected: the bench runner has no isolation
-/// layer to catch them.
+/// The `DABENCH_INJECT` sleeps for the bench runner: `name=sleep:SECS`
+/// clauses slow the named benchmark down inside its timed window (one
+/// sleep per timed sample) — the hook the regression-gate integration
+/// tests use. Any other action is rejected: the bench runner has no
+/// isolation layer to catch a panic or an injected error.
 fn parse_sleep_injections() -> Result<BTreeMap<String, f64>, String> {
-    let mut map = BTreeMap::new();
-    let Ok(raw) = std::env::var("DABENCH_INJECT") else {
-        return Ok(map);
-    };
-    for clause in raw.split(',').filter(|c| !c.trim().is_empty()) {
-        let (name, action) = clause
-            .split_once('=')
-            .ok_or_else(|| format!("DABENCH_INJECT `{clause}`: expected name=action"))?;
-        let Some(secs) = action.strip_prefix("sleep:") else {
+    let mut sleeps = BTreeMap::new();
+    for (name, injection) in parse_injections()? {
+        let Injection::SleepSecs(secs) = injection else {
             return Err(format!(
-                "DABENCH_INJECT `{clause}`: bench supports sleep:SECS only"
+                "DABENCH_INJECT `{name}`: bench supports sleep:SECS only"
             ));
         };
-        let secs: f64 = secs
-            .parse()
-            .map_err(|e| format!("DABENCH_INJECT `{clause}`: {e}"))?;
-        map.insert(name.trim().to_owned(), secs);
+        sleeps.insert(name, secs);
     }
-    Ok(map)
+    Ok(sleeps)
 }
 
 /// The `--list` text: one line per benchmark with its kind and full-mode

@@ -34,6 +34,7 @@
 //! `--resume` (see docs/serve.md).
 
 use dabench::bench_suite::run_bench;
+use dabench::core::jsonl::hex_snippet;
 use dabench::core::obs;
 use dabench::core::shard::{
     emit_shard_counters, list_shard_journals, merge_journals, plan_shards, read_journal,
@@ -408,16 +409,10 @@ fn run_sweep(order: &[String], opts: &AllOpts) -> Result<(RunReport, Vec<Option<
     // run's. Only points whose output also replays count — a digest for a
     // point that will re-run would otherwise appear twice.
     if obs::is_enabled() {
-        for (name, digest) in &replay.metrics {
-            if replay.completed.contains_key(name) {
-                obs::inject(
-                    digest
-                        .lines()
-                        .filter_map(PointTrace::parse_digest)
-                        .collect(),
-                );
-            }
-        }
+        let replayed = replay.metrics.iter();
+        inject_journaled_digests(
+            replayed.filter(|(name, _)| replay.completed.contains_key(*name)),
+        )?;
     }
 
     let points: Vec<(usize, String)> = order
@@ -448,6 +443,30 @@ fn run_sweep(order: &[String], opts: &AllOpts) -> Result<(RunReport, Vec<Option<
     }
     eprint!("{}", report.render());
     Ok((report, texts))
+}
+
+/// Re-seed the recorder from journaled `(label, metrics digest)` pairs.
+/// Every digest line must parse: a dropped one would silently change the
+/// figures of a resumed `--metrics` or `--trace-out` run, so a corrupt
+/// digest fails the resume, naming its point, before anything prints.
+fn inject_journaled_digests<'a>(
+    digests: impl Iterator<Item = (&'a String, &'a String)>,
+) -> Result<(), String> {
+    let mut traces = Vec::new();
+    for (label, digest) in digests {
+        for line in digest.split('\n') {
+            traces.push(PointTrace::parse_digest(line).ok_or_else(|| {
+                format!(
+                    "journal: corrupt metrics digest for `{label}` ({} bytes, hex {}); \
+                     refusing to replay a partial trace",
+                    line.len(),
+                    hex_snippet(line, 24)
+                )
+            })?);
+        }
+    }
+    obs::inject(traces);
+    Ok(())
 }
 
 /// Fold stale shard journals (left behind by a killed sharded parent)
@@ -609,6 +628,12 @@ fn run_sweep_sharded(
     let merged = merge_journals(order, &sources, &synthetic);
     write_merged(&dir, &merged.text).map_err(|e| format!("journal merge: {e}"))?;
     remove_shard_journals(&dir).map_err(|e| format!("shard journal cleanup: {e}"))?;
+    if capture_metrics {
+        inject_journaled_digests(order.iter().filter_map(|label| {
+            let p = merged.points.get(label)?;
+            (p.status == "completed").then_some((label, p.metrics.as_ref()?))
+        }))?;
+    }
 
     let mut report = RunReport::default();
     let mut texts = Vec::with_capacity(order.len());
@@ -621,16 +646,6 @@ fn run_sweep_sharded(
                     report.record_status(label, "journaled", None);
                 } else {
                     report.record_status(label, "completed", None);
-                }
-                if capture_metrics {
-                    if let Some(digest) = &p.metrics {
-                        obs::inject(
-                            digest
-                                .lines()
-                                .filter_map(PointTrace::parse_digest)
-                                .collect(),
-                        );
-                    }
                 }
             }
             Some(p) => {

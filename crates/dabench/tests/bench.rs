@@ -186,6 +186,30 @@ fn injected_slowdown_trips_the_gate() {
 }
 
 #[test]
+fn non_sleep_injection_is_rejected() {
+    let out = scratch("injpanic.json");
+    let _ = std::fs::remove_file(&out);
+    let r = run_env(
+        &[
+            "bench",
+            "--quick",
+            "--filter",
+            "fig7",
+            "--out",
+            out.to_str().unwrap(),
+        ],
+        &[("DABENCH_INJECT", "fig7=panic")],
+    );
+    assert_eq!(r.code, Some(1), "stderr: {}", r.stderr);
+    assert!(
+        r.stderr.contains("bench supports sleep:SECS only"),
+        "{}",
+        r.stderr
+    );
+    assert!(!out.exists(), "no report should be written");
+}
+
+#[test]
 fn record_accumulates_trajectory_across_runs() {
     let out = scratch("traj.json");
     let _ = std::fs::remove_file(&out);

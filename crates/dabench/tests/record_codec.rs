@@ -14,7 +14,9 @@ use dabench::core::bench::{
 use dabench::core::gen::Tier;
 use dabench::core::jsonl::{parse_object, write_object};
 use dabench::core::obs::{Event, Phase, PointTrace};
-use dabench::core::supervise::{parse_journal, JournalParseError, JournalRecord, RunJournal};
+use dabench::core::supervise::{
+    parse_journal, parse_journal_bytes, JournalParseError, JournalRecord, RunJournal,
+};
 use dabench::core::SplitMix64;
 use dabench::experiments::gen::{parse_record, render_scenario};
 
@@ -144,9 +146,9 @@ fn a_journal_truncated_at_any_byte_parses_to_a_prefix() {
                 .iter()
                 .rposition(|&b| b == b'\n')
                 .map_or(0, |i| i + 1);
-            // The cut lies in the last line, so lossy decoding only
-            // touches the torn tail, which parsing drops anyway.
-            let parsed = parse_journal(&String::from_utf8_lossy(prefix))
+            // Drawn strings hold non-ASCII text, so many cuts split a
+            // character: the byte reader must drop that tail like any other.
+            let parsed = parse_journal_bytes(prefix)
                 .unwrap_or_else(|e| panic!("seed {seed} cut {cut}: {e:?}"));
             let lines = prefix[..complete].iter().filter(|&&b| b == b'\n').count();
             let kept = lines.saturating_sub(1);
@@ -162,6 +164,151 @@ fn a_journal_truncated_at_any_byte_parses_to_a_prefix() {
                 "seed {seed} cut {cut}"
             );
         }
+    }
+}
+
+#[test]
+fn a_journal_torn_inside_a_character_resumes_and_heals() {
+    let records = [
+        ("table1".to_owned(), "completed".to_owned(), "ok".to_owned()),
+        ("fig6".to_owned(), "failed".to_owned(), "é…".to_owned()),
+    ];
+    let bytes = journal_bytes("torn-char", &records);
+    let text = std::str::from_utf8(&bytes).expect("journal is UTF-8");
+    let tail = text.rfind("é…").expect("last record holds é…");
+    // Every cut strictly inside `é` (2 bytes) or `…` (3 bytes).
+    for cut in [tail + 1, tail + 3, tail + 4] {
+        assert!(!text.is_char_boundary(cut), "cut {cut}");
+        let dir = temp_dir(&format!("torn-char-{cut}"));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let path = RunJournal::path_in(&dir);
+        std::fs::write(&path, &bytes[..cut]).expect("torn journal");
+
+        let (mut journal, replay) = RunJournal::resume(&dir).expect("torn tail heals");
+        assert!(replay.dropped_tail.is_some(), "cut {cut}");
+        assert_eq!(replay.completed.len(), 1, "cut {cut}");
+        journal.append("fig6", "completed", "é…").expect("append");
+        drop(journal);
+        let (_, replay) = RunJournal::resume(&dir).expect("healed journal resumes");
+        assert_eq!(replay.dropped_tail, None, "cut {cut}");
+        assert_eq!(replay.completed["fig6"], "é…", "cut {cut}");
+        std::fs::remove_dir_all(&dir).expect("remove temp dir");
+
+        // The same torn record followed by a valid one is corruption.
+        let mut mid_file = bytes[..cut].to_vec();
+        mid_file.extend_from_slice(&bytes[tail + 5..]);
+        mid_file.extend_from_slice(b"{\"label\":\"x\",\"status\":\"failed\",\"data\":\"\"}\n");
+        let err = parse_journal_bytes(&mid_file).expect_err("mid-file corruption");
+        assert!(
+            matches!(err, JournalParseError::Corrupt { line: 3, .. }),
+            "cut {cut}: {err:?}"
+        );
+    }
+}
+
+/// Counter values for the float round trips: signed zeros, subnormals,
+/// the extremes of the finite range, then random finite bit patterns.
+fn draw_floats(rng: &mut SplitMix64) -> Vec<f64> {
+    let mut floats = vec![
+        0.0,
+        -0.0,
+        f64::from_bits(1),
+        -f64::from_bits(0x000f_ffff_ffff_ffff),
+        f64::MIN_POSITIVE,
+        f64::MAX,
+        f64::MIN,
+        0.1 + 0.2,
+    ];
+    while floats.len() < 2000 {
+        let v = f64::from_bits(rng.next_u64());
+        if v.is_finite() {
+            floats.push(v);
+        }
+    }
+    floats
+}
+
+#[test]
+fn drawn_floats_round_trip_bit_for_bit() {
+    let mut rng = SplitMix64::new(0xf10a7);
+    let floats = draw_floats(&mut rng);
+
+    let counter = |i: usize, total: f64| CounterRow {
+        key: format!("k{i}"),
+        total,
+    };
+    let report = BenchReport {
+        quick: false,
+        benchmarks: vec![BenchRecord {
+            name: "floats".to_owned(),
+            kind: BenchKind::Micro,
+            plan: iter_plan(BenchKind::Micro, false),
+            summary: Summary {
+                kept: 1,
+                median_ns: u64::MAX,
+                mad_ns: 0,
+                min_ns: 0,
+                max_ns: u64::MAX,
+            },
+            phases: Vec::new(),
+            counters: floats
+                .iter()
+                .enumerate()
+                .map(|(i, &v)| counter(i, v))
+                .collect(),
+        }],
+        trajectory: Vec::new(),
+    };
+    let parsed = BenchReport::parse(&report.to_json()).expect("report parses");
+    for (got, want) in parsed.benchmarks[0].counters.iter().zip(&floats) {
+        assert_eq!(got.total.to_bits(), want.to_bits(), "{}: {want:?}", got.key);
+    }
+    assert_eq!(parsed, report);
+
+    // The digest also carries the non-finite values JSON cannot.
+    let digested = floats
+        .iter()
+        .copied()
+        .chain([f64::INFINITY, f64::NEG_INFINITY, f64::NAN]);
+    let trace = PointTrace {
+        path: vec![1],
+        label: "floats".to_owned(),
+        events: digested
+            .clone()
+            .enumerate()
+            .map(|(ts, value)| Event::Counter {
+                phase: None,
+                key: format!("k{ts}"),
+                value,
+                ts: ts as u64,
+            })
+            .collect(),
+    };
+    let parsed = PointTrace::parse_digest(&trace.digest()).expect("digest parses");
+    assert_eq!(parsed.events.len(), trace.events.len());
+    for (event, want) in parsed.events.iter().zip(digested) {
+        let Event::Counter { value, .. } = event else {
+            panic!("not a counter: {event:?}");
+        };
+        if want.is_nan() {
+            assert!(value.is_nan(), "{value:?}");
+        } else {
+            assert_eq!(value.to_bits(), want.to_bits(), "{want:?}");
+        }
+    }
+}
+
+#[test]
+fn committed_bench_reports_reserialize_byte_for_byte() {
+    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+    for name in ["BENCH_baseline.json", "BENCH_sweeps.json"] {
+        let text = std::fs::read_to_string(format!("{root}/{name}")).expect("committed report");
+        let report = BenchReport::parse(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(
+            report.to_json(),
+            text,
+            "{name} does not re-serialize byte for byte"
+        );
     }
 }
 

@@ -323,6 +323,48 @@ fn resumed_run_replays_identical_trace_and_metrics() {
 }
 
 #[test]
+fn a_corrupt_metrics_digest_fails_the_resume() {
+    let dir = temp_dir("digest-flip");
+    let dir_s = dir.to_str().expect("utf-8 temp path");
+    let first = run(&["all", "--run-dir", dir_s, "--metrics"], None);
+    assert_eq!(first.code, Some(0), "{}", first.stderr);
+
+    // One bit turns the first metrics record's first span `B:` into a
+    // counter `C:`: the line is still valid JSON, but the digest no
+    // longer parses.
+    let journal = dir.join("journal.jsonl");
+    let text = std::fs::read_to_string(&journal).expect("journal");
+    let line = text
+        .lines()
+        .find(|l| l.contains("\"status\":\"metrics\""))
+        .expect("a metrics record");
+    let label = line
+        .strip_prefix("{\"label\":\"")
+        .and_then(|rest| rest.split('"').next())
+        .expect("label first");
+    let flipped = line.replacen("|B:", "|C:", 1);
+    assert_ne!(flipped, line, "no span to flip in {line}");
+    std::fs::write(&journal, text.replacen(line, &flipped, 1)).expect("rewrite journal");
+
+    // Single-process and sharded resume both refuse, naming the point.
+    for extra in [&[][..], &["--shards", "2"][..]] {
+        let mut args = vec!["all", "--resume", dir_s, "--metrics"];
+        args.extend_from_slice(extra);
+        let resumed = run(&args, None);
+        assert_eq!(resumed.code, Some(1), "{extra:?}: {}", resumed.stderr);
+        assert!(
+            resumed
+                .stderr
+                .contains(&format!("corrupt metrics digest for `{label}`")),
+            "{extra:?}: {}",
+            resumed.stderr
+        );
+        assert!(resumed.stdout.is_empty(), "{extra:?}: {}", resumed.stdout);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn failed_points_leave_no_events_in_the_trace() {
     let dir = temp_dir("trace-failed");
     std::fs::create_dir_all(&dir).expect("trace dir");
