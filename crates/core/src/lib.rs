@@ -13,7 +13,7 @@
 //!   scaling strategies classified through the DP/TP/PP lens, plus batch
 //!   size and precision sweeps.
 //! - **Supervised sweep execution** ([`supervise`]): per-point panic
-//!   isolation, wall-clock deadlines, deterministic retries, and a
+//!   isolation, wall-clock deadlines, bounded retries, and a
 //!   crash-safe run journal enabling `--resume` (see
 //!   `docs/supervision.md`).
 //! - **Multi-process sharding** ([`shard`]): deterministic partitioning

@@ -58,7 +58,7 @@ pub const PROTOCOL: &str = "dabench-serve-v1";
 /// How the daemon executes one admitted job.
 ///
 /// Implementations must be pure in the benchmark sense: for a given job
-/// key and seed, `execute` returns the same bytes on every call — that is
+/// key, `execute` returns the same bytes on every call — that is
 /// what makes cached and journal-replayed responses indistinguishable
 /// from fresh executions.
 pub trait JobExecutor: Send + Sync + 'static {
@@ -79,7 +79,7 @@ pub trait JobExecutor: Send + Sync + 'static {
     /// # Errors
     ///
     /// The platform error reported to the client as a `failed` response.
-    fn execute(&self, job: &str, seed: u64) -> Result<String, PlatformError>;
+    fn execute(&self, job: &str) -> Result<String, PlatformError>;
 }
 
 /// Daemon configuration (CLI flags map onto this 1:1).
@@ -99,8 +99,6 @@ pub struct ServeConfig {
     pub deadline: Option<Duration>,
     /// Retries for retryable platform errors.
     pub max_retries: u32,
-    /// Root seed for deterministic per-job attempt seeds.
-    pub seed: u64,
     /// Journal directory; `None` disables persistence.
     pub run_dir: Option<PathBuf>,
     /// Resume (and heal) an existing journal instead of creating one.
@@ -117,7 +115,6 @@ impl Default for ServeConfig {
             retry_after: Duration::from_millis(250),
             deadline: None,
             max_retries: 1,
-            seed: 42,
             run_dir: None,
             resume: false,
         }
@@ -245,16 +242,6 @@ impl Shared {
         self.draining.store(true, Ordering::SeqCst);
         self.queue_cv.notify_all();
     }
-}
-
-/// Stable per-job seed index: FNV-1a over the job key, so attempt seeds
-/// depend on the job's identity, never on submission order.
-fn seed_index(key: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in key.as_bytes() {
-        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 fn response(pairs: &[(&str, &str)]) -> String {
@@ -524,13 +511,11 @@ fn run_job(shared: &Arc<Shared>, job: Job) {
     let policy = SupervisePolicy {
         deadline: shared.cfg.deadline,
         max_retries: shared.cfg.max_retries,
-        seed: shared.cfg.seed,
-        ..SupervisePolicy::default()
     };
     let exec_shared = Arc::clone(shared);
     let exec_key = job.key.clone();
-    let outcome = supervise_point(&job.key, seed_index(&job.key), &policy, move |seed| {
-        exec_shared.exec.execute(&exec_key, seed)
+    let outcome = supervise_point(&job.key, &policy, move || {
+        exec_shared.exec.execute(&exec_key)
     });
 
     let line = match &outcome {
@@ -911,7 +896,7 @@ mod tests {
             job.starts_with("heavy-")
         }
 
-        fn execute(&self, job: &str, _seed: u64) -> Result<String, PlatformError> {
+        fn execute(&self, job: &str) -> Result<String, PlatformError> {
             self.calls.fetch_add(1, Ordering::SeqCst);
             if job == "heavy-gated" {
                 let gate = self.gate.as_ref().expect("gated executor");

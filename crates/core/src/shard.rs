@@ -314,9 +314,10 @@ pub struct ShardConfig {
     /// Journal-growth stall after which a live worker is presumed hung,
     /// killed, and treated as a crash.
     pub stall_timeout: Duration,
-    /// Parent poll interval.
-    pub poll: Duration,
 }
+
+/// How often the parent checks its workers' exits and journal growth.
+const POLL: Duration = Duration::from_millis(50);
 
 impl Default for ShardConfig {
     fn default() -> Self {
@@ -324,7 +325,6 @@ impl Default for ShardConfig {
             max_respawns: 2,
             heartbeat: Duration::from_millis(200),
             stall_timeout: Duration::from_secs(10),
-            poll: Duration::from_millis(50),
         }
     }
 }
@@ -505,7 +505,7 @@ pub fn supervise_shards(
         }
         live = still;
         if !live.is_empty() {
-            std::thread::sleep(cfg.poll);
+            std::thread::sleep(POLL);
         }
     }
     Ok(statuses)

@@ -1,12 +1,13 @@
 //! Supervised execution of experiment points: panic isolation, wall-clock
-//! deadlines, deterministic retries, and a crash-safe run journal.
+//! deadlines, bounded retries, and a crash-safe run journal.
 //!
 //! Long multi-point sweeps on real accelerator clusters die in ways the
 //! points themselves cannot anticipate — a compiler panic, a hung run, a
 //! flaky device — and losing an hours-long sweep to one poisoned point is
 //! the dominant operational cost of benchmarking (the failure mode
 //! LLM-Inference-Bench documents across heterogeneous accelerators). This
-//! module wraps every experiment point in a supervisor:
+//! module wraps every experiment point in a supervisor,
+//! [`supervise_point`]`(label, policy, f)`, where `f` renders the point:
 //!
 //! - **Panic isolation**: a panicking point becomes a structured
 //!   [`PointOutcome::Panicked`] carrying the point's label, instead of
@@ -14,11 +15,10 @@
 //! - **Deadlines**: [`SupervisePolicy::deadline`] runs the point under a
 //!   watchdog; an overrun is recorded as [`PointOutcome::TimedOut`] and the
 //!   runaway attempt is abandoned (its thread is detached, never joined).
-//! - **Deterministic retries**: attempts that return a *retryable*
+//! - **Bounded retries**: attempts that return a *retryable*
 //!   [`PlatformError`] (see [`PlatformError::is_retryable`]) are retried
-//!   with backoff; every attempt receives a seed forked off
-//!   `(policy.seed, point index)` via [`SplitMix64::fork`], so retry
-//!   randomness depends only on the point's identity, never on timing.
+//!   up to [`SupervisePolicy::max_retries`] times, after a fixed linear
+//!   backoff ([`RETRY_BACKOFF`] times the retry number).
 //! - **Crash-safe journal**: [`RunJournal`] appends one fsync'd JSONL
 //!   record per finished point; a killed run can be resumed with
 //!   [`RunJournal::resume`], replaying completed points verbatim so the
@@ -30,7 +30,6 @@
 
 use crate::error::PlatformError;
 use crate::jsonl;
-use crate::rng::SplitMix64;
 use std::any::Any;
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
@@ -79,29 +78,16 @@ pub fn with_point_label<R>(label: &str, f: impl FnOnce() -> R) -> R {
 }
 
 /// How the supervisor treats one experiment point.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SupervisePolicy {
     /// Wall-clock budget per attempt; `None` disables the watchdog.
     pub deadline: Option<Duration>,
     /// Additional attempts allowed after a retryable failure.
     pub max_retries: u32,
-    /// Backoff before retry `k` is `backoff * k` (linear, deterministic in
-    /// count though not in wall-clock).
-    pub backoff: Duration,
-    /// Root seed; attempt seeds are forked from `(seed, point index)`.
-    pub seed: u64,
 }
 
-impl Default for SupervisePolicy {
-    fn default() -> Self {
-        Self {
-            deadline: None,
-            max_retries: 0,
-            backoff: Duration::from_millis(10),
-            seed: 42,
-        }
-    }
-}
+/// Pause before retry `k` of a point is `RETRY_BACKOFF * k`.
+pub const RETRY_BACKOFF: Duration = Duration::from_millis(10);
 
 /// Structured result of one supervised experiment point.
 #[derive(Debug, Clone, PartialEq)]
@@ -188,14 +174,13 @@ enum AttemptAbort {
 fn run_attempt<U, F>(
     deadline: Option<Duration>,
     f: &Arc<F>,
-    attempt_seed: u64,
 ) -> Result<Result<U, PlatformError>, AttemptAbort>
 where
     U: Send + 'static,
-    F: Fn(u64) -> Result<U, PlatformError> + Send + Sync + 'static,
+    F: Fn() -> Result<U, PlatformError> + Send + Sync + 'static,
 {
     let Some(deadline) = deadline else {
-        return catch_unwind(AssertUnwindSafe(|| f(attempt_seed)))
+        return catch_unwind(AssertUnwindSafe(|| f()))
             .map_err(|p| AttemptAbort::Panicked(panic_message(p.as_ref())));
     };
     let (tx, rx) = mpsc::channel();
@@ -207,7 +192,7 @@ where
         .name("dabench-supervised-point".to_owned())
         .spawn(move || {
             crate::parallel::mark_worker(on_worker);
-            let result = catch_unwind(AssertUnwindSafe(|| point(attempt_seed)));
+            let result = catch_unwind(AssertUnwindSafe(|| point()));
             let _ = tx.send(result);
         })
         .expect("spawn supervised point thread");
@@ -222,34 +207,24 @@ where
     }
 }
 
-/// Run one experiment point under full supervision.
+/// Run one experiment point, labelled `label`, under full supervision.
 ///
-/// `f` receives a deterministic attempt seed forked from
-/// `(policy.seed, index)` — attempt `k` of point `i` sees the same seed in
-/// every run, so retried sweeps reproduce byte-identically. A panicking
-/// attempt is not retried (panics indicate bugs, not flakes); retryable
-/// [`PlatformError`]s are retried up to `policy.max_retries` times with
-/// linear backoff.
-pub fn supervise_point<U, F>(
-    label: &str,
-    index: u64,
-    policy: &SupervisePolicy,
-    f: F,
-) -> PointOutcome<U>
+/// A panicking attempt is not retried (panics indicate bugs, not flakes);
+/// retryable [`PlatformError`]s are retried up to `policy.max_retries`
+/// times, pausing [`RETRY_BACKOFF`] times the retry number before each.
+pub fn supervise_point<U, F>(label: &str, policy: &SupervisePolicy, f: F) -> PointOutcome<U>
 where
     U: Send + 'static,
-    F: Fn(u64) -> Result<U, PlatformError> + Send + Sync + 'static,
+    F: Fn() -> Result<U, PlatformError> + Send + Sync + 'static,
 {
     let f = Arc::new(f);
-    let mut rng = SplitMix64::fork(policy.seed, index);
     let mut retries = 0u32;
     loop {
-        let attempt_seed = rng.next_u64();
-        match run_attempt(policy.deadline, &f, attempt_seed) {
+        match run_attempt(policy.deadline, &f) {
             Ok(Ok(value)) => return PointOutcome::Completed { value, retries },
             Ok(Err(error)) if error.is_retryable() && retries < policy.max_retries => {
                 retries += 1;
-                std::thread::sleep(policy.backoff * retries);
+                std::thread::sleep(RETRY_BACKOFF * retries);
             }
             Ok(Err(error)) => return PointOutcome::Failed { error, retries },
             Err(AttemptAbort::Panicked(message)) => {
@@ -1090,7 +1065,6 @@ fn plural_y(n: u32) -> &'static str {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU32, Ordering};
-    use std::sync::Mutex;
 
     fn temp_dir(tag: &str) -> PathBuf {
         static COUNTER: AtomicU32 = AtomicU32::new(0);
@@ -1109,22 +1083,22 @@ mod tests {
             deadline: Some(Duration::from_secs(60)),
             ..SupervisePolicy::default()
         };
-        let on_worker =
-            |i: u64| match supervise_point("p", i, &policy, |_| Ok(crate::parallel::on_worker())) {
-                PointOutcome::Completed { value, .. } => value,
-                other => panic!("expected Completed, got {other:?}"),
-            };
+        let on_worker = || match supervise_point("p", &policy, || Ok(crate::parallel::on_worker()))
+        {
+            PointOutcome::Completed { value, .. } => value,
+            other => panic!("expected Completed, got {other:?}"),
+        };
         assert_eq!(
-            crate::par_map_with(2, &[0u64, 1], |&i| on_worker(i)),
+            crate::par_map_with(2, &[0u64, 1], |_| on_worker()),
             vec![true, true]
         );
-        assert!(!on_worker(2), "a watchdog off the pool stays unmarked");
+        assert!(!on_worker(), "a watchdog off the pool stays unmarked");
     }
 
     #[test]
     fn panicking_point_becomes_labelled_outcome() {
         let outcome: PointOutcome<u32> =
-            supervise_point("fig9 L=72", 3, &SupervisePolicy::default(), |_| {
+            supervise_point("fig9 L=72", &SupervisePolicy::default(), || {
                 panic!("index out of bounds")
             });
         match outcome {
@@ -1142,10 +1116,9 @@ mod tests {
         let seen = Arc::clone(&attempts);
         let policy = SupervisePolicy {
             max_retries: 3,
-            backoff: Duration::from_millis(1),
             ..SupervisePolicy::default()
         };
-        let outcome = supervise_point("flaky", 0, &policy, move |_| {
+        let outcome = supervise_point("flaky", &policy, move || {
             if seen.fetch_add(1, Ordering::SeqCst) < 2 {
                 Err(PlatformError::DeviceFault {
                     unit: "pe".into(),
@@ -1173,38 +1146,12 @@ mod tests {
             max_retries: 5,
             ..SupervisePolicy::default()
         };
-        let outcome: PointOutcome<u32> = supervise_point("oom", 0, &policy, move |_| {
+        let outcome: PointOutcome<u32> = supervise_point("oom", &policy, move || {
             seen.fetch_add(1, Ordering::SeqCst);
             Err(PlatformError::Unsupported("no such strategy".into()))
         });
         assert!(matches!(outcome, PointOutcome::Failed { retries: 0, .. }));
         assert_eq!(attempts.load(Ordering::SeqCst), 1);
-    }
-
-    #[test]
-    fn attempt_seeds_are_deterministic_per_point_and_attempt() {
-        let record = |idx: u64| {
-            let seeds = Arc::new(Mutex::new(Vec::new()));
-            let sink = Arc::clone(&seeds);
-            let policy = SupervisePolicy {
-                max_retries: 2,
-                backoff: Duration::from_millis(1),
-                ..SupervisePolicy::default()
-            };
-            let _ = supervise_point("seeded", idx, &policy, move |seed| {
-                sink.lock().unwrap().push(seed);
-                Err::<u32, _>(PlatformError::DeviceFault {
-                    unit: "pe".into(),
-                    detail: "flake".into(),
-                })
-            });
-            let seeds = seeds.lock().unwrap().clone();
-            seeds
-        };
-        let a = record(5);
-        assert_eq!(a.len(), 3, "1 attempt + 2 retries");
-        assert_eq!(a, record(5), "same point, same seeds");
-        assert_ne!(a, record(6), "different points draw different streams");
     }
 
     #[test]
@@ -1214,7 +1161,7 @@ mod tests {
             ..SupervisePolicy::default()
         };
         let start = std::time::Instant::now();
-        let outcome: PointOutcome<u32> = supervise_point("hung", 0, &policy, |_| {
+        let outcome: PointOutcome<u32> = supervise_point("hung", &policy, || {
             std::thread::sleep(Duration::from_secs(30));
             Ok(1)
         });
@@ -1222,7 +1169,7 @@ mod tests {
         assert!(start.elapsed() < Duration::from_secs(5), "watchdog fired");
 
         // A fast point under the same deadline completes normally.
-        let ok = supervise_point("fast", 0, &policy, |_| Ok(2u32));
+        let ok = supervise_point("fast", &policy, || Ok(2u32));
         assert_eq!(
             ok,
             PointOutcome::Completed {
@@ -1475,7 +1422,6 @@ mod tests {
     fn err_injection_drives_supervised_retry_to_success() {
         let policy = SupervisePolicy {
             max_retries: 2,
-            backoff: Duration::from_millis(1),
             ..SupervisePolicy::default()
         };
         let inj = Injection::Err {
@@ -1484,7 +1430,7 @@ mod tests {
         };
         let attempts = Arc::new(AtomicU32::new(0));
         let counter = Arc::clone(&attempts);
-        let outcome = supervise_point("flaky", 0, &policy, move |_| {
+        let outcome = supervise_point("flaky", &policy, move || {
             inj.fire_counted(&counter)?;
             Ok(11u32)
         });

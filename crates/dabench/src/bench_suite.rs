@@ -26,6 +26,7 @@ use crate::core::supervise::{
 };
 use crate::core::{obs, tier1_cached};
 use crate::experiments::validation;
+use crate::flags::Flags;
 use crate::model::{InferenceWorkload, ModelConfig, Precision, TrainingWorkload};
 use crate::suite::render_experiment;
 use crate::wse::{compile, Wse, WseCompilerParams, WseSpec};
@@ -392,28 +393,23 @@ impl Default for BenchOpts {
 /// Unknown flags, missing values, or a non-positive/non-finite `--gate`.
 pub fn parse_bench_opts(args: &[String]) -> Result<BenchOpts, String> {
     let mut opts = BenchOpts::default();
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = || {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("flag {flag} needs a value"))
-        };
-        match flag.as_str() {
+    let mut flags = Flags::new("bench", args);
+    while let Some(flag) = flags.next_flag() {
+        match flag {
             "--quick" => opts.quick = true,
             "--list" => opts.list = true,
-            "--out" => opts.out = value()?.into(),
-            "--baseline" => opts.baseline = Some(value()?.into()),
+            "--out" => opts.out = flags.value()?.into(),
+            "--baseline" => opts.baseline = Some(flags.value()?.into()),
             "--gate" => {
-                let pct: f64 = value()?.parse().map_err(|e| format!("--gate: {e}"))?;
+                let pct: f64 = flags.parse()?;
                 if !pct.is_finite() || pct < 0.0 {
-                    return Err(format!("--gate: {pct} is not a non-negative percentage"));
+                    return Err(flags.error(format_args!("{pct} is not a non-negative percentage")));
                 }
                 opts.gate_pct = pct;
             }
-            "--filter" => opts.filter = Some(value()?),
-            "--record" => opts.record = Some(value()?),
-            other => return Err(format!("unknown flag `{other}` for bench")),
+            "--filter" => opts.filter = Some(flags.value()?.to_owned()),
+            "--record" => opts.record = Some(flags.value()?.to_owned()),
+            _ => return Err(flags.unknown()),
         }
     }
     Ok(opts)

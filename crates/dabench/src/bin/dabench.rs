@@ -22,8 +22,8 @@
 //!
 //! `all` runs under the supervision layer (`dabench_core::supervise`, see
 //! docs/supervision.md): each paper artifact is one supervised point with
-//! panic isolation, an optional wall-clock deadline, deterministic
-//! retries, and — with `--run-dir` — a crash-safe journal that `--resume`
+//! panic isolation, an optional wall-clock deadline, bounded retries,
+//! and — with `--run-dir` — a crash-safe journal that `--resume`
 //! replays to produce byte-identical output after a mid-run kill. Exit
 //! code 2 flags a run that completed with failed/panicked/timed-out
 //! points.
@@ -48,6 +48,7 @@ use dabench::core::supervise::{
 use dabench::core::{jobs, set_jobs, tier1, Degradable, Platform, PointTrace};
 use dabench::experiments::{gen as genx, infer, summary, validation};
 use dabench::faults::{render_report, resilience_sweep, PlanSpec};
+use dabench::flags::{Flags, RunOpts};
 use dabench::gpu::GpuCluster;
 use dabench::ipu::Ipu;
 use dabench::model::{BatchingMode, InferenceWorkload, ModelConfig, Precision, TrainingWorkload};
@@ -57,7 +58,9 @@ use dabench::serve::run_serve;
 use dabench::suite::{experiment_tables, point_index, render_experiment, EXPERIMENTS};
 use dabench::wse::Wse;
 use std::process::ExitCode;
+use std::time::Duration;
 
+/// The training-workload flags of `tier1`, `summary` and `faults`.
 struct Opts {
     hidden: u64,
     layers: u64,
@@ -80,38 +83,72 @@ impl Default for Opts {
     }
 }
 
-fn parse_opts(args: &[String]) -> Result<Opts, String> {
-    let mut opts = Opts::default();
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = || {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("flag {flag} needs a value"))
-        };
-        match flag.as_str() {
-            "--hidden" => opts.hidden = value()?.parse().map_err(|e| format!("--hidden: {e}"))?,
-            "--layers" => opts.layers = value()?.parse().map_err(|e| format!("--layers: {e}"))?,
-            "--batch" => opts.batch = value()?.parse().map_err(|e| format!("--batch: {e}"))?,
-            "--seq" => opts.seq = value()?.parse().map_err(|e| format!("--seq: {e}"))?,
-            "--precision" => {
-                opts.precision = match value()?.as_str() {
-                    "fp16" => Precision::Fp16,
-                    "bf16" => Precision::Bf16,
-                    "cb16" => Precision::Cb16,
-                    "fp32" => Precision::Fp32,
-                    other => return Err(format!("unknown precision `{other}`")),
-                }
-            }
-            "--model" => opts.model = Some(parse_model(&value()?)?),
-            other => return Err(format!("unknown flag `{other}`")),
+impl Opts {
+    /// Read the current flag of `flags` into the workload.
+    fn read(&mut self, flags: &mut Flags<'_>) -> Result<(), String> {
+        match flags.flag() {
+            "--hidden" => self.hidden = flags.at_least_one()?,
+            "--layers" => self.layers = flags.at_least_one()?,
+            "--batch" => self.batch = flags.at_least_one()?,
+            "--seq" => self.seq = flags.at_least_one()?,
+            "--precision" => self.precision = parse_precision(flags, true)?,
+            "--model" => self.model = Some(parse_model(flags)?),
+            _ => return Err(flags.unknown()),
         }
+        Ok(())
     }
-    Ok(opts)
+
+    fn workload(self) -> TrainingWorkload {
+        let model = self
+            .model
+            .unwrap_or_else(|| ModelConfig::gpt2_probe(self.hidden, self.layers));
+        TrainingWorkload::new(model, self.batch, self.seq, self.precision)
+    }
 }
 
-fn parse_model(name: &str) -> Result<ModelConfig, String> {
-    Ok(match name {
+/// The training workload that `command`'s flags `args` describe.
+fn parse_workload(command: &str, args: &[String]) -> Result<TrainingWorkload, String> {
+    let mut opts = Opts::default();
+    let mut flags = Flags::new(command, args);
+    while flags.next_flag().is_some() {
+        opts.read(&mut flags)?;
+    }
+    Ok(opts.workload())
+}
+
+/// The precisions a flag can name, by [`Precision::as_str`]. Training
+/// takes all but the last: no modelled platform computes in FP8, so it is
+/// a storage format for inference KV caches only.
+const PRECISIONS: [Precision; 5] = [
+    Precision::Fp16,
+    Precision::Bf16,
+    Precision::Cb16,
+    Precision::Fp32,
+    Precision::Fp8,
+];
+
+fn parse_precision(flags: &mut Flags<'_>, training: bool) -> Result<Precision, String> {
+    let accepted = if training {
+        &PRECISIONS[..4]
+    } else {
+        &PRECISIONS[..]
+    };
+    let name = flags.value()?;
+    accepted
+        .iter()
+        .copied()
+        .find(|p| p.as_str() == name)
+        .ok_or_else(|| {
+            let names: Vec<&str> = accepted.iter().map(|p| p.as_str()).collect();
+            flags.error(format_args!(
+                "unknown precision `{name}` (expected one of: {})",
+                names.join(", ")
+            ))
+        })
+}
+
+fn parse_model(flags: &mut Flags<'_>) -> Result<ModelConfig, String> {
+    Ok(match flags.value()? {
         "gpt2-mini" => ModelConfig::gpt2_mini(),
         "gpt2-tiny" => ModelConfig::gpt2_tiny(),
         "gpt2-small" => ModelConfig::gpt2_small(),
@@ -121,7 +158,7 @@ fn parse_model(name: &str) -> Result<ModelConfig, String> {
         "llama2-7b" => ModelConfig::llama2_7b(),
         "llama2-13b" => ModelConfig::llama2_13b(),
         "llama2-70b" => ModelConfig::llama2_70b(),
-        other => return Err(format!("unknown model `{other}`")),
+        other => return Err(flags.error(format_args!("unknown model `{other}`"))),
     })
 }
 
@@ -143,32 +180,17 @@ fn run_infer(rest: &[String]) -> Result<(), String> {
     let mut precision = Precision::Fp16;
     let mut kv_precision = None;
     let mut batching = BatchingMode::Static;
-    let parse_precision = |v: &str| -> Result<Precision, String> {
-        Ok(match v {
-            "fp16" => Precision::Fp16,
-            "bf16" => Precision::Bf16,
-            "cb16" => Precision::Cb16,
-            "fp32" => Precision::Fp32,
-            "fp8" => Precision::Fp8,
-            other => return Err(format!("unknown precision `{other}`")),
-        })
-    };
-    let mut it = rest.iter();
-    while let Some(flag) = it.next() {
-        let mut value = || {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("flag {flag} needs a value"))
-        };
-        match flag.as_str() {
-            "--model" => model = parse_model(&value()?)?,
-            "--batch" => batch = value()?.parse().map_err(|e| format!("--batch: {e}"))?,
-            "--prompt" => prompt = value()?.parse().map_err(|e| format!("--prompt: {e}"))?,
-            "--decode" => decode = value()?.parse().map_err(|e| format!("--decode: {e}"))?,
-            "--precision" => precision = parse_precision(&value()?)?,
-            "--kv-precision" => kv_precision = Some(parse_precision(&value()?)?),
+    let mut flags = Flags::new("infer", rest);
+    while let Some(flag) = flags.next_flag() {
+        match flag {
+            "--model" => model = parse_model(&mut flags)?,
+            "--batch" => batch = flags.at_least_one()?,
+            "--prompt" => prompt = flags.at_least_one()?,
+            "--decode" => decode = flags.at_least_one()?,
+            "--precision" => precision = parse_precision(&mut flags, false)?,
+            "--kv-precision" => kv_precision = Some(parse_precision(&mut flags, false)?),
             "--continuous" => batching = BatchingMode::Continuous,
-            other => return Err(format!("unknown flag `{other}` for infer")),
+            _ => return Err(flags.unknown()),
         }
     }
     let mut w = InferenceWorkload::new(model, batch, prompt, decode, precision)
@@ -180,22 +202,6 @@ fn run_infer(rest: &[String]) -> Result<(), String> {
     println!("Workload: {w}\n");
     println!("{}", infer::render_single(&infer::run_single(&w)));
     Ok(())
-}
-
-fn workload(opts: &Opts) -> Result<TrainingWorkload, String> {
-    if opts.batch == 0 || opts.seq == 0 || opts.layers == 0 || opts.hidden == 0 {
-        return Err("--hidden, --layers, --batch and --seq must be positive".to_owned());
-    }
-    let model = opts
-        .model
-        .clone()
-        .unwrap_or_else(|| ModelConfig::gpt2_probe(opts.hidden, opts.layers));
-    Ok(TrainingWorkload::new(
-        model,
-        opts.batch,
-        opts.seq,
-        opts.precision,
-    ))
 }
 
 fn platform(name: &str) -> Result<Box<dyn Platform>, String> {
@@ -225,123 +231,67 @@ fn degradable(name: &str) -> Result<Box<dyn Degradable + Sync>, String> {
 /// Run a resilience sweep: `dabench faults <platform> [--seed N] [--plan
 /// SPEC] [workload opts]`.
 fn run_faults(rest: &[String]) -> Result<(), String> {
-    let (name, flags) = rest
+    let (name, args) = rest
         .split_first()
         .ok_or_else(|| "faults needs a platform (wse|rdu-o0|rdu-o1|rdu-o3|ipu)".to_owned())?;
     let mut seed = 42u64;
     let mut plan = PlanSpec::default();
-    let mut passthrough = Vec::new();
-    let mut it = flags.iter();
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--seed" => {
-                seed = it
-                    .next()
-                    .ok_or_else(|| "--seed needs a value".to_owned())?
-                    .parse()
-                    .map_err(|e| format!("--seed: {e}"))?;
-            }
-            "--plan" => {
-                plan = it
-                    .next()
-                    .ok_or_else(|| "--plan needs a value".to_owned())?
-                    .parse()
-                    .map_err(|e| format!("--plan: {e}"))?;
-            }
-            other => passthrough.push(other.to_owned()),
+    let mut opts = Opts::default();
+    let mut flags = Flags::new("faults", args);
+    while let Some(flag) = flags.next_flag() {
+        match flag {
+            "--seed" => seed = flags.parse()?,
+            "--plan" => plan = flags.parse()?,
+            _ => opts.read(&mut flags)?,
         }
     }
     let platform = degradable(name)?;
-    let opts = parse_opts(&passthrough)?;
-    let w = workload(&opts)?;
+    let w = opts.workload();
     let report = resilience_sweep(platform.as_ref(), &w, &plan, seed);
     println!("Workload: {w}\n");
     print!("{}", render_report(&report));
     Ok(())
 }
 
-/// Options for the supervised `all` run.
-struct AllOpts {
-    run_dir: Option<std::path::PathBuf>,
-    resume: bool,
-    deadline: Option<std::time::Duration>,
-    max_retries: u32,
+/// Options of a supervised sweep. `all`, `gen` and the hidden
+/// `shard-worker` all read them through [`SweepOpts::read`].
+struct SweepOpts {
+    run: RunOpts,
+    /// `--shards N`: worker processes; 1 runs the sweep in this process.
     shards: usize,
-    max_respawns: u32,
-    heartbeat_ms: u64,
-    shard_stall_s: f64,
+    /// `--max-respawns N`, `--heartbeat-ms N` and `--shard-stall-s S`.
+    fleet: ShardConfig,
 }
 
-fn parse_all_opts(args: &[String]) -> Result<AllOpts, String> {
-    let mut opts = AllOpts {
-        run_dir: None,
-        resume: false,
-        deadline: None,
-        max_retries: 0,
-        shards: 1,
-        max_respawns: 2,
-        heartbeat_ms: 200,
-        shard_stall_s: 10.0,
-    };
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = || {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("flag {flag} needs a value"))
-        };
-        match flag.as_str() {
-            "--run-dir" => {
-                opts.run_dir = Some(value()?.into());
-            }
-            "--resume" => {
-                opts.run_dir = Some(value()?.into());
-                opts.resume = true;
-            }
-            "--deadline-s" => {
-                let s: f64 = value()?.parse().map_err(|e| format!("--deadline-s: {e}"))?;
-                if !s.is_finite() || s <= 0.0 {
-                    return Err(format!("--deadline-s: {s} is not a positive number"));
-                }
-                opts.deadline = Some(std::time::Duration::from_secs_f64(s));
-            }
-            "--max-retries" => {
-                opts.max_retries = value()?
-                    .parse()
-                    .map_err(|e| format!("--max-retries: {e}"))?;
-            }
-            "--shards" => {
-                opts.shards = value()?.parse().map_err(|e| format!("--shards: {e}"))?;
-                if opts.shards == 0 {
-                    return Err("--shards must be at least 1".to_owned());
-                }
-            }
-            "--max-respawns" => {
-                opts.max_respawns = value()?
-                    .parse()
-                    .map_err(|e| format!("--max-respawns: {e}"))?;
-            }
-            "--heartbeat-ms" => {
-                opts.heartbeat_ms = value()?
-                    .parse()
-                    .map_err(|e| format!("--heartbeat-ms: {e}"))?;
-                if opts.heartbeat_ms == 0 {
-                    return Err("--heartbeat-ms must be at least 1".to_owned());
-                }
-            }
-            "--shard-stall-s" => {
-                let s: f64 = value()?
-                    .parse()
-                    .map_err(|e| format!("--shard-stall-s: {e}"))?;
-                if !s.is_finite() || s <= 0.0 {
-                    return Err(format!("--shard-stall-s: {s} is not a positive number"));
-                }
-                opts.shard_stall_s = s;
-            }
-            other => return Err(format!("unknown flag `{other}` for all")),
+impl Default for SweepOpts {
+    fn default() -> Self {
+        Self {
+            run: RunOpts::default(),
+            shards: 1,
+            fleet: ShardConfig::default(),
         }
     }
-    Ok(opts)
+}
+
+impl SweepOpts {
+    /// Read the current flag of `flags` into these options.
+    fn read(&mut self, flags: &mut Flags<'_>) -> Result<(), String> {
+        match flags.flag() {
+            "--shards" => self.shards = flags.at_least_one()?,
+            "--max-respawns" => self.fleet.max_respawns = flags.parse()?,
+            "--heartbeat-ms" => self.fleet.heartbeat = Duration::from_millis(flags.at_least_one()?),
+            "--shard-stall-s" => self.fleet.stall_timeout = flags.seconds()?,
+            _ => self.run.read(flags)?,
+        }
+        Ok(())
+    }
+
+    fn policy(&self) -> SupervisePolicy {
+        SupervisePolicy {
+            deadline: self.run.deadline,
+            max_retries: self.run.max_retries,
+        }
+    }
 }
 
 /// Supervised `dabench all`: every artifact is one supervised point.
@@ -350,7 +300,11 @@ fn parse_all_opts(args: &[String]) -> Result<AllOpts, String> {
 /// never perturbs diffable output. Exit code 2 means some points failed
 /// but the sweep itself survived.
 fn run_all(rest: &[String]) -> Result<ExitCode, String> {
-    let opts = parse_all_opts(rest)?;
+    let mut opts = SweepOpts::default();
+    let mut flags = Flags::new("all", rest);
+    while flags.next_flag().is_some() {
+        opts.read(&mut flags)?;
+    }
     let order: Vec<String> = EXPERIMENTS.iter().map(|s| (*s).to_owned()).collect();
     let (report, _texts) = run_sweep(&order, &opts)?;
     Ok(if report.is_clean() {
@@ -367,18 +321,16 @@ fn run_all(rest: &[String]) -> Result<ExitCode, String> {
 /// Prints every completed point's text to stdout in `order`, the run
 /// report to stderr, and returns the report plus the per-label texts
 /// (`None` for failed points) so callers can post-process results.
-fn run_sweep(order: &[String], opts: &AllOpts) -> Result<(RunReport, Vec<Option<String>>), String> {
+fn run_sweep(
+    order: &[String],
+    opts: &SweepOpts,
+) -> Result<(RunReport, Vec<Option<String>>), String> {
     if opts.shards > 1 {
         return run_sweep_sharded(order, opts);
     }
     let injections = parse_injections()?;
-    let policy = SupervisePolicy {
-        deadline: opts.deadline,
-        max_retries: opts.max_retries,
-        ..SupervisePolicy::default()
-    };
-    let (journal, replay) = match &opts.run_dir {
-        Some(dir) if opts.resume => {
+    let (journal, replay) = match &opts.run.run_dir {
+        Some(dir) if opts.run.resume => {
             // A killed sharded parent leaves per-shard journals behind;
             // fold them into the combined journal first so `--resume`
             // works identically across the sharded layout.
@@ -397,7 +349,7 @@ fn run_sweep(order: &[String], opts: &AllOpts) -> Result<(RunReport, Vec<Option<
     if let Some(tail) = &replay.dropped_tail {
         eprintln!("warning: discarded truncated journal record {tail:?}; its point will re-run");
     }
-    if opts.resume {
+    if opts.run.resume {
         // One-line accounting of what the journal bought us: replayed
         // points print verbatim, adopted ones re-run, an abandoned tail
         // was cut mid-append. Partial recovery must never be silent.
@@ -424,7 +376,7 @@ fn run_sweep(order: &[String], opts: &AllOpts) -> Result<(RunReport, Vec<Option<
         })
         .collect::<Result<_, String>>()?;
     let cfg = RunnerConfig {
-        policy,
+        policy: opts.policy(),
         injections,
         journal_started: false,
     };
@@ -500,19 +452,19 @@ fn fold_stale_shards(dir: &std::path::Path, order: &[String]) -> Result<(), Stri
 /// See docs/sharding.md.
 fn run_sweep_sharded(
     order: &[String],
-    opts: &AllOpts,
+    opts: &SweepOpts,
 ) -> Result<(RunReport, Vec<Option<String>>), String> {
     // Fail on malformed DABENCH_INJECT here, with the same message a
     // single-process run gives, rather than once per worker log.
     parse_injections()?;
-    let (dir, ephemeral) = match &opts.run_dir {
+    let (dir, ephemeral) = match &opts.run.run_dir {
         Some(d) => (d.clone(), false),
         None => (
             std::env::temp_dir().join(format!("dabench-shards-{}", std::process::id())),
             true,
         ),
     };
-    if opts.resume {
+    if opts.run.resume {
         fold_stale_shards(&dir, order)?;
     } else {
         // Same refuse-to-clobber semantics as a single-process --run-dir;
@@ -527,7 +479,7 @@ fn run_sweep_sharded(
     if let Some(tail) = &replay.dropped_tail {
         eprintln!("warning: discarded truncated journal record {tail:?}; its point will re-run");
     }
-    if opts.resume {
+    if opts.run.resume {
         eprintln!("{}", replay.resume_summary());
     }
 
@@ -541,20 +493,14 @@ fn run_sweep_sharded(
         Vec::new()
     } else {
         let plan = plan_shards(&pending, opts.shards);
-        let cfg = ShardConfig {
-            max_respawns: opts.max_respawns,
-            heartbeat: std::time::Duration::from_millis(opts.heartbeat_ms),
-            stall_timeout: std::time::Duration::from_secs_f64(opts.shard_stall_s),
-            ..ShardConfig::default()
-        };
         let exe = std::env::current_exe().map_err(|e| format!("cannot locate own binary: {e}"))?;
         // Split this process's thread budget across the fleet so
         // `--shards N --jobs J` uses ~J threads total, not N*J.
         let worker_jobs = (jobs() / plan.len().max(1)).max(1);
         let worker_dir = dir.clone();
-        let deadline = opts.deadline;
-        let max_retries = opts.max_retries;
-        let heartbeat_ms = opts.heartbeat_ms;
+        let deadline = opts.run.deadline;
+        let max_retries = opts.run.max_retries;
+        let heartbeat_ms = opts.fleet.heartbeat.as_millis();
         let mut spawn = move |k: usize, labels: &[String]| {
             let mut cmd = std::process::Command::new(&exe);
             cmd.arg("shard-worker")
@@ -588,7 +534,7 @@ fn run_sweep_sharded(
             };
             cmd
         };
-        supervise_shards(&dir, &plan, &cfg, &mut spawn)
+        supervise_shards(&dir, &plan, &opts.fleet, &mut spawn)
             .map_err(|e| format!("shard supervision: {e}"))?
     };
 
@@ -618,7 +564,7 @@ fn run_sweep_sharded(
                         status: "failed".to_owned(),
                         data: format!(
                             "shard {} {detail}; respawn budget ({}) exhausted",
-                            s.shard, opts.max_respawns
+                            s.shard, opts.fleet.max_respawns
                         ),
                     },
                 );
@@ -642,7 +588,7 @@ fn run_sweep_sharded(
             Some(p) if p.status == "completed" => {
                 print!("{}", p.data);
                 texts.push(Some(p.data.clone()));
-                if p.source == 0 && opts.resume {
+                if p.source == 0 && opts.run.resume {
                     report.record_status(label, "journaled", None);
                 } else {
                     report.record_status(label, "completed", None);
@@ -694,43 +640,29 @@ fn run_gen(rest: &[String]) -> Result<ExitCode, String> {
     let mut tier = genx::DEFAULT_TIER;
     let mut seed = genx::DEFAULT_SEED;
     let mut count = genx::DEFAULT_COUNT;
-    let mut passthrough = Vec::new();
-    let mut it = rest.iter();
-    while let Some(flag) = it.next() {
-        let mut value = || {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("flag {flag} needs a value"))
-        };
-        match flag.as_str() {
+    let mut opts = SweepOpts::default();
+    let mut flags = Flags::new("gen", rest);
+    while let Some(flag) = flags.next_flag() {
+        match flag {
             "--list-tiers" => {
                 print!("{}", genx::render_tiers());
                 return Ok(ExitCode::SUCCESS);
             }
             "--tier" => {
-                let name = value()?;
-                tier = Tier::parse(&name).ok_or_else(|| {
-                    format!(
-                        "--tier: unknown tier `{name}` (expected one of: {})",
-                        Tier::ALL
-                            .iter()
-                            .map(|t| t.as_str())
-                            .collect::<Vec<_>>()
-                            .join(", ")
-                    )
+                let name = flags.value()?;
+                tier = Tier::parse(name).ok_or_else(|| {
+                    let names: Vec<&str> = Tier::ALL.iter().map(|t| t.as_str()).collect();
+                    flags.error(format_args!(
+                        "unknown tier `{name}` (expected one of: {})",
+                        names.join(", ")
+                    ))
                 })?;
             }
-            "--seed" => seed = value()?.parse().map_err(|e| format!("--seed: {e}"))?,
-            "--count" => {
-                count = value()?.parse().map_err(|e| format!("--count: {e}"))?;
-                if count == 0 {
-                    return Err("--count must be at least 1".to_owned());
-                }
-            }
-            other => passthrough.push(other.to_owned()),
+            "--seed" => seed = flags.parse()?,
+            "--count" => count = flags.at_least_one()?,
+            _ => opts.read(&mut flags)?,
         }
     }
-    let opts = parse_all_opts(&passthrough)?;
     // `gen=violate:<invariant>` seeds a counterexample into the checker —
     // the run must then fail loudly with exit code 4.
     let inject = parse_injections()?.get("gen").and_then(|i| match i {
@@ -785,56 +717,31 @@ fn run_gen(rest: &[String]) -> Result<ExitCode, String> {
 /// to stdout; exit 0 = clean, 2 = some points failed, 1 = hard error.
 fn run_shard_worker(rest: &[String]) -> Result<ExitCode, String> {
     use std::sync::mpsc::{self, RecvTimeoutError};
-    let mut dir: Option<std::path::PathBuf> = None;
     let mut shard: Option<usize> = None;
-    let mut points_arg: Option<String> = None;
-    let mut deadline = None;
-    let mut max_retries = 0u32;
-    let mut heartbeat_ms = 200u64;
+    let mut points_arg: Option<&str> = None;
     let mut capture_metrics = false;
-    let mut it = rest.iter();
-    while let Some(flag) = it.next() {
-        let mut value = || {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("flag {flag} needs a value"))
-        };
-        match flag.as_str() {
-            "--run-dir" => dir = Some(value()?.into()),
-            "--shard" => shard = Some(value()?.parse().map_err(|e| format!("--shard: {e}"))?),
-            "--points" => points_arg = Some(value()?),
-            "--deadline-s" => {
-                let s: f64 = value()?.parse().map_err(|e| format!("--deadline-s: {e}"))?;
-                if !s.is_finite() || s <= 0.0 {
-                    return Err(format!("--deadline-s: {s} is not a positive number"));
-                }
-                deadline = Some(std::time::Duration::from_secs_f64(s));
-            }
-            "--max-retries" => {
-                max_retries = value()?
-                    .parse()
-                    .map_err(|e| format!("--max-retries: {e}"))?;
-            }
-            "--heartbeat-ms" => {
-                heartbeat_ms = value()?
-                    .parse()
-                    .map_err(|e| format!("--heartbeat-ms: {e}"))?;
-                if heartbeat_ms == 0 {
-                    return Err("--heartbeat-ms must be at least 1".to_owned());
-                }
-            }
+    let mut opts = SweepOpts::default();
+    let mut flags = Flags::new("shard-worker", rest);
+    while let Some(flag) = flags.next_flag() {
+        match flag {
+            "--shard" => shard = Some(flags.parse()?),
+            "--points" => points_arg = Some(flags.value()?),
             "--capture-metrics" => capture_metrics = true,
-            other => return Err(format!("unknown flag `{other}` for shard-worker")),
+            _ => opts.read(&mut flags)?,
         }
     }
-    let dir = dir.ok_or("shard-worker needs --run-dir")?;
+    let dir = opts
+        .run
+        .run_dir
+        .as_deref()
+        .ok_or("shard-worker needs --run-dir")?;
     let shard = shard.ok_or("shard-worker needs --shard")?;
     let points_arg = points_arg.ok_or("shard-worker needs --points")?;
     let mut points: Vec<(usize, String)> = Vec::new();
     for label in points_arg.split(',').filter(|s| !s.is_empty()) {
         // Points keep their *global* index (experiment position, or the
-        // generated scenario's population index): retry seeds and obs
-        // point paths must match a single-process run's exactly.
+        // generated scenario's population index): obs point paths must
+        // match a single-process run's exactly.
         let index =
             point_index(label).ok_or_else(|| format!("shard-worker: unknown point `{label}`"))?;
         points.push((index, label.to_owned()));
@@ -846,7 +753,7 @@ fn run_shard_worker(rest: &[String]) -> Result<ExitCode, String> {
         obs::enable();
     }
     let injections = parse_injections()?;
-    let (journal, replay) = RunJournal::resume_named(&dir, &shard_journal_name(shard))
+    let (journal, replay) = RunJournal::resume_named(dir, &shard_journal_name(shard))
         .map_err(|e| format!("shard {shard} journal: {e}"))?;
     let journal = std::sync::Mutex::new(journal);
     journal
@@ -860,11 +767,7 @@ fn run_shard_worker(rest: &[String]) -> Result<ExitCode, String> {
         .map_err(|e| format!("shard {shard} journal: {e}"))?;
 
     let cfg = RunnerConfig {
-        policy: SupervisePolicy {
-            deadline,
-            max_retries,
-            ..SupervisePolicy::default()
-        },
+        policy: opts.policy(),
         injections,
         journal_started: true,
     };
@@ -875,7 +778,7 @@ fn run_shard_worker(rest: &[String]) -> Result<ExitCode, String> {
         // point records fail loudly in the runner. Dropping `stop` (also
         // on unwind) wakes the thread at once, so a worker exits as soon
         // as its last point is journaled, not at the next beat.
-        let beat_every = std::time::Duration::from_millis(heartbeat_ms);
+        let beat_every = opts.fleet.heartbeat;
         let (stop, stopped) = mpsc::channel::<()>();
         let journal = &journal;
         let heartbeat = scope.spawn(move || {
@@ -931,6 +834,7 @@ fn usage() -> &'static str {
               --metrics         per-phase span/counter table on stderr\n\
      all options: --run-dir D   journal each finished point to D (crash-safe)\n\
      \x20            --resume D    replay D's journal, re-run only missing points\n\
+     \x20                          (of --run-dir and --resume, the later wins)\n\
      \x20            --deadline-s S  wall-clock budget per point (watchdog)\n\
      \x20            --max-retries N retry transient platform errors N times\n\
      \x20            --shards N    fan points out across N worker processes\n\
@@ -940,7 +844,7 @@ fn usage() -> &'static str {
      \x20            exit codes: 0 clean, 2 some points failed (see stderr report)\n\
      serve options: --addr A:P (default 127.0.0.1:0) --workers N --queue N\n\
      \x20              --cache N --retry-after-ms N --deadline-s S --max-retries N\n\
-     \x20              --seed N --run-dir D --resume D\n\
+     \x20              --run-dir D --resume D   (the later of the two wins)\n\
      \x20              drains gracefully on SIGTERM/SIGINT or the `drain` op\n\
      infer options: --model <preset> --batch N --prompt N --decode N\n\
      \x20             --precision fp16|bf16|cb16|fp32 --kv-precision ...|fp8 --continuous\n\
@@ -970,25 +874,26 @@ impl TraceOpts {
     }
 }
 
-/// Strip `--trace-out FILE` / `--metrics` from `args` (they are valid on
-/// any command) and enable the recorder if either was present.
-fn extract_trace_flags(args: &mut Vec<String>) -> Result<TraceOpts, String> {
-    let mut opts = TraceOpts::default();
-    while let Some(pos) = args.iter().position(|a| a == "--trace-out") {
-        if pos + 1 >= args.len() {
-            return Err("--trace-out needs a value".to_owned());
+/// Read and strip the flags valid anywhere on any command: `--jobs N`
+/// (the last one sets this process's worker count), `--trace-out FILE`
+/// and `--metrics` (either enables the recorder). Returns the remaining
+/// arguments, command first.
+fn read_global_flags(args: &[String]) -> Result<(Vec<String>, TraceOpts), String> {
+    let mut rest = Vec::with_capacity(args.len());
+    let mut trace = TraceOpts::default();
+    let mut flags = Flags::new("dabench", args);
+    while let Some(arg) = flags.next_flag() {
+        match arg {
+            "--jobs" => set_jobs(flags.at_least_one()?),
+            "--trace-out" => trace.trace_out = Some(flags.value()?.into()),
+            "--metrics" => trace.metrics = true,
+            _ => rest.push(arg.to_owned()),
         }
-        opts.trace_out = Some(args[pos + 1].clone().into());
-        args.drain(pos..=pos + 1);
     }
-    while let Some(pos) = args.iter().position(|a| a == "--metrics") {
-        opts.metrics = true;
-        args.remove(pos);
-    }
-    if opts.enabled() {
+    if trace.enabled() {
         obs::enable();
     }
-    Ok(opts)
+    Ok((rest, trace))
 }
 
 /// Flush the recorder: write the Chrome trace (if `--trace-out`) and
@@ -1005,23 +910,6 @@ fn write_observability(opts: &TraceOpts) -> Result<(), String> {
     }
     if opts.metrics {
         eprint!("{}", obs::render_metrics(&traces));
-    }
-    Ok(())
-}
-
-/// Strip every `--jobs N` from `args` and apply the last one as the
-/// worker-count override for this process.
-fn extract_jobs(args: &mut Vec<String>) -> Result<(), String> {
-    while let Some(pos) = args.iter().position(|a| a == "--jobs") {
-        if pos + 1 >= args.len() {
-            return Err("--jobs needs a value".to_owned());
-        }
-        let n: usize = args[pos + 1].parse().map_err(|e| format!("--jobs: {e}"))?;
-        if n == 0 {
-            return Err("--jobs must be at least 1".to_owned());
-        }
-        set_jobs(n);
-        args.drain(pos..=pos + 1);
     }
     Ok(())
 }
@@ -1071,91 +959,57 @@ mod shutdown {
 }
 
 fn main() -> ExitCode {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    if let Err(e) = extract_jobs(&mut args) {
-        eprintln!("error: {e}");
-        return ExitCode::FAILURE;
-    }
-    let trace = match extract_trace_flags(&mut args) {
-        Ok(t) => t,
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    match run(&args) {
+        Ok(code) => code,
         Err(e) => {
             eprintln!("error: {e}");
-            return ExitCode::FAILURE;
+            ExitCode::FAILURE
         }
-    };
-    let Some(cmd) = args.first() else {
-        eprintln!("{}", usage());
-        return ExitCode::FAILURE;
-    };
-    let rest = &args[1..];
-    let code = if cmd == "all" {
-        // `all` opens one point context per experiment itself.
-        match run_all(rest) {
-            Ok(code) => code,
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        }
-    } else if cmd == "gen" {
-        // `gen` supervises one point per generated scenario, like `all`.
-        match run_gen(rest) {
-            Ok(code) => code,
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        }
-    } else if cmd == "shard-worker" {
-        // Hidden: one shard of a `dabench all --shards N` fleet.
-        match run_shard_worker(rest) {
-            Ok(code) => code,
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        }
-    } else if cmd == "serve" {
-        // `serve` opens one point context for the daemon's lifetime so
-        // the store counters it publishes at drain land in `--metrics`.
-        shutdown::install();
-        let result = obs::with_point(0, "serve", || run_serve(rest, &shutdown::REQUESTED));
-        match result {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        }
-    } else if cmd == "bench" {
-        // `bench` owns the recorder (per-case profile passes) and the
-        // exit code (3 = perf regression past the gate).
-        match run_bench(rest) {
-            Ok(code) => ExitCode::from(code),
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        }
-    } else {
-        let result = obs::with_point(0, cmd, || run_command(cmd, rest));
-        match result {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        }
-    };
-    if let Err(e) = write_observability(&trace) {
-        eprintln!("error: {e}");
-        return ExitCode::FAILURE;
     }
-    code
 }
 
-/// Dispatch every command except `all` (which supervises its own points).
-fn run_command(cmd: &str, rest: &[String]) -> Result<(), String> {
+/// Read the global flags, run the command, then flush the recorder —
+/// also after a failed command, whose error takes precedence.
+fn run(args: &[String]) -> Result<ExitCode, String> {
+    let (args, trace) = read_global_flags(args)?;
+    let Some((cmd, rest)) = args.split_first() else {
+        return Err(format!("no command given\n{}", usage()));
+    };
+    let code = run_command(cmd, rest);
+    let flushed = write_observability(&trace);
+    let code = code?;
+    flushed?;
+    Ok(code)
+}
+
+/// Run one command and return its exit code.
+fn run_command(cmd: &str, rest: &[String]) -> Result<ExitCode, String> {
+    match cmd {
+        // `all` and `gen` open one point context per supervised point.
+        "all" => run_all(rest),
+        "gen" => run_gen(rest),
+        // Hidden: one shard of a `--shards N` fleet.
+        "shard-worker" => run_shard_worker(rest),
+        "serve" => {
+            // One point context for the daemon's lifetime, so the store
+            // counters it publishes at drain land in `--metrics`.
+            shutdown::install();
+            obs::with_point(0, "serve", || run_serve(rest, &shutdown::REQUESTED))?;
+            Ok(ExitCode::SUCCESS)
+        }
+        // `bench` owns the recorder (per-case profile passes) and the
+        // exit code (3 = perf regression past the gate).
+        "bench" => run_bench(rest).map(ExitCode::from),
+        _ => {
+            obs::with_point(0, cmd, || run_report(cmd, rest))?;
+            Ok(ExitCode::SUCCESS)
+        }
+    }
+}
+
+/// Run a command that prints one report: a paper artifact or a profile.
+fn run_report(cmd: &str, rest: &[String]) -> Result<(), String> {
     match cmd {
         "check" => {
             let checks = validation::run();
@@ -1184,8 +1038,7 @@ fn run_command(cmd: &str, rest: &[String]) -> Result<(), String> {
             .ok_or_else(|| "tier1 needs a platform".to_owned())
             .and_then(|(name, flags)| {
                 let p = platform(name)?;
-                let opts = parse_opts(flags)?;
-                let w = workload(&opts)?;
+                let w = parse_workload("tier1", flags)?;
                 match tier1::run(p.as_ref(), &w) {
                     Ok(r) => {
                         println!("{r:#?}");
@@ -1196,11 +1049,9 @@ fn run_command(cmd: &str, rest: &[String]) -> Result<(), String> {
             }),
         "faults" => run_faults(rest),
         "infer" => run_infer(rest),
-        "summary" => parse_opts(rest).and_then(|opts| {
-            let w = workload(&opts)?;
+        "summary" => parse_workload("summary", rest).map(|w| {
             println!("Workload: {w}\n");
             println!("{}", summary::render(&summary::run(&w)));
-            Ok(())
         }),
         "help" | "--help" | "-h" => {
             println!("{}", usage());

@@ -23,7 +23,7 @@ use dabench_core::{
     catch_labeled, max_admissible_batch, par_map, profile_inference, AdmissionProbe, Degradable,
     ParallelStrategy, Platform, PlatformError, Scalable,
 };
-use dabench_faults::{FaultPlan, PlanSpec, PlatformKind};
+use dabench_faults::{FaultPlan, PlanSpec};
 use dabench_gpu::GpuCluster;
 use dabench_ipu::Ipu;
 use dabench_model::{InferenceWorkload, Precision};
@@ -113,8 +113,7 @@ fn plan_seed(s: &Scenario) -> u64 {
 fn degrade_on(platform: &(dyn Degradable + Sync), s: &Scenario) -> Result<f64, PlatformError> {
     let spec = PlanSpec::from_intensity(&s.faults)
         .map_err(|e| PlatformError::Unsupported(format!("sampled fault plan: {e}")))?;
-    let kind = PlatformKind::from_fault_kind(platform.fault_kind());
-    let plan = FaultPlan::generate(kind, &spec, plan_seed(s));
+    let plan = FaultPlan::generate(platform.fault_kind(), &spec, plan_seed(s));
     let d = platform.degrade(&s.training_workload(), &plan.fault_set())?;
     Ok(d.degraded.throughput_tokens_per_s)
 }

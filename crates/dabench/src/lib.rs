@@ -23,6 +23,7 @@
 
 pub mod bench_suite;
 pub mod experiments;
+pub mod flags;
 pub mod render;
 pub mod runner;
 pub mod serve;

@@ -85,7 +85,7 @@ pub fn run_supervised_points(
         let injection = cfg.injections.get(name).copied();
         let attempts = AtomicU32::new(0);
         let point = name.clone();
-        let outcome = supervise_point(name, i, &cfg.policy, move |_seed| {
+        let outcome = supervise_point(name, &cfg.policy, move || {
             // Retry hygiene: a previous failed attempt of this point may
             // have flushed partial traces; they must not leak into the
             // output of the attempt that eventually succeeds.

@@ -7,6 +7,7 @@
 //! [`ServeConfig`]. See `docs/serve.md` for the wire protocol and
 //! lifecycle.
 
+use crate::flags::{Flags, RunOpts};
 use crate::suite::{render_experiment, EXPERIMENTS};
 use dabench_core::serve::{JobExecutor, ServeConfig, Server, PROTOCOL};
 use dabench_core::supervise::{parse_injections, Injection};
@@ -76,7 +77,7 @@ impl JobExecutor for SuiteExecutor {
         !LIGHT_JOBS.contains(&job)
     }
 
-    fn execute(&self, job: &str, _seed: u64) -> Result<String, PlatformError> {
+    fn execute(&self, job: &str) -> Result<String, PlatformError> {
         if let Some(injection) = self.injections.get(job) {
             let attempt = {
                 let mut attempts = self.attempts.lock().expect("attempts lock");
@@ -94,61 +95,28 @@ impl JobExecutor for SuiteExecutor {
 
 fn parse_serve_config(args: &[String]) -> Result<ServeConfig, String> {
     let mut cfg = ServeConfig::default();
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = || {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("flag {flag} needs a value"))
-        };
-        match flag.as_str() {
-            "--addr" => cfg.addr = value()?,
-            "--workers" => {
-                cfg.workers = value()?.parse().map_err(|e| format!("--workers: {e}"))?;
-                if cfg.workers == 0 {
-                    return Err("--workers must be at least 1".to_owned());
-                }
-            }
-            "--queue" => {
-                cfg.queue_capacity = value()?.parse().map_err(|e| format!("--queue: {e}"))?;
-                if cfg.queue_capacity == 0 {
-                    return Err("--queue must be at least 1".to_owned());
-                }
-            }
-            "--cache" => {
-                cfg.cache_capacity = value()?.parse().map_err(|e| format!("--cache: {e}"))?;
-            }
-            "--retry-after-ms" => {
-                let ms: u64 = value()?
-                    .parse()
-                    .map_err(|e| format!("--retry-after-ms: {e}"))?;
-                cfg.retry_after = Duration::from_millis(ms);
-            }
-            "--deadline-s" => {
-                let s: f64 = value()?.parse().map_err(|e| format!("--deadline-s: {e}"))?;
-                if !s.is_finite() || s <= 0.0 {
-                    return Err(format!("--deadline-s: {s} is not a positive number"));
-                }
-                cfg.deadline = Some(Duration::from_secs_f64(s));
-            }
-            "--max-retries" => {
-                cfg.max_retries = value()?
-                    .parse()
-                    .map_err(|e| format!("--max-retries: {e}"))?;
-            }
-            "--seed" => cfg.seed = value()?.parse().map_err(|e| format!("--seed: {e}"))?,
-            "--run-dir" => {
-                cfg.run_dir = Some(value()?.into());
-                cfg.resume = false;
-            }
-            "--resume" => {
-                cfg.run_dir = Some(value()?.into());
-                cfg.resume = true;
-            }
-            other => return Err(format!("unknown flag `{other}` for serve")),
+    let mut run = RunOpts {
+        max_retries: cfg.max_retries,
+        ..RunOpts::default()
+    };
+    let mut flags = Flags::new("serve", args);
+    while let Some(flag) = flags.next_flag() {
+        match flag {
+            "--addr" => cfg.addr = flags.value()?.to_owned(),
+            "--workers" => cfg.workers = flags.at_least_one()?,
+            "--queue" => cfg.queue_capacity = flags.at_least_one()?,
+            "--cache" => cfg.cache_capacity = flags.parse()?,
+            "--retry-after-ms" => cfg.retry_after = Duration::from_millis(flags.parse()?),
+            _ => run.read(&mut flags)?,
         }
     }
-    Ok(cfg)
+    Ok(ServeConfig {
+        deadline: run.deadline,
+        max_retries: run.max_retries,
+        run_dir: run.run_dir,
+        resume: run.resume,
+        ..cfg
+    })
 }
 
 /// Run the daemon until `shutdown` is set (SIGTERM/SIGINT, wired by the
@@ -192,7 +160,7 @@ mod tests {
         let exec = SuiteExecutor::new(BTreeMap::new());
         for job in job_names() {
             exec.validate(job).expect("known job");
-            let out = exec.execute(job, 0).expect("renders");
+            let out = exec.execute(job).expect("renders");
             assert!(!out.is_empty(), "{job} rendered empty");
         }
         assert!(exec.validate("nope").is_err());
@@ -218,9 +186,9 @@ mod tests {
     #[test]
     fn executor_is_deterministic_per_job() {
         let exec = SuiteExecutor::new(BTreeMap::new());
-        let a = exec.execute("table1", 0).unwrap();
-        let b = exec.execute("table1", 7).unwrap();
-        assert_eq!(a, b, "seed must not perturb rendered output");
+        let a = exec.execute("table1").unwrap();
+        let b = exec.execute("table1").unwrap();
+        assert_eq!(a, b, "a job must render the same bytes every time");
     }
 
     #[test]
@@ -228,10 +196,10 @@ mod tests {
         use dabench_core::supervise::parse_injection_clauses;
         let inj = parse_injection_clauses("table1=err:device_fault:2").unwrap();
         let exec = SuiteExecutor::new(inj);
-        assert!(exec.execute("table1", 0).is_err(), "first attempt fails");
-        assert!(exec.execute("table1", 0).is_err(), "second attempt fails");
-        assert!(exec.execute("table1", 0).is_ok(), "third attempt clears");
-        assert!(exec.execute("fig6", 0).is_ok(), "other jobs untouched");
+        assert!(exec.execute("table1").is_err(), "first attempt fails");
+        assert!(exec.execute("table1").is_err(), "second attempt fails");
+        assert!(exec.execute("table1").is_ok(), "third attempt clears");
+        assert!(exec.execute("fig6").is_ok(), "other jobs untouched");
     }
 
     #[test]
@@ -251,8 +219,6 @@ mod tests {
             "1.5",
             "--max-retries",
             "2",
-            "--seed",
-            "7",
             "--resume",
             "/tmp/x",
         ]
@@ -267,11 +233,15 @@ mod tests {
         assert_eq!(cfg.retry_after, Duration::from_millis(123));
         assert_eq!(cfg.deadline, Some(Duration::from_secs_f64(1.5)));
         assert_eq!(cfg.max_retries, 2);
-        assert_eq!(cfg.seed, 7);
         assert!(cfg.resume);
         assert_eq!(cfg.run_dir.as_deref(), Some(std::path::Path::new("/tmp/x")));
 
         assert!(parse_serve_config(&["--workers".to_owned(), "0".to_owned()]).is_err());
         assert!(parse_serve_config(&["--bogus".to_owned()]).is_err());
+        assert_eq!(
+            parse_serve_config(&[]).unwrap().max_retries,
+            ServeConfig::default().max_retries,
+            "serve keeps its own retry default"
+        );
     }
 }

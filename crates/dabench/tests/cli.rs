@@ -196,3 +196,116 @@ fn faults_failed_points_show_dash_not_zero() {
         assert!(!line.contains("0.00"), "{line}");
     }
 }
+
+/// Every command's flag errors: a flag missing its value, an unparsable
+/// value, a rejected zero, negative or NaN value, and an unknown flag all
+/// exit 1 with a message naming the flag, and none of them panics.
+#[test]
+fn every_command_names_the_flag_it_rejects() {
+    let cases: &[(&[&str], &str)] = &[
+        (&["tier1", "wse", "--layers"], "--layers"),
+        (&["tier1", "wse", "--hidden", "abc"], "--hidden"),
+        (&["tier1", "wse", "--hidden", "0"], "--hidden"),
+        (&["tier1", "wse", "--seq", "-1"], "--seq"),
+        (&["tier1", "wse", "--precision", "fp8"], "--precision"),
+        (&["tier1", "wse", "--trace-out"], "--trace-out"),
+        (&["tier1", "wse", "--bogus"], "--bogus"),
+        (&["summary", "--batch"], "--batch"),
+        (&["summary", "--batch", "x"], "--batch"),
+        (&["summary", "--batch", "0"], "--batch"),
+        (&["summary", "--layers", "-2"], "--layers"),
+        (&["summary", "--model", "gpt5"], "--model"),
+        (&["summary", "--frob"], "--frob"),
+        (&["faults", "wse", "--seed"], "--seed"),
+        (&["faults", "wse", "--seed", "-1"], "--seed"),
+        (&["faults", "wse", "--plan", "dead=x"], "--plan"),
+        (&["faults", "wse", "--layers", "0"], "--layers"),
+        (&["faults", "wse", "--bogus"], "--bogus"),
+        (&["infer", "--prompt"], "--prompt"),
+        (&["infer", "--decode", "x"], "--decode"),
+        (&["infer", "--batch", "0"], "--batch"),
+        (&["infer", "--prompt", "0"], "--prompt"),
+        (&["infer", "--decode", "-4"], "--decode"),
+        (&["infer", "--kv-precision", "fp9"], "--kv-precision"),
+        (&["infer", "--bogus"], "--bogus"),
+        (&["all", "--run-dir"], "--run-dir"),
+        (&["all", "--deadline-s", "abc"], "--deadline-s"),
+        (&["all", "--deadline-s", "0"], "--deadline-s"),
+        (&["all", "--deadline-s", "-1"], "--deadline-s"),
+        (&["all", "--deadline-s", "nan"], "--deadline-s"),
+        (&["all", "--deadline-s", "1e300"], "--deadline-s"),
+        (&["all", "--max-retries", "-1"], "--max-retries"),
+        (&["all", "--shards", "0"], "--shards"),
+        (&["all", "--max-respawns", "x"], "--max-respawns"),
+        (&["all", "--heartbeat-ms", "0"], "--heartbeat-ms"),
+        (&["all", "--shard-stall-s", "nan"], "--shard-stall-s"),
+        (&["all", "--shard-stall-s", "1e300"], "--shard-stall-s"),
+        (&["all", "--bogus"], "--bogus"),
+        (&["gen", "--tier"], "--tier"),
+        (&["gen", "--tier", "galactic"], "--tier"),
+        (&["gen", "--seed", "-1"], "--seed"),
+        (&["gen", "--count", "0"], "--count"),
+        (&["gen", "--count", "nan"], "--count"),
+        (&["gen", "--deadline-s", "-1"], "--deadline-s"),
+        (&["gen", "--heartbeat-ms", "0"], "--heartbeat-ms"),
+        (&["gen", "--bogus"], "--bogus"),
+        (&["serve", "--addr"], "--addr"),
+        (&["serve", "--workers", "0"], "--workers"),
+        (&["serve", "--queue", "x"], "--queue"),
+        (&["serve", "--queue", "0"], "--queue"),
+        (&["serve", "--cache", "-1"], "--cache"),
+        (&["serve", "--retry-after-ms", "nan"], "--retry-after-ms"),
+        (&["serve", "--deadline-s", "nan"], "--deadline-s"),
+        (&["serve", "--deadline-s", "0"], "--deadline-s"),
+        (&["serve", "--max-retries", "x"], "--max-retries"),
+        (&["serve", "--seed", "7"], "--seed"),
+        (&["serve", "--bogus"], "--bogus"),
+        (&["bench", "--out"], "--out"),
+        (&["bench", "--gate", "nan"], "--gate"),
+        (&["bench", "--gate", "-5"], "--gate"),
+        (&["bench", "--bogus"], "--bogus"),
+    ];
+    for (args, flag) in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_dabench"))
+            .args(*args)
+            .env_remove("DABENCH_INJECT")
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains(flag), "{args:?} must name {flag}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+}
+
+/// Of `--run-dir` and `--resume`, the later flag wins: `--resume A
+/// --run-dir B` starts a fresh journal in B, so it refuses the journal B
+/// already holds instead of resuming it.
+#[test]
+fn the_later_of_run_dir_and_resume_wins() {
+    let dir = std::env::temp_dir().join(format!("dabench-cli-run-dir-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (a, b) = (dir.join("a"), dir.join("b"));
+    let (a, b) = (a.to_str().unwrap(), b.to_str().unwrap());
+    let all = |args: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_dabench"))
+            .arg("all")
+            .args(args)
+            .env_remove("DABENCH_INJECT")
+            .output()
+            .expect("binary runs")
+    };
+    assert!(all(&["--run-dir", b]).status.success());
+
+    let out = all(&["--resume", a, "--run-dir", b]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("already exists; pass --resume"), "{stderr}");
+    assert!(out.stdout.is_empty());
+
+    let out = all(&["--run-dir", a, "--resume", b]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    assert!(stderr.contains("11 replayed from journal"), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -200,6 +200,77 @@ fn exhausted_respawn_budget_drops_the_points_loudly() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Live processes whose command line contains every one of `needles`
+/// (read from Linux `/proc`; none are found where it does not exist).
+fn live_processes_with(needles: &[&str]) -> Vec<String> {
+    let Ok(entries) = std::fs::read_dir("/proc") else {
+        return Vec::new();
+    };
+    entries
+        .filter_map(|entry| {
+            let entry = entry.ok()?;
+            entry.file_name().to_str()?.parse::<u32>().ok()?;
+            let cmdline = std::fs::read(entry.path().join("cmdline")).ok()?;
+            let cmdline = String::from_utf8_lossy(&cmdline).replace('\0', " ");
+            needles
+                .iter()
+                .all(|n| cmdline.contains(n))
+                .then_some(cmdline)
+        })
+        .collect()
+}
+
+#[test]
+fn stalled_worker_is_killed_respawned_and_dropped_loudly() {
+    let dir = temp_dir("stall");
+    let dir_s = dir.to_str().unwrap();
+    // fig11 sleeps far past the 1 s stall window and no heartbeat lands
+    // before it, so the watchdog kills its worker on both lives.
+    let r = run(
+        &[
+            "all",
+            "--shards",
+            "2",
+            "--heartbeat-ms",
+            "600000",
+            "--shard-stall-s",
+            "1",
+            "--max-respawns",
+            "1",
+            "--run-dir",
+            dir_s,
+        ],
+        Some("fig11=sleep:30"),
+    );
+    assert_eq!(r.code, Some(2), "{}", r.stderr);
+    assert_eq!(
+        r.stderr.matches("died: stalled (no journal growth").count(),
+        2,
+        "{}",
+        r.stderr
+    );
+    assert!(r.stderr.contains("1 respawns"), "{}", r.stderr);
+    assert!(r.stderr.contains("dropped: fig11"), "{}", r.stderr);
+    assert!(
+        !r.stdout.contains("Fig. 11"),
+        "dropped point printed output"
+    );
+    assert_eq!(
+        live_processes_with(&["shard-worker", dir_s]),
+        Vec::<String>::new(),
+        "a stalled worker outlived the run"
+    );
+
+    // Resume without the injection: fig11 re-runs and the output matches
+    // an uninterrupted run byte for byte.
+    let (reference, ref_dir) = reference("stall-ref");
+    let resumed = run(&["all", "--resume", dir_s, "--jobs", "1"], None);
+    assert_eq!(resumed.code, Some(0), "{}", resumed.stderr);
+    assert_eq!(resumed.stdout, reference.stdout);
+    let _ = std::fs::remove_dir_all(&ref_dir);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn resume_folds_stale_shard_journals_into_the_combined_journal() {
     // Simulate a parent killed after its workers finished but before the

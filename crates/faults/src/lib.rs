@@ -12,7 +12,7 @@ pub mod report;
 pub mod spec;
 pub mod sweep;
 
-pub use plan::{FaultPlan, PlannedFault, PlatformKind};
+pub use plan::{FaultPlan, PlannedFault};
 pub use report::{render_report, ResilienceReport, SweepPoint};
 pub use spec::{PlanSpec, PlanSpecError};
 pub use sweep::{resilience_sweep, FAULT_FRACTIONS};

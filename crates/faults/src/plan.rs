@@ -10,52 +10,6 @@
 use crate::spec::PlanSpec;
 use dabench_core::{DeadRect, Fault, FaultKind, FaultSet, SplitMix64};
 
-/// The architectural family a plan targets; decides which fault shapes
-/// the generator draws.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PlatformKind {
-    /// Wafer-scale PE grid (Cerebras WSE): dead rectangles.
-    Wse,
-    /// Tiled PCU/PMU fabric (SambaNova RDU): failed unit populations and
-    /// whole tiles.
-    Rdu,
-    /// Multi-device BSP pipeline (Graphcore IPU): dead tiles and dropped
-    /// devices.
-    Ipu,
-}
-
-impl PlatformKind {
-    /// The plan family for a platform-reported fault geometry — the
-    /// authoritative mapping, used by sweeps instead of name inference.
-    #[must_use]
-    pub fn from_fault_kind(kind: FaultKind) -> Self {
-        match kind {
-            FaultKind::WaferGrid => Self::Wse,
-            FaultKind::TiledFabric => Self::Rdu,
-            FaultKind::BspPipeline => Self::Ipu,
-        }
-    }
-
-    /// Infer the family from a [`dabench_core::Platform::name`] string.
-    ///
-    /// Heuristic only — prefer [`PlatformKind::from_fault_kind`] with
-    /// [`dabench_core::Degradable::fault_kind`] when a platform instance
-    /// is at hand; a renamed platform silently defeats this matcher.
-    #[must_use]
-    pub fn infer(platform_name: &str) -> Option<Self> {
-        let n = platform_name.to_ascii_lowercase();
-        if n.contains("wse") || n.contains("cerebras") {
-            Some(Self::Wse)
-        } else if n.contains("rdu") || n.contains("sn30") || n.contains("sambanova") {
-            Some(Self::Rdu)
-        } else if n.contains("ipu") || n.contains("bow") || n.contains("graphcore") {
-            Some(Self::Ipu)
-        } else {
-            None
-        }
-    }
-}
-
 /// One generated fault plus a human-readable label for reports.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlannedFault {
@@ -70,8 +24,6 @@ pub struct PlannedFault {
 pub struct FaultPlan {
     /// Seed the plan was drawn from.
     pub seed: u64,
-    /// Platform family the shapes were drawn for.
-    pub kind: PlatformKind,
     /// Intensities the plan realizes.
     pub spec: PlanSpec,
     /// The generated faults.
@@ -83,30 +35,31 @@ pub struct FaultPlan {
 const DEVICES_PER_MACHINE: u64 = 4;
 
 impl FaultPlan {
-    /// Draw a plan for `kind` realizing `spec`, deterministically from
-    /// `seed`.
+    /// Draw a plan for a platform of fault geometry `kind` (what
+    /// [`dabench_core::Degradable::fault_kind`] reports) realizing `spec`,
+    /// deterministically from `seed`.
     #[must_use]
-    pub fn generate(kind: PlatformKind, spec: &PlanSpec, seed: u64) -> Self {
+    pub fn generate(kind: FaultKind, spec: &PlanSpec, seed: u64) -> Self {
         let mut rng = SplitMix64::new(seed);
         let mut faults = Vec::new();
 
         if spec.dead_fraction > 0.0 {
             match kind {
-                PlatformKind::Wse => dead_bands(&mut rng, spec.dead_fraction, &mut faults),
-                PlatformKind::Rdu => {
+                FaultKind::WaferGrid => dead_bands(&mut rng, spec.dead_fraction, &mut faults),
+                FaultKind::TiledFabric => {
                     // Both unit populations fail; PMUs somewhat less often
                     // (they carry no arithmetic state to corrupt).
                     let pmu_share = rng.uniform(0.6, 1.0);
                     push_units(&mut faults, "pcu", spec.dead_fraction);
                     push_units(&mut faults, "pmu", spec.dead_fraction * pmu_share);
                 }
-                PlatformKind::Ipu => push_units(&mut faults, "tile", spec.dead_fraction),
+                FaultKind::BspPipeline => push_units(&mut faults, "tile", spec.dead_fraction),
             }
         }
 
         if spec.dropped_devices > 0 {
             match kind {
-                PlatformKind::Ipu => {
+                FaultKind::BspPipeline => {
                     // Distinct device indices within the chassis.
                     let count = u64::from(spec.dropped_devices).min(DEVICES_PER_MACHINE);
                     let mut pool: Vec<u64> = (0..DEVICES_PER_MACHINE).collect();
@@ -121,7 +74,7 @@ impl FaultPlan {
                         });
                     }
                 }
-                PlatformKind::Rdu => {
+                FaultKind::TiledFabric => {
                     // A lost RDU tile takes a quarter of the fabric with it.
                     let count = u64::from(spec.dropped_devices).min(DEVICES_PER_MACHINE);
                     faults.push(PlannedFault {
@@ -133,7 +86,7 @@ impl FaultPlan {
                     });
                 }
                 // The wafer is one device; dropping it is total loss.
-                PlatformKind::Wse => faults.push(PlannedFault {
+                FaultKind::WaferGrid => faults.push(PlannedFault {
                     label: "dead-wafer".to_owned(),
                     fault: Fault::DeadRect(DeadRect {
                         col: 0.0,
@@ -168,7 +121,6 @@ impl FaultPlan {
 
         Self {
             seed,
-            kind,
             spec: *spec,
             faults,
         }
@@ -221,6 +173,12 @@ fn dead_bands(rng: &mut SplitMix64, fraction: f64, faults: &mut Vec<PlannedFault
 mod tests {
     use super::*;
 
+    const FAULT_KINDS: [FaultKind; 3] = [
+        FaultKind::WaferGrid,
+        FaultKind::TiledFabric,
+        FaultKind::BspPipeline,
+    ];
+
     #[test]
     fn same_seed_identical_plan() {
         let spec = PlanSpec {
@@ -229,7 +187,7 @@ mod tests {
             transient_stalls: 3,
             dropped_devices: 1,
         };
-        for kind in [PlatformKind::Wse, PlatformKind::Rdu, PlatformKind::Ipu] {
+        for kind in FAULT_KINDS {
             let a = FaultPlan::generate(kind, &spec, 42);
             let b = FaultPlan::generate(kind, &spec, 42);
             assert_eq!(a, b);
@@ -241,7 +199,7 @@ mod tests {
     fn wse_dead_area_matches_spec_fraction() {
         for seed in 0..20 {
             let spec = PlanSpec::default().with_dead_fraction(0.05);
-            let plan = FaultPlan::generate(PlatformKind::Wse, &spec, seed);
+            let plan = FaultPlan::generate(FaultKind::WaferGrid, &spec, seed);
             let area = plan.fault_set().dead_pe_fraction();
             assert!((area - 0.05).abs() < 1e-9, "seed {seed}: {area}");
         }
@@ -250,7 +208,7 @@ mod tests {
     #[test]
     fn wse_bands_are_disjoint_and_full_height() {
         let spec = PlanSpec::default().with_dead_fraction(0.2);
-        let plan = FaultPlan::generate(PlatformKind::Wse, &spec, 7);
+        let plan = FaultPlan::generate(FaultKind::WaferGrid, &spec, 7);
         let set = plan.fault_set();
         let rects: Vec<&DeadRect> = set.dead_rects().collect();
         for r in &rects {
@@ -274,7 +232,7 @@ mod tests {
             transient_stalls: 0,
             dropped_devices: 3,
         };
-        let plan = FaultPlan::generate(PlatformKind::Ipu, &spec, 9);
+        let plan = FaultPlan::generate(FaultKind::BspPipeline, &spec, 9);
         let dropped = plan.fault_set().dropped_devices();
         assert_eq!(dropped.len(), 3);
         assert!(dropped.iter().all(|&i| i < 4));
@@ -283,25 +241,8 @@ mod tests {
     #[test]
     fn healthy_spec_yields_empty_plan() {
         let spec: PlanSpec = "dead=0".parse().unwrap();
-        for kind in [PlatformKind::Wse, PlatformKind::Rdu, PlatformKind::Ipu] {
+        for kind in FAULT_KINDS {
             assert!(FaultPlan::generate(kind, &spec, 1).fault_set().is_empty());
         }
-    }
-
-    #[test]
-    fn kind_inference_covers_platform_names() {
-        assert_eq!(
-            PlatformKind::infer("cerebras-wse2"),
-            Some(PlatformKind::Wse)
-        );
-        assert_eq!(
-            PlatformKind::infer("sambanova-sn30-o3"),
-            Some(PlatformKind::Rdu)
-        );
-        assert_eq!(
-            PlatformKind::infer("graphcore-bow-ipu"),
-            Some(PlatformKind::Ipu)
-        );
-        assert_eq!(PlatformKind::infer("gpu-reference"), None);
     }
 }

@@ -135,14 +135,15 @@ pub fn render_report(report: &ResilienceReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::{FaultPlan, PlatformKind};
+    use crate::plan::FaultPlan;
     use crate::spec::PlanSpec;
+    use dabench_core::FaultKind;
 
     fn point(fraction: f64, retention: Option<f64>, error: Option<String>) -> SweepPoint {
         SweepPoint {
             fraction,
             plan: FaultPlan::generate(
-                PlatformKind::Wse,
+                FaultKind::WaferGrid,
                 &PlanSpec::default().with_dead_fraction(fraction),
                 1,
             ),

@@ -1,6 +1,6 @@
 //! Resilience sweeps: degrade a platform across growing fault fractions.
 
-use crate::plan::{FaultPlan, PlatformKind};
+use crate::plan::FaultPlan;
 use crate::report::{ResilienceReport, SweepPoint};
 use crate::spec::PlanSpec;
 use dabench_core::{catch_labeled, par_map, Degradable, SplitMix64};
@@ -31,9 +31,7 @@ pub fn resilience_sweep(
     base: &PlanSpec,
     seed: u64,
 ) -> ResilienceReport {
-    // The platform reports its own fault geometry; no name sniffing, no
-    // silent fallback to a wrong plan family.
-    let kind = PlatformKind::from_fault_kind(platform.fault_kind());
+    let kind = platform.fault_kind();
     let indexed: Vec<(usize, f64)> = FAULT_FRACTIONS.iter().copied().enumerate().collect();
     let points = par_map(&indexed, |&(i, fraction)| {
         let spec = base.with_dead_fraction(fraction);

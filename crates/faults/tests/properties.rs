@@ -1,8 +1,8 @@
 //! Cross-platform resilience invariants, checked by deterministic
 //! property sampling from a seeded [`SplitMix64`] stream.
 
-use dabench_core::{Degradable, SplitMix64};
-use dabench_faults::{FaultPlan, PlanSpec, PlatformKind};
+use dabench_core::{Degradable, FaultKind, SplitMix64};
+use dabench_faults::{FaultPlan, PlanSpec};
 use dabench_ipu::Ipu;
 use dabench_model::{ModelConfig, Precision, TrainingWorkload};
 use dabench_rdu::{CompilationMode, Rdu};
@@ -49,7 +49,11 @@ fn same_seed_yields_identical_plans() {
         let seed = rng.below(1_000_000);
         let dead = rng.uniform(0.0, 0.3);
         let s = spec(dead, 0.9, 2, 1);
-        for kind in [PlatformKind::Wse, PlatformKind::Rdu, PlatformKind::Ipu] {
+        for kind in [
+            FaultKind::WaferGrid,
+            FaultKind::TiledFabric,
+            FaultKind::BspPipeline,
+        ] {
             let a = FaultPlan::generate(kind, &s, seed);
             let b = FaultPlan::generate(kind, &s, seed);
             assert_eq!(a.fault_set(), b.fault_set());
@@ -66,7 +70,7 @@ fn wse_remap_never_overlaps_dead_rects() {
     for _ in 0..CASES {
         let seed = rng.below(10_000);
         let dead = rng.uniform(0.01, 0.2);
-        let plan = FaultPlan::generate(PlatformKind::Wse, &spec(dead, 1.0, 0, 0), seed);
+        let plan = FaultPlan::generate(FaultKind::WaferGrid, &spec(dead, 1.0, 0, 0), seed);
         let faults = plan.fault_set();
         let intervals: Vec<(u64, u64)> = faults
             .dead_rects()
@@ -84,20 +88,6 @@ fn wse_remap_never_overlaps_dead_rects() {
 }
 
 #[test]
-fn fault_kind_agrees_with_name_inference() {
-    // The platform-reported geometry must match what the (legacy) name
-    // matcher would have guessed for every shipped platform.
-    for (platform, _) in platforms() {
-        assert_eq!(
-            Some(PlatformKind::from_fault_kind(platform.fault_kind())),
-            PlatformKind::infer(platform.name()),
-            "{}",
-            platform.name()
-        );
-    }
-}
-
-#[test]
 fn degraded_throughput_never_exceeds_healthy() {
     let mut rng = SplitMix64::new(0x1F_0003);
     for _ in 0..DEGRADE_CASES {
@@ -105,8 +95,7 @@ fn degraded_throughput_never_exceeds_healthy() {
         let dead = rng.uniform(0.0, 0.2);
         let s = spec(dead, 0.85, 1, 1);
         for (platform, batch) in platforms() {
-            let kind = PlatformKind::from_fault_kind(platform.fault_kind());
-            let plan = FaultPlan::generate(kind, &s, seed);
+            let plan = FaultPlan::generate(platform.fault_kind(), &s, seed);
             let w = workload(batch);
             if let Ok(d) = platform.degrade(&w, &plan.fault_set()) {
                 assert!(
@@ -129,7 +118,7 @@ fn same_seed_yields_identical_degraded_profiles() {
     for _ in 0..DEGRADE_CASES {
         let seed = rng.below(10_000);
         for (platform, batch) in platforms() {
-            let kind = PlatformKind::from_fault_kind(platform.fault_kind());
+            let kind = platform.fault_kind();
             let w = workload(batch);
             let a = platform.degrade(&w, &FaultPlan::generate(kind, &s, seed).fault_set());
             let b = platform.degrade(&w, &FaultPlan::generate(kind, &s, seed).fault_set());

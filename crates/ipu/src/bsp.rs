@@ -102,7 +102,8 @@ pub fn nonlayer_stage_time(
     params: &IpuCompilerParams,
 ) -> f64 {
     let rate = precision_rate_factor(workload.precision(), params);
-    let nonlayer_flops = workload.training_flops_per_step() - layer_flops_per_step(workload);
+    let step = *dabench_core::compile::training_graph(workload).summary();
+    let nonlayer_flops = step.total_flops - step.layer_flops;
     let per_item = nonlayer_flops / workload.batch_size() as f64;
     per_item
         / (spec.tiles as f64 * spec.peak_flops_per_tile * params.sustained_tile_efficiency * rate)
