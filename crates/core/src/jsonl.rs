@@ -3,13 +3,15 @@
 //!
 //! The run journal (`dabench-journal-v1`, see [`crate::supervise`]) and
 //! the serve protocol (`dabench-serve-v1`, see [`crate::serve`]) are one
-//! flat JSON object of strings per line: [`write_object`] writes it and
-//! [`parse_object`], the reader's flat view, reads it. The hand-written
+//! flat JSON object of strings per line: [`write_object`] renders it,
+//! [`write_line`] sends it with its newline, and [`parse_object`], the
+//! reader's flat view, reads it. The hand-written
 //! bench report reads back through the reader itself, `parse`, which takes
 //! exactly the JSON these writers emit, in code small enough to audit.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::io;
 
 /// Escape `s` for embedding inside a JSON string literal.
 #[must_use]
@@ -58,6 +60,22 @@ pub fn write_object(pairs: &[(&str, &str)]) -> String {
     }
     out.push('}');
     out
+}
+
+/// Write `line` and its `\n` to `out` as one buffer, in one `write_all`.
+///
+/// A journal record, its header and a serve reply each go out this way.
+/// Written separately, the newline is a second `write(2)`: a kill
+/// between the two leaves a whole journal record without its newline,
+/// which resume drops as a torn tail, and on a socket Nagle's algorithm
+/// holds the lone newline until the peer's delayed ACK.
+///
+/// # Errors
+///
+/// Propagates the writer's error.
+pub fn write_line(out: &mut impl io::Write, mut line: String) -> io::Result<()> {
+    line.push('\n');
+    out.write_all(line.as_bytes())
 }
 
 /// Parse one line as a flat JSON object with string values only.
@@ -232,6 +250,26 @@ pub fn hex_snippet(text: &str, max_bytes: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn write_line_makes_one_write_call_carrying_the_newline() {
+        /// Records the buffer of every `write` call it receives.
+        #[derive(Default)]
+        struct Counting(Vec<Vec<u8>>);
+        impl io::Write for Counting {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.0.push(buf.to_vec());
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let line = write_object(&[("status", "ok"), ("data", "a\nb")]);
+        let mut out = Counting::default();
+        write_line(&mut out, line.clone()).expect("counting writer never fails");
+        assert_eq!(out.0, vec![format!("{line}\n").into_bytes()]);
+    }
 
     #[test]
     fn write_then_parse_is_identity() {

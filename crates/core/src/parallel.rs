@@ -25,7 +25,9 @@
 //! caches: `--jobs N` bounds compute threads at `N`. A thread-local mark
 //! set on each spawned worker decides this; threads that run a worker's
 //! item on its behalf (the `--deadline-s` watchdog in
-//! [`crate::supervise_point`]) inherit the mark. An outer call with one
+//! [`crate::supervise_point`]) inherit the mark, and the workers of a
+//! [`serve`](crate::serve) daemon set it, being an outer pool of their
+//! own. An outer call with one
 //! worker (`--jobs 1`, or a single item) runs on its caller's thread and
 //! sets no mark, so calls nested in it still fan out.
 //!
@@ -54,7 +56,7 @@ pub(crate) fn on_worker() -> bool {
 
 /// Set the calling thread's worker mark. A thread spawned to run a
 /// worker's item passes the spawning thread's [`on_worker`] here, so the
-/// item's nested calls stay inline.
+/// item's nested calls stay inline; a serve worker passes `true`.
 pub(crate) fn mark_worker(on: bool) {
     ON_WORKER.with(|w| w.set(on));
 }

@@ -26,15 +26,23 @@
 //!   concurrency-safe [`LruStore`]; repeated identical requests are
 //!   answered from memory on the sub-millisecond path without touching
 //!   the queue at all.
-//! - **Graceful drain**: a `drain` op (or SIGTERM, wired by the CLI)
-//!   finishes in-flight points, answers queued jobs with a `drained`
-//!   response (their `accepted` journal records survive), and exits
-//!   clean.
+//! - **Graceful drain**: a `drain` op (or a [`DrainHandle`], which the
+//!   CLI calls on SIGTERM) finishes in-flight points, answers queued jobs
+//!   with a `drained` response (their `accepted` journal records
+//!   survive), and exits clean.
 //! - **Crash-safe resume**: the [`supervise`](crate::supervise) run journal is the job
 //!   store. Every admitted job is journaled `accepted` before it becomes
 //!   visible to workers and `completed` with its rendered bytes when done,
 //!   so a SIGKILL'd daemon restarted with `--resume` re-adopts in-flight
 //!   jobs and replays completed renderings byte-identically.
+//! - **Transport without timers**: each reply is one write with
+//!   `TCP_NODELAY` set, and the accept loop blocks in `accept` until a
+//!   client arrives or a drain wakes it with one throwaway connection.
+//! - **Workers are the compute pool**: each worker is marked as a
+//!   [`par_map`](crate::parallel::par_map) worker, so a job's nested
+//!   sweeps run inline and the worker count (`--workers`, by default the
+//!   `--jobs` count) bounds the daemon's compute threads as `--jobs`
+//!   bounds a sweep's.
 //!
 //! The daemon is generic over a [`JobExecutor`]; the CLI plugs in the
 //! experiment suite. See `docs/serve.md` for the protocol specification
@@ -45,8 +53,8 @@ use crate::lru::{LruStore, StoreStats};
 use crate::supervise::{supervise_point, PointOutcome, Replay, RunJournal, SupervisePolicy};
 use crate::PlatformError;
 use std::collections::VecDeque;
-use std::io::{self, BufRead as _, Write as _};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{self, BufRead as _};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
@@ -87,7 +95,9 @@ pub trait JobExecutor: Send + Sync + 'static {
 pub struct ServeConfig {
     /// Bind address, e.g. `127.0.0.1:0` (port 0 = ephemeral).
     pub addr: String,
-    /// Concurrent job executions (worker threads).
+    /// Concurrent job executions (worker threads). Each worker runs its
+    /// job's nested sweeps inline: the workers are the daemon's whole
+    /// compute pool.
     pub workers: usize,
     /// Bounded queue capacity; admission beyond it sheds.
     pub queue_capacity: usize,
@@ -207,6 +217,8 @@ struct Shared {
     queue_cv: Condvar,
     journal: Option<Mutex<RunJournal>>,
     draining: AtomicBool,
+    /// Where [`Shared::start_drain`] connects to wake the blocked accept.
+    wake: SocketAddr,
     counters: Counters,
     /// First unrecoverable error (journal persistence failure); forces a
     /// drain and is propagated out of [`Server::run`].
@@ -229,8 +241,7 @@ impl Shared {
                 .lock()
                 .expect("fatal lock")
                 .get_or_insert_with(|| format!("journal append for `{label}`: {e}"));
-            self.draining.store(true, Ordering::SeqCst);
-            self.queue_cv.notify_all();
+            self.start_drain();
         }
     }
 
@@ -238,9 +249,47 @@ impl Shared {
         self.draining.load(Ordering::SeqCst)
     }
 
+    /// Begin the drain: the one entry point for the `drain` op, a journal
+    /// failure and the [`DrainHandle`]. Idle workers wake on the condvar;
+    /// the accept loop, blocked in `accept`, wakes on one throwaway
+    /// connection. The queue lock is not taken (a journal failure calls
+    /// this while holding it), so a worker can miss this notify between
+    /// its flag check and its wait; its `wait_timeout` bounds that.
     fn start_drain(&self) {
-        self.draining.store(true, Ordering::SeqCst);
+        if self.draining.swap(true, Ordering::SeqCst) {
+            return;
+        }
         self.queue_cv.notify_all();
+        // Refused only once the listener is gone, when nothing is left
+        // to wake.
+        let _ = TcpStream::connect(self.wake);
+    }
+}
+
+/// The address that reaches a listener bound to `bound`: the same one,
+/// or loopback of its family when it is unspecified (`0.0.0.0`, `::`).
+fn wake_addr(bound: SocketAddr) -> SocketAddr {
+    let mut addr = bound;
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    addr
+}
+
+/// Starts the graceful drain of a [`Server`] from outside the protocol,
+/// exactly as a `drain` op does. The CLI calls it on SIGTERM/SIGINT.
+/// Calls after the first, and after [`Server::run`] returned, do nothing.
+#[derive(Clone)]
+pub struct DrainHandle(Arc<Shared>);
+
+impl DrainHandle {
+    /// Begin the drain: [`Server::run`] stops accepting, finishes
+    /// in-flight jobs, answers queued ones `drained`, and returns.
+    pub fn drain(&self) {
+        self.0.start_drain();
     }
 }
 
@@ -271,7 +320,7 @@ impl Server {
     /// corruption), and invalid configuration.
     pub fn bind(cfg: ServeConfig, exec: Box<dyn JobExecutor>) -> io::Result<Self> {
         let listener = TcpListener::bind(&cfg.addr)?;
-        listener.set_nonblocking(true)?;
+        let wake = wake_addr(listener.local_addr()?);
 
         let (journal, replay) = match &cfg.run_dir {
             Some(dir) if cfg.resume => {
@@ -294,6 +343,7 @@ impl Server {
             queue_cv: Condvar::new(),
             journal,
             draining: AtomicBool::new(false),
+            wake,
             counters: Counters::default(),
             fatal: Mutex::new(None),
         });
@@ -330,12 +380,17 @@ impl Server {
             }
         }
 
+        // The workers are the compute pool, as `par_map` workers are in a
+        // sweep: each runs its job's nested sweeps inline.
         let workers = (0..workers)
             .map(|i| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("dabench-serve-worker-{i}"))
-                    .spawn(move || worker_loop(&shared))
+                    .spawn(move || {
+                        crate::parallel::mark_worker(true);
+                        worker_loop(&shared);
+                    })
                     .expect("spawn serve worker")
             })
             .collect();
@@ -364,27 +419,36 @@ impl Server {
         self.resume_summary.as_deref()
     }
 
-    /// Accept and serve connections until `shutdown` is set or a `drain`
-    /// op arrives, then drain gracefully: stop accepting, finish
-    /// in-flight points, answer queued jobs with `drained`, join every
-    /// thread, and return the final tallies.
+    /// A handle that drains this daemon from outside the protocol.
+    #[must_use]
+    pub fn drain_handle(&self) -> DrainHandle {
+        DrainHandle(Arc::clone(&self.shared))
+    }
+
+    /// Accept and serve connections until a `drain` op, a
+    /// [`DrainHandle`] or a journal failure starts the drain, then drain
+    /// gracefully: stop accepting, finish in-flight points, answer queued
+    /// jobs with `drained`, join every thread, and return the final
+    /// tallies.
     ///
     /// # Errors
     ///
     /// A journal persistence failure mid-run (the daemon drains first, so
     /// clients holding connections still get answers for in-flight work).
-    pub fn run(self, shutdown: &AtomicBool) -> io::Result<ServeSummary> {
+    pub fn run(self) -> io::Result<ServeSummary> {
+        let Self {
+            shared,
+            listener,
+            workers,
+            ..
+        } = self;
         let mut connections: Vec<std::thread::JoinHandle<()>> = Vec::new();
-        loop {
-            if shutdown.load(Ordering::SeqCst) {
-                self.shared.start_drain();
-            }
-            if self.shared.is_draining() {
-                break;
-            }
-            match self.listener.accept() {
+        while !shared.is_draining() {
+            match listener.accept() {
+                // The drain's wake-up, or a client that raced it: closed.
+                Ok(_) if shared.is_draining() => {}
                 Ok((stream, _peer)) => {
-                    let shared = Arc::clone(&self.shared);
+                    let shared = Arc::clone(&shared);
                     connections.retain(|h| !h.is_finished());
                     connections.push(
                         std::thread::Builder::new()
@@ -393,27 +457,26 @@ impl Server {
                             .expect("spawn serve connection"),
                     );
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(20));
-                }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(e),
             }
         }
+        // Refuse connections from here on instead of leaving them in the
+        // backlog until exit.
+        drop(listener);
 
         // Drain: workers flush the queue (answering `drained`), then exit;
         // connection threads notice the flag on their next read timeout.
-        self.shared.start_drain();
-        for handle in self.workers {
+        for handle in workers {
             let _ = handle.join();
         }
         for handle in connections {
             let _ = handle.join();
         }
-        if let Some(fatal) = self.shared.fatal.lock().expect("fatal lock").take() {
+        if let Some(fatal) = shared.fatal.lock().expect("fatal lock").take() {
             return Err(io::Error::other(fatal));
         }
-        let c = &self.shared.counters;
+        let c = &shared.counters;
         Ok(ServeSummary {
             accepted: c.accepted.load(Ordering::SeqCst),
             completed: c.completed.load(Ordering::SeqCst),
@@ -425,7 +488,7 @@ impl Server {
             served_cached: c.served_cached.load(Ordering::SeqCst),
             adopted: c.adopted.load(Ordering::SeqCst),
             replayed: c.replayed.load(Ordering::SeqCst),
-            store: self.shared.store.stats(),
+            store: shared.store.stats(),
         })
     }
 
@@ -456,6 +519,9 @@ fn worker_loop(shared: &Arc<Shared>) {
                 if draining {
                     break (None, true);
                 }
+                // The timeout covers a drain notified between the flag
+                // check above and this wait: `start_drain` does not take
+                // the queue lock.
                 let (guard, _) = shared
                     .queue_cv
                     .wait_timeout(queue, Duration::from_millis(100))
@@ -576,14 +642,21 @@ fn run_job(shared: &Arc<Shared>, job: Job) {
 // Connections
 // ---------------------------------------------------------------------------
 
+/// Set up an accepted connection. `TCP_NODELAY`: a reply leaves at once,
+/// even while an earlier one is unacknowledged, so a client that
+/// pipelines requests is not held to the peer's delayed ACK. A 50 ms read
+/// timeout: an idle connection notices a drain and closes, while one
+/// still sending during the drain keeps getting cache hits and `drained`
+/// answers.
+fn configure(stream: &TcpStream) -> io::Result<()> {
+    stream.set_nodelay(true)?;
+    stream.set_read_timeout(Some(Duration::from_millis(50)))
+}
+
 fn connection_loop(shared: &Arc<Shared>, stream: TcpStream) {
-    // Short read timeouts keep the thread responsive to drain without a
-    // dedicated wakeup channel; partially read lines survive in `buf`
-    // across timeouts because `read_line` appends.
-    if stream
-        .set_read_timeout(Some(Duration::from_millis(50)))
-        .is_err()
-    {
+    // Partially read lines survive in `buf` across read timeouts because
+    // `read_line` appends.
+    if configure(&stream).is_err() {
         return;
     }
     let Ok(read_half) = stream.try_clone() else {
@@ -601,11 +674,7 @@ fn connection_loop(shared: &Arc<Shared>, stream: TcpStream) {
                 if line.is_empty() {
                     continue;
                 }
-                let reply = handle_request(shared, line);
-                if writer.write_all(reply.as_bytes()).is_err()
-                    || writer.write_all(b"\n").is_err()
-                    || writer.flush().is_err()
-                {
+                if jsonl::write_line(&mut writer, handle_request(shared, line)).is_err() {
                     return;
                 }
             }
@@ -849,12 +918,14 @@ fn stats_response(shared: &Arc<Shared>, id: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::BufRead;
+    use std::io::{BufRead, Write as _};
     use std::sync::atomic::AtomicU32;
 
     /// Test executor: `heavy-gated` jobs block on a test-held flag,
     /// `fail-*` jobs raise a retryable error forever, `flaky` fails twice
-    /// then succeeds, `heavy-*` jobs are heavy. Everything else echoes
+    /// then succeeds, `heavy-*` jobs are heavy, and `par-threads` reports
+    /// the thread it runs on, then the thread of each item of a nested
+    /// two-worker `par_map`, one id per line. Everything else echoes
     /// deterministically.
     struct MockExec {
         calls: AtomicU32,
@@ -913,6 +984,14 @@ mod tests {
                     detail: "always broken".into(),
                 });
             }
+            if job == "par-threads" {
+                let id = || {
+                    let thread = std::thread::current();
+                    format!("{:?} {}", thread.id(), thread.name().unwrap_or("unnamed"))
+                };
+                let items = crate::parallel::par_map_with(2, &[(); 4], |()| id());
+                return Ok(format!("{}\n{}\n", id(), items.join("\n")));
+            }
             if job == "flaky" && self.calls.load(Ordering::SeqCst) <= 2 {
                 return Err(PlatformError::CompileFailure("mock flake".into()));
             }
@@ -922,30 +1001,46 @@ mod tests {
 
     struct TestDaemon {
         addr: SocketAddr,
-        shutdown: Arc<AtomicBool>,
-        handle: std::thread::JoinHandle<io::Result<ServeSummary>>,
+        drain: DrainHandle,
+        done: mpsc::Receiver<io::Result<ServeSummary>>,
+        handle: std::thread::JoinHandle<()>,
     }
 
     fn spawn_daemon(cfg: ServeConfig, exec: Box<dyn JobExecutor>) -> TestDaemon {
-        let server = Server::bind(cfg, exec).expect("bind");
+        run_daemon(Server::bind(cfg, exec).expect("bind"))
+    }
+
+    fn run_daemon(server: Server) -> TestDaemon {
         let addr = server.local_addr().expect("local addr");
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let flag = Arc::clone(&shutdown);
-        let handle = std::thread::spawn(move || server.run(&flag));
+        let drain = server.drain_handle();
+        let (tx, done) = mpsc::channel();
+        let handle = std::thread::spawn(move || {
+            let _ = tx.send(server.run());
+        });
         TestDaemon {
             addr,
-            shutdown,
+            drain,
+            done,
             handle,
         }
     }
 
     impl TestDaemon {
+        /// Drain through the handle and wait for a clean exit.
         fn stop(self) -> ServeSummary {
-            self.shutdown.store(true, Ordering::SeqCst);
-            self.handle
-                .join()
-                .expect("daemon thread")
-                .expect("clean exit")
+            self.drain.drain();
+            self.join("`Server::run` did not return within 60 s of the drain handle")
+        }
+
+        /// Wait for `Server::run` to return, failing with `what` after
+        /// 60 s instead of hanging the suite.
+        fn join(self, what: &str) -> ServeSummary {
+            let summary = self
+                .done
+                .recv_timeout(Duration::from_secs(60))
+                .unwrap_or_else(|e| panic!("{what} ({e})"));
+            self.handle.join().expect("daemon thread");
+            summary.expect("clean exit")
         }
     }
 
@@ -1358,7 +1453,7 @@ mod tests {
             "{b_reply:?}"
         );
 
-        let summary = daemon.handle.join().expect("thread").expect("clean");
+        let summary = daemon.join("`Server::run` did not return within 60 s of the drain op");
         assert_eq!(summary.completed, 1);
         assert_eq!(summary.drained, 1);
     }
@@ -1407,32 +1502,28 @@ mod tests {
             resume_line,
             "resume: 1 replayed from journal, 1 adopted (re-run), 1 abandoned (truncated tail)"
         );
-        let addr = server.local_addr().expect("addr");
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let flag = Arc::clone(&shutdown);
-        let handle = std::thread::spawn(move || server.run(&flag));
+        let daemon = run_daemon(server);
 
-        let mut client = Client::connect(addr);
+        let mut client = Client::connect(daemon.addr);
         // Replayed rendering comes back byte-identical, from cache, with
         // no re-execution.
         let replayed = client.submit("2", "table-mock");
         assert_eq!(replayed.get("source").map(String::as_str), Some("cache"));
         assert_eq!(replayed.get("data"), original.get("data"), "byte-identical");
 
-        // The adopted job ran at startup; give it a moment, then expect a
-        // cache answer for it too.
-        let deadline = Instant::now() + Duration::from_secs(5);
-        loop {
-            let adopted = client.submit("3", "orphan-job");
-            if adopted.get("source").map(String::as_str) == Some("cache") {
-                break;
-            }
-            assert!(Instant::now() < deadline, "adopted job never completed");
-            std::thread::sleep(Duration::from_millis(20));
-        }
+        // The adopted job runs at startup, with no client; once it has
+        // completed, its resubmission is a cache answer.
+        wait_for_stats(&mut client, "adopted job never completed", |s| {
+            stat_is(s, "completed", "1")
+        });
+        let adopted = client.submit("3", "orphan-job");
+        assert_eq!(
+            adopted.get("source").map(String::as_str),
+            Some("cache"),
+            "{adopted:?}"
+        );
 
-        shutdown.store(true, Ordering::SeqCst);
-        let summary = handle.join().expect("thread").expect("clean");
+        let summary = daemon.stop();
         assert_eq!(summary.replayed, 1);
         assert_eq!(summary.adopted, 1);
         let _ = std::fs::remove_dir_all(&dir);
@@ -1460,8 +1551,69 @@ mod tests {
             "{cached:?}"
         );
 
-        let summary = daemon.handle.join().expect("thread").expect("clean");
+        let summary = daemon.join("`Server::run` did not return within 60 s of the drain op");
         assert_eq!(summary.completed, 1);
+    }
+
+    #[test]
+    fn accepted_connections_disable_nagle() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let _client = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let (accepted, _) = listener.accept().expect("accept");
+        assert!(!accepted.nodelay().expect("nodelay"), "off by default");
+        configure(&accepted).expect("configure");
+        assert!(
+            accepted.nodelay().expect("nodelay"),
+            "replies must not wait for an ACK"
+        );
+    }
+
+    #[test]
+    fn wake_addr_reaches_an_unspecified_bind_through_loopback() {
+        let wake = |a: &str| wake_addr(a.parse().expect("socket address")).to_string();
+        assert_eq!(wake("0.0.0.0:4242"), "127.0.0.1:4242");
+        assert_eq!(wake("[::]:4242"), "[::1]:4242");
+        assert_eq!(wake("127.0.0.1:4242"), "127.0.0.1:4242");
+        assert_eq!(wake("10.1.2.3:4242"), "10.1.2.3:4242");
+    }
+
+    #[test]
+    fn drain_handle_returns_run_with_no_further_connection() {
+        let daemon = spawn_daemon(quick_cfg(), MockExec::boxed());
+        // A served ping puts the accept loop back in `accept`; the client
+        // then stays connected and idle.
+        let mut client = Client::connect(daemon.addr);
+        let pong = client.request("{\"op\":\"ping\",\"id\":\"p\"}");
+        assert!(stat_is(&pong, "status", "ok"), "{pong:?}");
+        let drain = daemon.drain.clone();
+        let summary = daemon.stop();
+        assert_eq!(summary.accepted, 0);
+        drain.drain(); // after `run` returned: does nothing
+        drop(client);
+    }
+
+    #[test]
+    fn serve_workers_run_nested_par_map_inline() {
+        for workers in [2, 1] {
+            let cfg = ServeConfig {
+                workers,
+                ..quick_cfg()
+            };
+            let daemon = spawn_daemon(cfg, MockExec::boxed());
+            let mut client = Client::connect(daemon.addr);
+            let reply = client.submit("1", "par-threads");
+            let data = reply.get("data").unwrap_or_else(|| panic!("{reply:?}"));
+            let mut lines = data.lines();
+            let worker = lines.next().expect("the executing thread");
+            let items: Vec<&str> = lines.collect();
+            assert!(worker.contains("dabench-serve-worker-"), "{worker}");
+            assert_eq!(items.len(), 4, "{data}");
+            assert!(
+                items.iter().all(|t| *t == worker),
+                "a serve worker of {workers} fanned out: {data}"
+            );
+            let _ = daemon.stop();
+        }
     }
 
     #[test]

@@ -317,7 +317,10 @@ pub struct ShardConfig {
 }
 
 /// How often the parent checks its workers' exits and journal growth.
-const POLL: Duration = Duration::from_millis(50);
+/// A run ends up to one interval after its last worker exits, so a long
+/// interval adds up to its length to every sharded run and makes their
+/// wall times come in steps of it.
+const POLL: Duration = Duration::from_millis(5);
 
 impl Default for ShardConfig {
     fn default() -> Self {

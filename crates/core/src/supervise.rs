@@ -33,7 +33,7 @@ use crate::jsonl;
 use std::any::Any;
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
-use std::io::{self, Seek as _, Write as _};
+use std::io::{self, Seek as _};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -872,7 +872,7 @@ impl RunJournal {
             .create_new(true)
             .append(true)
             .open(&path)?;
-        writeln!(file, "{}", journal_header())?;
+        jsonl::write_line(&mut file, journal_header())?;
         file.sync_all()?;
         Ok(Self { file, path })
     }
@@ -921,7 +921,7 @@ impl RunJournal {
         let mut journal = Self { file, path };
         if parsed.valid_bytes == 0 {
             // Empty (or fully discarded) file: rewrite the header.
-            writeln!(journal.file, "{}", journal_header())?;
+            jsonl::write_line(&mut journal.file, journal_header())?;
             journal.file.sync_all()?;
         }
         journal.file.seek(io::SeekFrom::End(0))?;
@@ -936,7 +936,7 @@ impl RunJournal {
     /// Propagates write/fsync failures — a journal that cannot persist
     /// must fail loudly, or `--resume` would silently re-run points.
     pub fn append(&mut self, label: &str, status: &str, data: &str) -> io::Result<()> {
-        writeln!(self.file, "{}", format_record(label, status, data))?;
+        jsonl::write_line(&mut self.file, format_record(label, status, data))?;
         self.file.sync_all()
     }
 
@@ -1064,6 +1064,7 @@ fn plural_y(n: u32) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::Write as _;
     use std::sync::atomic::{AtomicU32, Ordering};
 
     fn temp_dir(tag: &str) -> PathBuf {

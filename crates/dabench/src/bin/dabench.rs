@@ -57,6 +57,7 @@ use dabench::runner::{run_supervised_points, RunnerConfig};
 use dabench::serve::run_serve;
 use dabench::suite::{experiment_tables, point_index, render_experiment, EXPERIMENTS};
 use dabench::wse::Wse;
+use std::io::Read as _;
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -204,18 +205,17 @@ fn run_infer(rest: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// Every platform by its CLI name: the dataflow chips of [`degradable`]
+/// and the GPU reference.
 fn platform(name: &str) -> Result<Box<dyn Platform>, String> {
-    Ok(match name {
-        "wse" => Box::new(Wse::default()),
-        "rdu-o0" => Box::new(Rdu::with_mode(CompilationMode::O0)),
-        "rdu-o1" => Box::new(Rdu::with_mode(CompilationMode::O1)),
-        "rdu" | "rdu-o3" => Box::new(Rdu::with_mode(CompilationMode::O3)),
-        "ipu" => Box::new(Ipu::default()),
-        "gpu" => Box::new(GpuCluster::default()),
-        other => return Err(format!("unknown platform `{other}`")),
-    })
+    match name {
+        "gpu" => Ok(Box::new(GpuCluster::default())),
+        other => degradable(other).map(|p| p as Box<dyn Platform>),
+    }
 }
 
+/// The one table of dataflow platform names; the GPU reference has no
+/// fault model.
 fn degradable(name: &str) -> Result<Box<dyn Degradable + Sync>, String> {
     Ok(match name {
         "wse" => Box::new(Wse::default()),
@@ -914,48 +914,84 @@ fn write_observability(opts: &TraceOpts) -> Result<(), String> {
     Ok(())
 }
 
-/// Graceful-shutdown flag for `serve`, set from SIGTERM/SIGINT.
+/// SIGTERM and SIGINT for `serve`, delivered as bytes on a pipe.
 ///
 /// `std` cannot install signal handlers and the workspace is
 /// dependency-free, so the binary registers a handler through the libc
 /// `signal` symbol directly — the one place in the workspace that needs
-/// `unsafe` (both library crates `forbid` it). The handler only performs
-/// an atomic store, which is async-signal-safe.
-#[cfg(unix)]
+/// `unsafe` (both library crates `forbid` it). The handler writes one
+/// byte into a pipe with `write(2)`, which is async-signal-safe, and a
+/// thread blocked reading the pipe drains the daemon: nothing polls.
 mod shutdown {
-    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::io::{self, PipeReader};
 
-    pub static REQUESTED: AtomicBool = AtomicBool::new(false);
-
-    const SIGINT: i32 = 2;
-    const SIGTERM: i32 = 15;
-
-    extern "C" {
-        fn signal(signum: i32, handler: usize) -> usize;
+    /// Route SIGTERM and SIGINT into a pipe and return its read end: one
+    /// byte per signal. Without Unix signals the write end closes at
+    /// once, so the reader sees end of file and the daemon drains only
+    /// through the `drain` op.
+    pub fn install() -> io::Result<PipeReader> {
+        let (reader, writer) = io::pipe()?;
+        #[cfg(unix)]
+        handler::install(std::os::fd::IntoRawFd::into_raw_fd(writer));
+        #[cfg(not(unix))]
+        drop(writer);
+        Ok(reader)
     }
 
-    extern "C" fn on_signal(_signum: i32) {
-        REQUESTED.store(true, Ordering::SeqCst);
-    }
+    #[cfg(unix)]
+    mod handler {
+        use std::sync::atomic::{AtomicI32, Ordering};
 
-    pub fn install() {
-        let handler = on_signal as extern "C" fn(i32) as usize;
-        unsafe {
-            signal(SIGTERM, handler);
-            signal(SIGINT, handler);
+        /// The descriptor [`on_signal`] writes to.
+        static FD: AtomicI32 = AtomicI32::new(-1);
+
+        const SIGINT: i32 = 2;
+        const SIGTERM: i32 = 15;
+
+        extern "C" {
+            fn signal(signum: i32, handler: usize) -> usize;
+            fn write(fd: i32, buf: *const u8, count: usize) -> isize;
+        }
+
+        extern "C" fn on_signal(_signum: i32) {
+            let byte = 1u8;
+            // SAFETY: `write(2)` is async-signal-safe. `FD` holds the
+            // pipe's write end, which nothing owns or closes, so it stays
+            // open for the life of the process, and `byte` is a live
+            // one-byte buffer.
+            unsafe {
+                write(FD.load(Ordering::SeqCst), &byte, 1);
+            }
+        }
+
+        /// Install the handler, writing to `fd` for the life of the
+        /// process.
+        pub fn install(fd: i32) {
+            FD.store(fd, Ordering::SeqCst);
+            let handler = on_signal as extern "C" fn(i32) as usize;
+            // SAFETY: `on_signal` has the C handler signature and makes
+            // only an async-signal-safe call; `FD` is set before either
+            // signal can reach it.
+            unsafe {
+                signal(SIGTERM, handler);
+                signal(SIGINT, handler);
+            }
         }
     }
 }
 
-/// Non-Unix fallback: no signal wiring; the daemon still drains via the
-/// `drain` protocol op.
-#[cfg(not(unix))]
-mod shutdown {
-    use std::sync::atomic::AtomicBool;
-
-    pub static REQUESTED: AtomicBool = AtomicBool::new(false);
-
-    pub fn install() {}
+/// `serve`, drained on the first SIGTERM/SIGINT: a detached thread
+/// blocked on the signal pipe calls the daemon's drain handle, and the
+/// process exit ends it.
+fn run_serve_until_signal(rest: &[String]) -> Result<(), String> {
+    let mut signals = shutdown::install().map_err(|e| format!("serve: signal pipe: {e}"))?;
+    run_serve(rest, |drain| {
+        std::thread::spawn(move || {
+            if signals.read_exact(&mut [0]).is_ok() {
+                drain.drain();
+            }
+        });
+    })
 }
 
 fn main() -> ExitCode {
@@ -994,8 +1030,7 @@ fn run_command(cmd: &str, rest: &[String]) -> Result<ExitCode, String> {
         "serve" => {
             // One point context for the daemon's lifetime, so the store
             // counters it publishes at drain land in `--metrics`.
-            shutdown::install();
-            obs::with_point(0, "serve", || run_serve(rest, &shutdown::REQUESTED))?;
+            obs::with_point(0, "serve", || run_serve_until_signal(rest))?;
             Ok(ExitCode::SUCCESS)
         }
         // `bench` owns the recorder (per-case profile passes) and the
@@ -1064,5 +1099,33 @@ fn run_report(cmd: &str, rest: &[String]) -> Result<(), String> {
             }
             None => Err(format!("unknown command `{other}`\n{}", usage())),
         },
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn platform_accepts_every_name_degradable_accepts() {
+        let names = [
+            "wse", "rdu-o0", "rdu-o1", "rdu", "rdu-o3", "ipu", "gpu", "tpu", "",
+        ];
+        for name in names {
+            if let Ok(chip) = degradable(name) {
+                let p = platform(name).unwrap_or_else(|e| panic!("`{name}`: {e}"));
+                assert_eq!(p.name(), chip.name(), "`{name}` names two platforms");
+            }
+        }
+        assert!(platform("gpu").is_ok());
+        assert_eq!(
+            degradable("gpu").err().as_deref(),
+            Some("the GPU reference has no dataflow fault model")
+        );
+        for name in ["tpu", ""] {
+            let unknown = format!("unknown platform `{name}`");
+            assert_eq!(platform(name).err(), Some(unknown.clone()));
+            assert_eq!(degradable(name).err(), Some(unknown));
+        }
     }
 }

@@ -9,12 +9,11 @@
 
 use crate::flags::{Flags, RunOpts};
 use crate::suite::{render_experiment, EXPERIMENTS};
-use dabench_core::serve::{JobExecutor, ServeConfig, Server, PROTOCOL};
+use dabench_core::serve::{DrainHandle, JobExecutor, ServeConfig, Server, PROTOCOL};
 use dabench_core::supervise::{parse_injections, Injection};
 use dabench_core::PlatformError;
 use std::collections::BTreeMap;
 use std::io::Write as _;
-use std::sync::atomic::AtomicBool;
 use std::sync::Mutex;
 use std::time::Duration;
 
@@ -119,8 +118,9 @@ fn parse_serve_config(args: &[String]) -> Result<ServeConfig, String> {
     })
 }
 
-/// Run the daemon until `shutdown` is set (SIGTERM/SIGINT, wired by the
-/// binary) or a client sends the `drain` op.
+/// Run the daemon until a client sends the `drain` op or the handle
+/// given to `on_listen` is called (the binary calls it on SIGTERM/SIGINT).
+/// `on_listen` runs once the daemon is bound, before it accepts.
 ///
 /// Prints one `listening on <addr>` line to stdout (and flushes it, so
 /// callers scripting the daemon can read the resolved port), the resume
@@ -130,7 +130,7 @@ fn parse_serve_config(args: &[String]) -> Result<ServeConfig, String> {
 ///
 /// Flag-parsing errors, bind/journal failures, and journal persistence
 /// failures mid-run (the daemon drains before reporting those).
-pub fn run_serve(rest: &[String], shutdown: &AtomicBool) -> Result<(), String> {
+pub fn run_serve(rest: &[String], on_listen: impl FnOnce(DrainHandle)) -> Result<(), String> {
     let cfg = parse_serve_config(rest)?;
     let injections = parse_injections()?;
     let server =
@@ -145,7 +145,8 @@ pub fn run_serve(rest: &[String], shutdown: &AtomicBool) -> Result<(), String> {
     if let Some(line) = server.resume_summary() {
         eprintln!("{line}");
     }
-    let summary = server.run(shutdown).map_err(|e| format!("{e}"))?;
+    on_listen(server.drain_handle());
+    let summary = server.run().map_err(|e| format!("{e}"))?;
     Server::publish_store_obs(&summary);
     eprintln!("{}", summary.render());
     Ok(())

@@ -10,6 +10,7 @@ use std::net::TcpStream;
 use std::path::PathBuf;
 use std::process::{Child, ChildStderr, Command, Stdio};
 use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 struct Daemon {
@@ -61,17 +62,38 @@ impl Daemon {
     }
 
     /// Graceful stop via the `drain` op; returns (exit code, stderr).
-    fn drain_and_wait(mut self) -> (Option<i32>, String) {
+    fn drain_and_wait(self) -> (Option<i32>, String) {
         let mut client = self.connect();
         let reply = client.request("{\"op\":\"drain\",\"id\":\"shutdown\"}");
         assert!(reply.contains("\"draining\":\"true\""), "{reply}");
         drop(client);
-        let status = self.child.wait().expect("daemon exits");
-        let mut stderr = String::new();
-        if let Some(mut pipe) = self.stderr.take() {
-            pipe.read_to_string(&mut stderr).expect("stderr");
+        self.wait_for_exit("the daemon did not exit within 60 s of the drain op")
+    }
+
+    /// Wait for the daemon to exit; returns (exit code, stderr). Fails
+    /// with `what` after 60 s, killing the daemon instead of hanging.
+    fn wait_for_exit(self, what: &str) -> (Option<i32>, String) {
+        let Self {
+            mut child, stderr, ..
+        } = self;
+        let pid = child.id().to_string();
+        let (tx, rx) = mpsc::channel();
+        let waiter = std::thread::spawn(move || {
+            // Stderr reaches EOF when the daemon exits; read it first so a
+            // full pipe cannot block the daemon.
+            let mut text = String::new();
+            if let Some(mut pipe) = stderr {
+                pipe.read_to_string(&mut text).expect("stderr");
+            }
+            let status = child.wait().expect("daemon exits");
+            let _ = tx.send((status.code(), text));
+        });
+        let exited = rx.recv_timeout(Duration::from_secs(60));
+        if exited.is_err() {
+            let _ = Command::new("kill").args(["-KILL", &pid]).status();
         }
-        (status.code(), stderr)
+        waiter.join().expect("waiter thread");
+        exited.unwrap_or_else(|_| panic!("{what}"))
     }
 
     fn kill(mut self) {
@@ -336,18 +358,13 @@ fn sigkill_then_resume_serves_byte_identical_results() {
         "replayed rendering must be byte-identical"
     );
 
-    // The adopted job completes shortly after startup and then serves
-    // the same bytes as the one-shot CLI.
+    // The adopted job runs at startup with no client; once it has
+    // completed, its resubmission serves the one-shot CLI's bytes from
+    // cache.
+    wait_for_stats(&mut client, "adopted job never completed", 0, 0, 1);
+    let adopted = client.submit("4", "fig10");
+    assert!(adopted.contains("\"source\":\"cache\""), "{adopted}");
     let expected = jsonl::escape(&reference_output("fig10"));
-    let deadline = Instant::now() + Duration::from_secs(30);
-    let adopted = loop {
-        let reply = client.submit("4", "fig10");
-        if reply.contains("\"status\":\"ok\"") {
-            break reply;
-        }
-        assert!(Instant::now() < deadline, "adopted job never completed");
-        std::thread::sleep(Duration::from_millis(50));
-    };
     assert_eq!(data_field(&adopted), expected, "adopted job re-rendered");
 
     drop(client);
@@ -425,20 +442,15 @@ fn sigterm_drains_gracefully() {
     let mut client = daemon.connect();
     let ok = client.submit("1", "table4");
     assert!(ok.contains("\"status\":\"ok\""), "{ok}");
-    drop(client);
 
+    // The client stays connected and idle: it must not hold up the exit.
     let term = Command::new("kill")
         .args(["-TERM", &daemon.child.id().to_string()])
         .status()
         .expect("kill runs");
     assert!(term.success());
-
-    let mut daemon = daemon;
-    let status = daemon.child.wait().expect("daemon exits");
-    let mut stderr = String::new();
-    if let Some(mut pipe) = daemon.stderr.take() {
-        pipe.read_to_string(&mut stderr).expect("stderr");
-    }
-    assert_eq!(status.code(), Some(0), "{stderr}");
+    let (code, stderr) = daemon.wait_for_exit("the daemon did not exit within 60 s of SIGTERM");
+    drop(client);
+    assert_eq!(code, Some(0), "{stderr}");
     assert!(stderr.contains("serve: 1 accepted"), "{stderr}");
 }
