@@ -181,13 +181,15 @@ mod tests {
     use super::*;
     use crate::platform::{ChipProfile, ComputeUnitSpec, HardwareSpec, TaskProfile};
     use dabench_model::{ModelConfig, Precision};
-    use std::sync::atomic::{AtomicU64 as ProfileCounter, Ordering};
+    use std::sync::atomic::{AtomicU64, Ordering};
 
-    static PROFILES: ProfileCounter = ProfileCounter::new(0);
-
+    /// A chip that counts its own profile calls: tests run in parallel, so
+    /// a counter shared between chips would count other tests' calls too.
+    #[derive(Default)]
     struct CountingChip {
         token: String,
         tflops: f64,
+        profiles: AtomicU64,
     }
 
     impl Platform for CountingChip {
@@ -208,7 +210,7 @@ mod tests {
         }
 
         fn profile(&self, _w: &TrainingWorkload) -> Result<ChipProfile, PlatformError> {
-            PROFILES.fetch_add(1, Ordering::SeqCst);
+            self.profiles.fetch_add(1, Ordering::SeqCst);
             Ok(ChipProfile {
                 unit_usage: vec![("pe".into(), 8, 10)],
                 tasks: vec![TaskProfile::new("k", 1.0, 8.0)],
@@ -236,13 +238,14 @@ mod tests {
         let chip = CountingChip {
             token: "cache-test-hit".into(),
             tflops: 40.0,
+            ..Default::default()
         };
         let w = workload(4);
         let cold = tier1_cached(&chip, &w).unwrap();
         let direct = tier1::run(&chip, &w).unwrap();
-        let profiles_before = PROFILES.load(Ordering::SeqCst);
+        let profiles_before = chip.profiles.load(Ordering::SeqCst);
         let hit = tier1_cached(&chip, &w).unwrap();
-        assert_eq!(PROFILES.load(Ordering::SeqCst), profiles_before);
+        assert_eq!(chip.profiles.load(Ordering::SeqCst), profiles_before);
         assert_eq!(cold, hit);
         assert_eq!(cold, direct);
     }
@@ -252,10 +255,12 @@ mod tests {
         let a = CountingChip {
             token: "cache-test-a".into(),
             tflops: 10.0,
+            ..Default::default()
         };
         let b = CountingChip {
             token: "cache-test-b".into(),
             tflops: 20.0,
+            ..Default::default()
         };
         let w = workload(8);
         let ra = tier1_cached(&a, &w).unwrap();
@@ -269,6 +274,7 @@ mod tests {
         let chip = CountingChip {
             token: "cache-test-workloads".into(),
             tflops: 30.0,
+            ..Default::default()
         };
         let ra = tier1_cached(&chip, &workload(2)).unwrap();
         let rb = tier1_cached(&chip, &workload(16)).unwrap();
@@ -280,6 +286,7 @@ mod tests {
         let chip = CountingChip {
             token: "cache-test-precision".into(),
             tflops: 30.0,
+            ..Default::default()
         };
         let fp16 = workload(4);
         let bf16 = TrainingWorkload::new(ModelConfig::gpt2_probe(768, 2), 4, 512, Precision::Bf16);
@@ -295,6 +302,7 @@ mod tests {
         let chip = CountingChip {
             token: "cache-test-seqlen".into(),
             tflops: 30.0,
+            ..Default::default()
         };
         let short = TrainingWorkload::new(ModelConfig::gpt2_probe(768, 2), 4, 512, Precision::Fp16);
         let long = TrainingWorkload::new(ModelConfig::gpt2_probe(768, 2), 4, 2048, Precision::Fp16);
@@ -317,6 +325,7 @@ mod tests {
         let chip = CountingChip {
             token: "cache-test-default-key".into(),
             tflops: 1.0,
+            ..Default::default()
         };
         assert_eq!(chip.cache_key(), CacheKey::of_token(&chip.cache_token()));
     }
@@ -326,6 +335,7 @@ mod tests {
         let chip = CountingChip {
             token: "cache-test-stats".into(),
             tflops: 5.0,
+            ..Default::default()
         };
         let w = workload(32);
         let before = cache_stats();

@@ -174,10 +174,12 @@ fn make_body(name: &str) -> Box<dyn FnMut()> {
             })
         }
         "graph_build_interned" => {
-            // Cold construction of the interned arena graph for the deep
-            // 72-layer workload: one interner, contiguous node/edge
-            // storage, CSR adjacency — no memoization in the loop (the
-            // compile cache is bypassed by calling the builder directly).
+            // Cold construction of the full-depth interned arena graph for
+            // the deep 72-layer workload: one interner, contiguous
+            // node/edge storage, CSR adjacency — no memoization in the loop
+            // (the compile cache is bypassed by calling the builder
+            // directly). This is the reference graph
+            // `DABENCH_NO_INCREMENTAL=1` builds and reduces to its template.
             let w = deep_compile_workload();
             Box::new(move || {
                 black_box(crate::graph::GraphBuilder::for_workload(&w));
@@ -185,11 +187,11 @@ fn make_body(name: &str) -> Box<dyn FnMut()> {
         }
         "sweep_incremental_compile" => {
             // A 16-point batch-size sweep compiled through the incremental
-            // cache: the body clears the compile cache, pays one full
-            // build, then 15 diff-and-patch recompilations (same topology,
-            // costs patched in place). This is the sweep-side win of the
-            // interned-graph rework; compare against `graph_build_interned`
-            // × 16 for the non-incremental cost.
+            // cache: the body clears the compile cache, pays one template
+            // build, then 15 template patches (the fixed operators and
+            // layer 0 re-costed, the summary replayed over all 72 layers).
+            // This is the sweep-side win of the template graph; compare
+            // against `graph_build_interned` × 16 for the full-depth cost.
             let points: Vec<TrainingWorkload> = (1..=16)
                 .map(|i| {
                     TrainingWorkload::new(

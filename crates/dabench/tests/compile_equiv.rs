@@ -92,8 +92,9 @@ fn inference_and_generated_sweeps_are_identical() {
 #[test]
 fn populations_that_revisit_topologies_are_identical_at_any_jobs() {
     // Baby's 8 scenarios never return to an earlier layer count; these
-    // populations do, so later scenarios patch from per-topology bases
-    // in whatever order the workers reach them.
+    // populations do, and every scenario after the first of its model
+    // family patches across depths from one basis, in whatever order the
+    // workers reach them.
     for population in [
         ["gen", "--tier", "hard", "--count", "48"],
         ["gen", "--tier", "cosmic", "--count", "32"],

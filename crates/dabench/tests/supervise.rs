@@ -126,6 +126,27 @@ fn resume_after_partial_run_is_byte_identical() {
     }
 }
 
+/// A journal lists records in the order points complete, so at `--jobs`
+/// above 1 its bytes can differ between runs of one command; its lines,
+/// sorted, equal those of a `--jobs 1` journal.
+#[test]
+fn journals_hold_the_same_lines_at_any_jobs() {
+    let sorted_journal = |jobs: &str| {
+        let dir = temp_dir(&format!("lines-j{jobs}"));
+        let dir_s = dir.to_str().expect("utf-8 temp path");
+        let r = run(&["all", "--run-dir", dir_s, "--jobs", jobs], None);
+        assert_eq!(r.code, Some(0), "{}", r.stderr);
+        let text = std::fs::read_to_string(dir.join("journal.jsonl")).expect("journal written");
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut lines: Vec<String> = text.lines().map(str::to_owned).collect();
+        lines.sort();
+        lines
+    };
+    let one = sorted_journal("1");
+    assert_eq!(one.len(), 12, "header and 11 points");
+    assert_eq!(sorted_journal("2"), one);
+}
+
 #[test]
 fn truncated_trailing_journal_line_is_reported_and_healed() {
     let dir = temp_dir("truncated");

@@ -1,6 +1,6 @@
 //! Construction of training-step dataflow graphs.
 
-use crate::graph::DataflowGraph;
+use crate::graph::{DataflowGraph, Nodes};
 use crate::intern::Interner;
 use dabench_model::ops::{self, Phase};
 use dabench_model::{ModelConfig, TrainingWorkload};
@@ -60,24 +60,12 @@ impl GraphBuilder {
         let records = ops::step_records(cfg, batch, seq);
         let n = records.len();
 
-        // Intern every name in node order. All names are distinct, so the
-        // interner assigns `Symbol(i)` to node `i` — name lookups during
-        // edge construction resolve straight to node indices.
-        let mut interner = Interner::with_capacity(n, 18);
-        let mut names = Vec::with_capacity(n);
-        let mut classes = Vec::with_capacity(n);
-        let mut phases = Vec::with_capacity(n);
-        let mut layers = Vec::with_capacity(n);
-        let mut costs = Vec::with_capacity(n);
+        // Every name is interned in node order and all are distinct, so
+        // name lookups during edge construction resolve straight to node
+        // indices.
+        let nodes = Nodes::of_records(&records);
+        let (interner, names) = (&nodes.interner, &nodes.names);
         let mut buf = String::new();
-        for r in &records {
-            r.write_name(&mut buf);
-            names.push(interner.intern(&buf));
-            classes.push(r.class);
-            phases.push(r.phase);
-            layers.push(r.layer);
-            costs.push(r.cost);
-        }
 
         // Record layout of `step_records`: forward ops 0..f, then the
         // backward ops as the forward list reversed (f..2f), then the
@@ -101,7 +89,7 @@ impl GraphBuilder {
         debug_assert_eq!(interner.resolve(names[0]), "embedding.fwd");
         for l in 0..cfg.num_layers {
             let block_in = prev_out;
-            let norm1 = layer_at(&interner, &mut buf, l, "norm1");
+            let norm1 = layer_at(interner, &mut buf, l, "norm1");
             edges.push((block_in, norm1));
             let mut cur = norm1;
             for label in [
@@ -112,30 +100,30 @@ impl GraphBuilder {
                 "attn_context",
                 "out_proj",
             ] {
-                if let Some(next) = layer_get(&interner, &mut buf, l, label) {
+                if let Some(next) = layer_get(interner, &mut buf, l, label) {
                     edges.push((cur, next));
                     cur = next;
                 }
             }
             // residual1 <- out_proj + skip from block input.
-            let resid1 = layer_at(&interner, &mut buf, l, "residual1");
+            let resid1 = layer_at(interner, &mut buf, l, "residual1");
             edges.push((cur, resid1));
             edges.push((block_in, resid1));
 
-            let norm2 = layer_at(&interner, &mut buf, l, "norm2");
+            let norm2 = layer_at(interner, &mut buf, l, "norm2");
             edges.push((resid1, norm2));
             // MLP: up (and gate) feed the activation, activation feeds down.
-            let mlp_up = layer_at(&interner, &mut buf, l, "mlp_up");
+            let mlp_up = layer_at(interner, &mut buf, l, "mlp_up");
             edges.push((norm2, mlp_up));
-            let act = layer_at(&interner, &mut buf, l, "act_fn");
+            let act = layer_at(interner, &mut buf, l, "act_fn");
             edges.push((mlp_up, act));
-            if let Some(gate) = layer_get(&interner, &mut buf, l, "mlp_gate") {
+            if let Some(gate) = layer_get(interner, &mut buf, l, "mlp_gate") {
                 edges.push((norm2, gate));
                 edges.push((gate, act));
             }
-            let mlp_down = layer_at(&interner, &mut buf, l, "mlp_down");
+            let mlp_down = layer_at(interner, &mut buf, l, "mlp_down");
             edges.push((act, mlp_down));
-            let resid2 = layer_at(&interner, &mut buf, l, "residual2");
+            let resid2 = layer_at(interner, &mut buf, l, "residual2");
             edges.push((mlp_down, resid2));
             edges.push((resid1, resid2));
             prev_out = resid2;
@@ -169,8 +157,7 @@ impl GraphBuilder {
         edges.sort_unstable();
         edges.dedup();
 
-        DataflowGraph::from_interned(interner, names, classes, phases, layers, costs, &edges)
-            .expect("builder produced invalid graph")
+        DataflowGraph::from_interned(nodes, &edges).expect("builder produced invalid graph")
     }
 
     /// Build the graph for a [`TrainingWorkload`].
@@ -244,26 +231,6 @@ mod tests {
         let sources: Vec<_> = g.node_ids().filter(|&id| g.preds(id).is_empty()).collect();
         assert_eq!(sources.len(), 1);
         assert_eq!(g.op(sources[0]).name(), "embedding.fwd");
-    }
-
-    #[test]
-    fn template_nodes_are_the_fixed_ops_and_layer_0() {
-        for cfg in [
-            ModelConfig::gpt2_probe(768, 3),
-            ModelConfig::llama2_probe(512, 1),
-        ] {
-            let g = GraphBuilder::training_step(&cfg, 2, 128);
-            let want: Vec<_> = g
-                .iter()
-                .filter(|(_, op)| matches!(op.layer(), None | Some(0)))
-                .map(|(id, _)| id)
-                .collect();
-            let got: Vec<_> = g.template_nodes().map(|op| op.id()).collect();
-            assert_eq!(got, want, "{}", cfg.name);
-            // The patch path shares the index with its basis.
-            let patched = g.with_costs(g.iter().map(|(_, op)| op.cost()).collect());
-            assert!(patched.template_nodes().map(|op| op.id()).eq(got));
-        }
     }
 
     #[test]

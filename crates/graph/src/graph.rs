@@ -8,7 +8,7 @@
 //! copying its structure (see [`DataflowGraph::with_costs`]).
 
 use crate::intern::{Interner, Symbol};
-use dabench_model::ops::{Op, OpClass, OpCost, Phase};
+use dabench_model::ops::{self, Op, OpClass, OpCost, OpRecord, Phase};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::error::Error;
@@ -58,7 +58,7 @@ impl Error for GraphError {}
 /// Whole-step aggregate costs, accumulated once at graph construction in
 /// node order (so floating-point sums are bitwise reproducible) and read
 /// by the platform compilers instead of re-walking the operator list.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct StepSummary {
     /// FLOPs over all nodes.
     pub total_flops: f64,
@@ -91,9 +91,6 @@ struct Topology {
     /// For each backward node, the id of its forward twin (same operator,
     /// `.fwd` suffix); `None` for forward/update nodes.
     fwd_twin: Vec<Option<NodeId>>,
-    /// Nodes outside every decoder layer plus those of layer 0, in node
-    /// order (see [`DataflowGraph::template_nodes`]).
-    template: Vec<usize>,
 }
 
 /// Borrowed view of one node: identity plus cost, resolved on demand.
@@ -205,14 +202,7 @@ fn summarize(
     layers: &[Option<u64>],
     costs: &[OpCost],
 ) -> StepSummary {
-    let mut s = StepSummary {
-        total_flops: 0.0,
-        layer_flops: 0.0,
-        layer0_forward_flops: 0.0,
-        layer0_forward_out_elems: 0,
-        forward_out_elems: 0,
-        forward_out_elems_no_attn_internal: 0,
-    };
+    let mut s = StepSummary::default();
     for i in 0..costs.len() {
         let c = costs[i];
         s.total_flops += c.flops;
@@ -221,7 +211,7 @@ fn summarize(
         }
         if phases[i] == Phase::Forward {
             s.forward_out_elems += c.out_elems;
-            if !matches!(classes[i], OpClass::AttnScores | OpClass::Softmax) {
+            if !is_attention_internal(classes[i]) {
                 s.forward_out_elems_no_attn_internal += c.out_elems;
             }
             if layers[i] == Some(0) {
@@ -233,6 +223,58 @@ fn summarize(
     s
 }
 
+/// Attention-internal tensors (scores and softmax probabilities), which
+/// a fused executor does not keep.
+fn is_attention_internal(class: OpClass) -> bool {
+    matches!(class, OpClass::AttnScores | OpClass::Softmax)
+}
+
+/// A graph's nodes in arena form, in node order, names interned:
+/// everything about a graph but its edges.
+#[derive(Debug)]
+pub(crate) struct Nodes {
+    pub(crate) interner: Interner,
+    pub(crate) names: Vec<Symbol>,
+    classes: Vec<OpClass>,
+    phases: Vec<Phase>,
+    layers: Vec<Option<u64>>,
+    costs: Vec<OpCost>,
+}
+
+impl Nodes {
+    fn with_capacity(n: usize, avg_name_len: usize) -> Self {
+        Self {
+            interner: Interner::with_capacity(n, avg_name_len),
+            names: Vec::with_capacity(n),
+            classes: Vec::with_capacity(n),
+            phases: Vec::with_capacity(n),
+            layers: Vec::with_capacity(n),
+            costs: Vec::with_capacity(n),
+        }
+    }
+
+    fn push(&mut self, name: &str, class: OpClass, phase: Phase, layer: Option<u64>, cost: OpCost) {
+        self.names.push(self.interner.intern(name));
+        self.classes.push(class);
+        self.phases.push(phase);
+        self.layers.push(layer);
+        self.costs.push(cost);
+    }
+
+    /// The nodes of `records`, each name rendered once through a reused
+    /// buffer: no per-node `String` ever exists. All names of a step are
+    /// distinct, so the interner assigns `Symbol(i)` to node `i`.
+    pub(crate) fn of_records(records: &[OpRecord]) -> Self {
+        let mut nodes = Self::with_capacity(records.len(), 18);
+        let mut buf = String::new();
+        for r in records {
+            r.write_name(&mut buf);
+            nodes.push(&buf, r.class, r.phase, r.layer, r.cost);
+        }
+        nodes
+    }
+}
+
 impl DataflowGraph {
     /// Build a graph from node payloads and (producer, consumer) edges.
     ///
@@ -241,43 +283,36 @@ impl DataflowGraph {
     /// Returns [`GraphError::InvalidNode`] if an edge endpoint is out of
     /// range and [`GraphError::DuplicateName`] if node names collide.
     pub fn from_parts(nodes: Vec<Op>, edges: &[(usize, usize)]) -> Result<Self, GraphError> {
-        let n = nodes.len();
-        let mut interner = Interner::with_capacity(n, 16);
-        let mut names = Vec::with_capacity(n);
-        let mut classes = Vec::with_capacity(n);
-        let mut phases = Vec::with_capacity(n);
-        let mut layers = Vec::with_capacity(n);
-        let mut costs = Vec::with_capacity(n);
+        let mut arena = Nodes::with_capacity(nodes.len(), 16);
         for op in &nodes {
-            names.push(interner.intern(&op.name));
-            classes.push(op.class);
-            phases.push(op.phase);
-            layers.push(op.layer);
-            costs.push(OpCost {
+            let cost = OpCost {
                 flops: op.flops,
                 params: op.params,
                 in_elems: op.in_elems,
                 out_elems: op.out_elems,
-            });
+            };
+            arena.push(&op.name, op.class, op.phase, op.layer, cost);
         }
-        Self::from_interned(interner, names, classes, phases, layers, costs, edges)
+        Self::from_interned(arena, edges)
     }
 
-    /// Build a graph directly from interned arenas (the builder fast path:
-    /// no per-node `String` ever exists).
+    /// Build a graph directly from interned arenas (the builder fast path).
     ///
     /// # Errors
     ///
     /// Same contract as [`DataflowGraph::from_parts`].
     pub(crate) fn from_interned(
-        interner: Interner,
-        names: Vec<Symbol>,
-        classes: Vec<OpClass>,
-        phases: Vec<Phase>,
-        layers: Vec<Option<u64>>,
-        costs: Vec<OpCost>,
+        nodes: Nodes,
         edges: &[(usize, usize)],
     ) -> Result<Self, GraphError> {
+        let Nodes {
+            interner,
+            names,
+            classes,
+            phases,
+            layers,
+            costs,
+        } = nodes;
         let n = names.len();
         let mut index = HashMap::with_capacity(n);
         for (i, &sym) in names.iter().enumerate() {
@@ -339,9 +374,6 @@ impl DataflowGraph {
                     .and_then(|s| index.get(&s).copied().map(NodeId))
             })
             .collect();
-        let template: Vec<usize> = (0..n)
-            .filter(|&i| matches!(layers[i], None | Some(0)))
-            .collect();
         let summary = summarize(&classes, &phases, &layers, &costs);
         Ok(Self {
             topo: Arc::new(Topology {
@@ -356,7 +388,6 @@ impl DataflowGraph {
                 succ_off,
                 succ_adj,
                 fwd_twin,
-                template,
             }),
             costs,
             summary,
@@ -404,10 +435,48 @@ impl DataflowGraph {
         &self.summary
     }
 
-    /// Number of distinct interned names backing this graph.
-    #[must_use]
-    pub fn interned_symbol_count(&self) -> usize {
-        self.topo.interner.len()
+    /// The summary of the `layers`-deep step whose template this graph
+    /// holds (see [`crate::TemplateGraph`]), equal bit for bit to the one
+    /// the full-depth graph sums node by node.
+    pub(crate) fn replay_summary(&self, layers: u64) -> StepSummary {
+        let t = &self.topo;
+        let mut s = StepSummary::default();
+        // Whole numbers sum exactly in any order, so each layer-0 node
+        // counts once per layer. Layer 0's forward FLOPs are added once
+        // each, in node order, as the full graph adds them.
+        for (i, c) in self.costs.iter().enumerate() {
+            if t.phases[i] != Phase::Forward {
+                continue;
+            }
+            let copies = if t.layers[i].is_some() { layers } else { 1 };
+            s.forward_out_elems += copies * c.out_elems;
+            if !is_attention_internal(t.classes[i]) {
+                s.forward_out_elems_no_attn_internal += copies * c.out_elems;
+            }
+            if t.layers[i] == Some(0) {
+                s.layer0_forward_flops += c.flops;
+                s.layer0_forward_out_elems += c.out_elems;
+            }
+        }
+        // Float sums round at every addition, so they replay the step's
+        // node order and add each layer copy's FLOPs one at a time; a
+        // `copies × value` product rounds once and differs in the last
+        // bits.
+        let layer_ops = (self.node_count() - ops::FIXED_OPS) / 2;
+        for (run, layer) in ops::step_runs(layer_ops, layers) {
+            let costs = &self.costs[run];
+            if layer.is_some() {
+                for c in costs {
+                    s.total_flops += c.flops;
+                    s.layer_flops += c.flops;
+                }
+            } else {
+                for c in costs {
+                    s.total_flops += c.flops;
+                }
+            }
+        }
+        s
     }
 
     /// The forward twin of a backward node (`l0.qkv_proj.bwd` →
@@ -448,14 +517,6 @@ impl DataflowGraph {
     /// Iterate over `(id, node)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (NodeId, NodeRef<'_>)> {
         (0..self.node_count()).map(|i| (NodeId(i), NodeRef { g: self, i }))
-    }
-
-    /// The nodes outside every decoder layer plus those of decoder layer
-    /// 0, in node order. Every decoder layer repeats layer 0's operators,
-    /// so this is the per-layer template together with the step's fixed
-    /// operators, and walking it costs the same at any depth.
-    pub fn template_nodes(&self) -> impl Iterator<Item = NodeRef<'_>> {
-        self.topo.template.iter().map(|&i| NodeRef { g: self, i })
     }
 
     /// Predecessors (producers) of `id`.
@@ -709,11 +770,5 @@ mod tests {
         let g = DataflowGraph::from_parts(vec![a, b], &[(0, 1)]).unwrap();
         assert_eq!(g.forward_twin(NodeId(1)), Some(NodeId(0)));
         assert_eq!(g.forward_twin(NodeId(0)), None);
-    }
-
-    #[test]
-    fn interned_symbol_count_tracks_names() {
-        let g = diamond();
-        assert_eq!(g.interned_symbol_count(), 4);
     }
 }

@@ -15,8 +15,11 @@
 //!   through the [`NodeRef`] view. The shared topology can be re-costed
 //!   cheaply ([`DataflowGraph::with_costs`]) for incremental
 //!   recompilation across sweep points.
-//! - [`GraphBuilder`]: constructs the training-step graph of a model from
-//!   allocation-free operator records.
+//! - [`GraphBuilder`]: constructs the full-depth training-step graph of a
+//!   model from allocation-free operator records.
+//! - [`TemplateGraph`]: a training step held as its template, the fixed
+//!   operators and decoder layer 0, with the layer count and the
+//!   full-depth summary. This is what the platform compilers read.
 //! - [`intern`]: the symbol table behind every node name.
 //! - [`partition`]: reusable contiguous/weighted partitioning utilities used
 //!   by the platform compilers.
@@ -44,7 +47,9 @@ mod builder;
 mod graph;
 pub mod intern;
 pub mod partition;
+mod template;
 
 pub use builder::GraphBuilder;
 pub use graph::{DataflowGraph, GraphError, NodeId, NodeRef, StepSummary};
 pub use intern::{Interner, Symbol};
+pub use template::TemplateGraph;

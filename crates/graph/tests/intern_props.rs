@@ -1,14 +1,15 @@
 //! Seeded property tests for the interned-symbol table and the arena
 //! graph: round-trips, dedup, no collisions, builder-vs-catalogue
-//! equivalence, and the cost-patch primitive that backs incremental sweep
-//! recompilation.
+//! equivalence, and the template graph and its cost patch, which back
+//! incremental sweep recompilation, pinned bit for bit against the
+//! full-depth build.
 //!
 //! Generators draw from the seeded [`SplitMix64`]: every case reproduces
 //! from the printed seed.
 
 use dabench_core::gen::{self, Tier};
-use dabench_core::SplitMix64;
-use dabench_graph::{DataflowGraph, GraphBuilder, Interner};
+use dabench_core::{training_graph, SplitMix64};
+use dabench_graph::{DataflowGraph, GraphBuilder, Interner, TemplateGraph};
 use dabench_model::ops::{self, Phase};
 use dabench_model::{Activation, ModelConfig, PositionalEncoding, Precision, TrainingWorkload};
 use std::collections::BTreeMap;
@@ -156,41 +157,133 @@ fn arena_graph_matches_op_catalogue_for_random_workloads() {
     }
 }
 
-/// Bitwise graph equality: same topology object semantics are not required
-/// (a fresh build owns a fresh interner), but every observable — names,
-/// costs, edges, summary — must match exactly.
-fn assert_graphs_identical(a: &DataflowGraph, b: &DataflowGraph, ctx: &str) {
-    assert_eq!(a.node_count(), b.node_count(), "{ctx}: node count");
-    assert_eq!(a.edge_count(), b.edge_count(), "{ctx}: edge count");
-    for (id, na) in a.iter() {
-        let nb = b.op(id);
-        assert_eq!(na.name(), nb.name(), "{ctx}: {id}");
-        assert!(
-            na.flops() == nb.flops()
-                && na.params() == nb.params()
-                && na.in_elems() == nb.in_elems()
-                && na.out_elems() == nb.out_elems(),
-            "{ctx}: cost mismatch at {id}"
+fn same_bits(got: f64, want: f64, ctx: &str, what: &str) {
+    assert_eq!(
+        got.to_bits(),
+        want.to_bits(),
+        "{ctx}: {what} {got} vs {want}"
+    );
+}
+
+/// `t` is the template of the full-depth graph `full`, bit for bit: its
+/// nodes are `full`'s fixed operators and decoder layer 0, in node order,
+/// with the same name, class, phase, layer, cost, forward twin and `find`
+/// result, and its summary equals the one `full` summed node by node.
+fn assert_template_of(t: &TemplateGraph, full: &DataflowGraph, ctx: &str) {
+    let want: Vec<_> = full
+        .iter()
+        .filter(|(_, op)| matches!(op.layer(), None | Some(0)))
+        .map(|(_, op)| op)
+        .collect();
+    assert_eq!(
+        t.template_nodes().count(),
+        want.len(),
+        "{ctx}: template size"
+    );
+    assert_eq!(t.node_count(), full.node_count(), "{ctx}: full-depth count");
+    for (got, want) in t.template_nodes().zip(&want) {
+        let name = want.name();
+        assert_eq!(got.name(), name, "{ctx}");
+        assert_eq!(got.class(), want.class(), "{ctx}: {name}");
+        assert_eq!(got.phase(), want.phase(), "{ctx}: {name}");
+        assert_eq!(got.layer(), want.layer(), "{ctx}: {name}");
+        same_bits(got.flops(), want.flops(), ctx, name);
+        assert_eq!(got.cost(), want.cost(), "{ctx}: {name}");
+        assert_eq!(t.find(name), Some(got.id()), "{ctx}: find {name}");
+        assert_eq!(
+            t.forward_twin(got.id()).map(|id| t.op(id).name()),
+            full.forward_twin(want.id()).map(|id| full.op(id).name()),
+            "{ctx}: twin of {name}"
         );
-        assert_eq!(a.preds(id), b.preds(id), "{ctx}: preds of {id}");
-        assert_eq!(a.succs(id), b.succs(id), "{ctx}: succs of {id}");
     }
-    let (sa, sb) = (a.summary(), b.summary());
-    assert!(
-        sa.total_flops == sb.total_flops
-            && sa.layer_flops == sb.layer_flops
-            && sa.layer0_forward_flops == sb.layer0_forward_flops,
-        "{ctx}: summary mismatch"
-    );
-    assert_eq!(sa.forward_out_elems, sb.forward_out_elems, "{ctx}");
-    assert_eq!(
-        sa.forward_out_elems_no_attn_internal, sb.forward_out_elems_no_attn_internal,
-        "{ctx}"
+    let (s, r) = (t.summary(), full.summary());
+    same_bits(s.total_flops, r.total_flops, ctx, "total_flops");
+    same_bits(s.layer_flops, r.layer_flops, ctx, "layer_flops");
+    same_bits(
+        s.layer0_forward_flops,
+        r.layer0_forward_flops,
+        ctx,
+        "layer0_fwd",
     );
     assert_eq!(
-        sa.layer0_forward_out_elems, sb.layer0_forward_out_elems,
+        s.layer0_forward_out_elems, r.layer0_forward_out_elems,
         "{ctx}"
     );
+    assert_eq!(s.forward_out_elems, r.forward_out_elems, "{ctx}");
+    assert_eq!(
+        s.forward_out_elems_no_attn_internal, r.forward_out_elems_no_attn_internal,
+        "{ctx}"
+    );
+}
+
+/// The template of `w`, built from scratch.
+fn template_of(w: &TrainingWorkload) -> ops::StepTemplate {
+    ops::step_template(w.model(), w.batch_size(), w.seq_len())
+}
+
+/// Workloads of every `gen` tier menu, both families, and the paper's
+/// (Table I's layer sweep up to its 72- and 78-layer probes, the RDU and
+/// IPU probes, LLaMA-2 7B and GPT-2 XL), plus two odd-shaped ones.
+fn reference_workloads() -> Vec<TrainingWorkload> {
+    let mut ws: Vec<TrainingWorkload> = Tier::ALL
+        .into_iter()
+        .flat_map(|tier| (0..48).map(move |i| gen::sample(tier, 0x5EED_0005, i)))
+        .map(|s| s.training_workload())
+        .collect();
+    let paper = [
+        (ModelConfig::gpt2_probe(480, 12), 8, 1024, Precision::Fp16),
+        (ModelConfig::gpt2_probe(1600, 12), 8, 1024, Precision::Fp16),
+        (ModelConfig::llama2_probe(8192, 4), 4, 2048, Precision::Bf16),
+        (ModelConfig::gpt2_probe(768, 10), 64, 1024, Precision::Fp16),
+        (ModelConfig::llama2_7b(), 8, 4096, Precision::Bf16),
+        (ModelConfig::gpt2_xl(), 16, 1024, Precision::Fp16),
+        // The menus' power-of-two dimensions keep every FLOP sum exact.
+        // Odd ones take the sums past 2^53 with low bits set, so they
+        // round, and adding each layer copy differs from multiplying by
+        // the copies.
+        (
+            ModelConfig::gpt2_probe(1599, 96),
+            255,
+            4095,
+            Precision::Fp32,
+        ),
+        (
+            ModelConfig::llama2_probe(8191, 79),
+            3,
+            2047,
+            Precision::Fp16,
+        ),
+    ];
+    let table1 = [1, 6, 12, 24, 48, 72, 78].map(|layers| {
+        (
+            ModelConfig::gpt2_probe(768, layers),
+            256,
+            1024,
+            Precision::Fp16,
+        )
+    });
+    for (model, batch, seq, precision) in table1.into_iter().chain(paper) {
+        ws.push(TrainingWorkload::new(model, batch, seq, precision));
+    }
+    ws
+}
+
+#[test]
+fn template_graph_matches_the_full_depth_build_bit_for_bit() {
+    let workloads = reference_workloads();
+    let family = |w: &TrainingWorkload| w.model().activation == Activation::SwiGlu;
+    assert!(workloads.iter().any(family) && !workloads.iter().all(family));
+    assert!(workloads.iter().any(|w| w.model().num_layers == 72));
+    for w in &workloads {
+        let full = GraphBuilder::for_workload(w);
+        let ctx = format!("{} B={} S={}", w.model().name, w.batch_size(), w.seq_len());
+        // Built from the template, reduced from the full graph, and
+        // through the compile cache, which patches every scenario after
+        // the first of its model family.
+        assert_template_of(&TemplateGraph::new(&template_of(w)), &full, &ctx);
+        assert_template_of(&TemplateGraph::from_full(&full), &full, &ctx);
+        assert_template_of(&training_graph(w), &full, &ctx);
+    }
 }
 
 #[test]
@@ -199,16 +292,14 @@ fn cost_patch_equals_rebuild_from_scratch_on_random_deltas() {
     for trial in 0..40 {
         let base = random_workload(&mut rng);
         // A topology-preserving delta: batch and/or sequence change, the
-        // (family, layers) shape stays — exactly the adjacent-sweep-point
-        // case the incremental compile cache patches.
+        // (family, layers) shape stays — the adjacent-sweep-point case
+        // the incremental compile cache patches.
         let batch = 1 + rng.below(32);
         let seq = pick(&mut rng, &[128u64, 256, 512]);
         let next = TrainingWorkload::new(base.model().clone(), batch, seq, base.precision());
 
-        let base_graph = GraphBuilder::for_workload(&base);
-        let fresh = GraphBuilder::for_workload(&next);
-        let costs = ops::step_costs(next.model(), next.batch_size(), next.seq_len());
-        let patched = base_graph.with_costs(costs);
+        let base_graph = TemplateGraph::new(&template_of(&base));
+        let patched = base_graph.patch(&template_of(&next));
 
         // The patch shares the base topology (no re-interning) yet is
         // observably identical to a from-scratch rebuild.
@@ -216,23 +307,22 @@ fn cost_patch_equals_rebuild_from_scratch_on_random_deltas() {
             patched.shares_topology(&base_graph),
             "trial {trial}: patch re-allocated topology"
         );
-        assert_graphs_identical(&patched, &fresh, &format!("trial {trial}"));
+        let fresh = GraphBuilder::for_workload(&next);
+        assert_template_of(&patched, &fresh, &format!("trial {trial}"));
     }
 }
 
-/// Every `gen` tier's training workloads, grouped by topology triple
-/// (layers, rotary positions, gated MLP): within a group, hidden size,
-/// heads, GQA vs MHA KV heads, FFN width, batch, sequence length and
-/// precision vary as the tier menus draw them, across tiers where their
-/// layer ranges overlap.
-fn gen_topology_groups() -> BTreeMap<(u64, bool, bool), Vec<(Tier, TrainingWorkload)>> {
+/// Every `gen` tier's training workloads, grouped by template shape
+/// (rotary positions, gated MLP): within a group, layer count, hidden
+/// size, heads, GQA vs MHA KV heads, FFN width, batch, sequence length
+/// and precision vary as the tier menus draw them, across tiers.
+fn gen_template_groups() -> BTreeMap<(bool, bool), Vec<(Tier, TrainingWorkload)>> {
     let mut groups: BTreeMap<_, Vec<_>> = BTreeMap::new();
     for tier in Tier::ALL {
         for index in 0..64 {
             let w = gen::sample(tier, 0x5EED_0003, index).training_workload();
             let m = w.model();
             let key = (
-                m.num_layers,
                 m.positional == PositionalEncoding::Rotary,
                 m.activation == Activation::SwiGlu,
             );
@@ -244,7 +334,7 @@ fn gen_topology_groups() -> BTreeMap<(u64, bool, bool), Vec<(Tier, TrainingWorkl
 
 #[test]
 fn patch_from_any_same_topology_basis_equals_a_fresh_build() {
-    let groups: Vec<_> = gen_topology_groups()
+    let groups: Vec<_> = gen_template_groups()
         .into_values()
         .filter(|g| g.len() >= 2)
         .collect();
@@ -254,6 +344,7 @@ fn patch_from_any_same_topology_basis_equals_a_fresh_build() {
     ];
     let mut rng = SplitMix64::new(0x5EED_0004);
     let (mut cross_tier, mut gqa_vs_mha, mut new_hidden, mut new_vocab) = (0, 0, 0, 0);
+    let mut new_depth = 0;
     for trial in 0..64 {
         let group = &groups[rng.below(groups.len() as u64) as usize];
         let i = rng.below(group.len() as u64) as usize;
@@ -261,7 +352,7 @@ fn patch_from_any_same_topology_basis_equals_a_fresh_build() {
         let (basis_tier, basis) = &group[i];
         let (target_tier, target) = &group[j];
         // The tier menus tie vocab to the family; redraw it for half the
-        // targets so vocab varies within a topology too.
+        // targets so vocab varies within a template shape too.
         let target = if rng.below(2) == 0 {
             let model = ModelConfig {
                 vocab_size: pick(&mut rng, &vocabs),
@@ -282,20 +373,21 @@ fn patch_from_any_same_topology_basis_equals_a_fresh_build() {
             usize::from((bm.num_kv_heads < bm.num_heads) != (tm.num_kv_heads < tm.num_heads));
         new_hidden += usize::from(bm.hidden_size != tm.hidden_size);
         new_vocab += usize::from(bm.vocab_size != tm.vocab_size);
+        new_depth += usize::from(bm.num_layers != tm.num_layers);
 
-        let base_graph = GraphBuilder::for_workload(basis);
-        let costs = ops::step_costs(tm, target.batch_size(), target.seq_len());
-        let patched = base_graph.with_costs(costs);
+        let base_graph = TemplateGraph::new(&template_of(basis));
+        let patched = base_graph.patch(&template_of(&target));
         assert!(
             patched.shares_topology(&base_graph),
             "trial {trial}: patch re-allocated topology"
         );
         let ctx = format!("trial {trial}: {} from {}", tm.name, bm.name);
-        assert_graphs_identical(&patched, &GraphBuilder::for_workload(&target), &ctx);
+        assert_template_of(&patched, &GraphBuilder::for_workload(&target), &ctx);
     }
     // The draw must reach the pairs the single-model deltas above cannot.
     assert!(cross_tier > 0, "no cross-tier pair drawn");
     assert!(gqa_vs_mha > 0, "no GQA-vs-MHA pair drawn");
     assert!(new_hidden > 0, "no hidden-size change drawn");
     assert!(new_vocab > 0, "no vocab change drawn");
+    assert!(new_depth > 0, "no layer-count change drawn");
 }

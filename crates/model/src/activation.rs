@@ -34,27 +34,29 @@ pub struct ActivationMemory {
 impl ActivationMemory {
     /// Compute activation memory for one training step of `cfg` at the
     /// given batch size, sequence length and element precision.
+    ///
+    /// Read off the [`ops::StepTemplate`]: every decoder layer repeats
+    /// layer 0, and all three sums are whole numbers, so the fixed
+    /// operators plus `L` copies of layer 0 give them exactly.
     #[must_use]
     pub fn for_step(cfg: &ModelConfig, batch: u64, seq: u64, precision: Precision) -> Self {
-        let step = ops::step_records(cfg, batch, seq);
+        let template = ops::step_template(cfg, batch, seq);
+        let records = template.records();
         let elem = precision.bytes_per_element();
-        let stored: u64 = step
-            .iter()
-            .filter(|r| r.phase == Phase::Forward)
-            .map(|r| r.cost.out_elems)
-            .sum();
-        let peak: u64 = step
+        let (mut fixed, mut layer0) = (0u64, 0u64);
+        for r in records.iter().filter(|r| r.phase == Phase::Forward) {
+            match r.layer {
+                Some(_) => layer0 += r.cost.out_elems,
+                None => fixed += r.cost.out_elems,
+            }
+        }
+        let peak: u64 = records
             .iter()
             .map(|r| r.cost.out_elems.max(r.cost.in_elems))
             .max()
             .unwrap_or(0);
-        let layer0: u64 = step
-            .iter()
-            .filter(|r| r.phase == Phase::Forward && r.layer == Some(0))
-            .map(|r| r.cost.out_elems)
-            .sum();
         Self {
-            stored_bytes: stored * elem,
+            stored_bytes: (fixed + template.layers() * layer0) * elem,
             peak_working_bytes: peak * elem,
             per_layer_bytes: layer0 * elem,
         }

@@ -355,26 +355,39 @@ impl InferenceWorkload {
     }
 
     /// Total cost of the full decode phase (summed over steps).
+    ///
+    /// Bitwise equal to summing [`InferenceWorkload::decode_step_cost`]
+    /// over the steps: the terms that do not depend on the context are
+    /// computed once, with each product in the same association, and
+    /// every step still adds its own copy of them.
     #[must_use]
     pub fn decode_cost(&self) -> PhaseCost {
-        let mut flops = 0.0;
-        let mut wb = 0.0;
-        let mut kv_read = 0.0;
-        let mut kv_write = 0.0;
+        let p = self.model.parameter_count() as f64;
+        let b = self.batch_size as f64;
+        let h = self.model.hidden_size as f64;
+        let layers = self.model.num_layers as f64;
+        let weight_flops = 2.0 * p * b;
+        let attn_per_ctx = 4.0 * b;
+        let wb = p * self.precision.bytes_per_element() as f64;
+        // `kv_cache_bytes_per_seq(ctx)` is `ctx` times this, exactly.
+        let kv_per_pos = self.kv_cache_bytes_per_seq(1);
+        let kv_write = b * kv_per_pos as f64;
+        let mut sum = PhaseCost {
+            flops: 0.0,
+            weight_bytes: 0.0,
+            kv_read_bytes: 0.0,
+            kv_write_bytes: 0.0,
+            intensity: 0.0,
+        };
         for i in 0..self.decode_len {
-            let c = self.decode_step_cost(self.prompt_len + i);
-            flops += c.flops;
-            wb += c.weight_bytes;
-            kv_read += c.kv_read_bytes;
-            kv_write += c.kv_write_bytes;
+            let ctx = self.prompt_len + i;
+            sum.flops += weight_flops + attn_per_ctx * ctx as f64 * h * layers;
+            sum.weight_bytes += wb;
+            sum.kv_read_bytes += b * (ctx * kv_per_pos) as f64;
+            sum.kv_write_bytes += kv_write;
         }
-        PhaseCost {
-            flops,
-            weight_bytes: wb,
-            kv_read_bytes: kv_read,
-            kv_write_bytes: kv_write,
-            intensity: flops / (wb + kv_read + kv_write),
-        }
+        sum.intensity = sum.flops / (sum.weight_bytes + sum.kv_read_bytes + sum.kv_write_bytes);
+        sum
     }
 }
 

@@ -12,6 +12,8 @@
 use crate::config::{Activation, ModelConfig, Normalization, PositionalEncoding};
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::iter;
+use std::ops::Range;
 
 /// Coarse operator class, used by partitioners and fusion rules.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -231,8 +233,9 @@ struct Dims {
     v: f64,
 }
 
-/// Enumerate the forward-pass operators of one decoder layer.
-fn layer_forward_records(cfg: &ModelConfig, d: Dims, layer: u64) -> Vec<OpRecord> {
+/// Enumerate the forward-pass operators of decoder layer 0 (every layer
+/// repeats them).
+fn layer_forward_records(cfg: &ModelConfig, d: Dims) -> Vec<OpRecord> {
     let mut ops = Vec::new();
     let bs = d.b * d.s;
     let bsh = bs * d.h;
@@ -247,7 +250,7 @@ fn layer_forward_records(cfg: &ModelConfig, d: Dims, layer: u64) -> Vec<OpRecord
             label,
             class,
             phase: Phase::Forward,
-            layer: Some(layer),
+            layer: Some(0),
             cost: OpCost {
                 flops,
                 params,
@@ -456,11 +459,101 @@ pub fn training_step_ops(cfg: &ModelConfig, batch: u64, seq: u64) -> Vec<Op> {
 
 /// Enumerate every operator of one training step in *record* form — the
 /// same operators, order and costs as [`training_step_ops`] but without
-/// rendering any names (no per-op allocations). Graph construction interns
-/// names straight from these records; incremental recompilation re-derives
-/// only the [`OpCost`]s via [`step_costs`].
+/// rendering any names (no per-op allocations): the expansion of
+/// [`step_template`].
 #[must_use]
 pub fn step_records(cfg: &ModelConfig, batch: u64, seq: u64) -> Vec<OpRecord> {
+    step_template(cfg, batch, seq).expand()
+}
+
+/// Operators of a training step outside every decoder layer: embedding,
+/// final norm, LM head and loss, each forward and backward, plus the
+/// optimizer update.
+pub const FIXED_OPS: usize = 9;
+
+/// One training step held as its template: the [`FIXED_OPS`] fixed
+/// operators and the operators of decoder layer 0, plus the layer count.
+///
+/// Every decoder layer repeats layer 0's operators with layer 0's costs;
+/// only the layer index differs. So the template determines the whole
+/// step: [`StepTemplate::expand`] writes it out, and [`step_runs`]
+/// walks it in step order without writing it out.
+///
+/// # Example
+///
+/// ```
+/// use dabench_model::{ModelConfig, ops};
+///
+/// let t = ops::step_template(&ModelConfig::llama2_probe(1024, 32), 4, 512);
+/// // 9 fixed operators plus 14 per layer and phase: 37, at any depth.
+/// assert_eq!(t.records().len(), 37);
+/// assert_eq!(t.expand().len(), 9 + 2 * 14 * 32);
+/// ```
+#[derive(Debug, Clone, PartialEq)]
+pub struct StepTemplate {
+    records: Vec<OpRecord>,
+    layers: u64,
+}
+
+impl StepTemplate {
+    /// The fixed operators and those of decoder layer 0, in step order:
+    /// `embedding.fwd`; layer 0 forward; `final_norm`, `lm_head` and
+    /// `loss` forward, then their backward in reverse; layer 0 backward;
+    /// `embedding.bwd`; `optimizer.upd`.
+    #[must_use]
+    pub fn records(&self) -> &[OpRecord] {
+        &self.records
+    }
+
+    /// Decoder layers in the step.
+    #[must_use]
+    pub fn layers(&self) -> u64 {
+        self.layers
+    }
+
+    /// Operators of one decoder layer in one phase (forward or backward).
+    #[must_use]
+    pub fn layer_ops(&self) -> usize {
+        (self.records.len() - FIXED_OPS) / 2
+    }
+
+    /// Every operator of the step, in step order: layer 0's records
+    /// repeated for each layer with its index.
+    #[must_use]
+    pub fn expand(&self) -> Vec<OpRecord> {
+        let mut ops = Vec::with_capacity(FIXED_OPS + 2 * self.layer_ops() * self.layers as usize);
+        for (run, layer) in step_runs(self.layer_ops(), self.layers) {
+            ops.extend(self.records[run].iter().map(|r| OpRecord { layer, ..*r }));
+        }
+        ops
+    }
+}
+
+/// Every operator of a training step in step order, as runs of
+/// consecutive records of a [`StepTemplate`] with `layer_ops` operators
+/// per layer and phase: each run's record range, and the decoder layer
+/// its operators belong to. This order is the one definition of where
+/// each layer's operators sit in the step.
+pub fn step_runs(
+    layer_ops: usize,
+    layers: u64,
+) -> impl Iterator<Item = (Range<usize>, Option<u64>)> {
+    let k = layer_ops;
+    let forward = (0..layers).map(move |l| (1..k + 1, Some(l)));
+    let backward = (0..layers).rev().map(move |l| (k + 7..2 * k + 7, Some(l)));
+    iter::once((0..1, None))
+        .chain(forward)
+        .chain(iter::once((k + 1..k + 7, None)))
+        .chain(backward)
+        .chain(iter::once((2 * k + 7..2 * k + 9, None)))
+}
+
+/// The [`StepTemplate`] of one training step: the fixed operators and
+/// decoder layer 0, in step order. Graph construction interns names
+/// straight from these records; incremental recompilation re-derives
+/// only their [`OpCost`]s.
+#[must_use]
+pub fn step_template(cfg: &ModelConfig, batch: u64, seq: u64) -> StepTemplate {
     let d = Dims {
         b: batch as f64,
         s: seq as f64,
@@ -495,8 +588,8 @@ pub fn step_records(cfg: &ModelConfig, batch: u64, seq: u64) -> Vec<OpRecord> {
         },
     });
 
-    for layer in 0..cfg.num_layers {
-        forward.extend(layer_forward_records(cfg, d, layer));
+    if cfg.num_layers > 0 {
+        forward.extend(layer_forward_records(cfg, d));
     }
 
     // Final norm.
@@ -562,19 +655,10 @@ pub fn step_records(cfg: &ModelConfig, batch: u64, seq: u64) -> Vec<OpRecord> {
         },
     });
 
-    ops
-}
-
-/// The [`OpCost`]s of one training step, aligned index-for-index with
-/// [`step_records`] and [`training_step_ops`]. This is the cheap pass the
-/// incremental compile cache uses to repatch an existing graph topology
-/// when only workload dimensions (hidden size, batch, sequence) changed.
-#[must_use]
-pub fn step_costs(cfg: &ModelConfig, batch: u64, seq: u64) -> Vec<OpCost> {
-    step_records(cfg, batch, seq)
-        .into_iter()
-        .map(|r| r.cost)
-        .collect()
+    StepTemplate {
+        records: ops,
+        layers: cfg.num_layers,
+    }
 }
 
 /// Sum of FLOPs over `ops` restricted to a phase.
@@ -706,28 +790,60 @@ mod tests {
 
     #[test]
     fn records_align_with_ops() {
-        // step_records is the single source behind training_step_ops and
-        // step_costs; the three views must agree index-for-index.
+        // step_records is the single source behind training_step_ops; the
+        // two views must agree index-for-index.
         for cfg in [
             ModelConfig::gpt2_probe(768, 3),
             ModelConfig::llama2_probe(1024, 2),
         ] {
             let ops = training_step_ops(&cfg, 4, 256);
             let records = step_records(&cfg, 4, 256);
-            let costs = step_costs(&cfg, 4, 256);
             assert_eq!(ops.len(), records.len());
-            assert_eq!(ops.len(), costs.len());
             let mut buf = String::new();
-            for ((op, r), c) in ops.iter().zip(&records).zip(&costs) {
+            for (op, r) in ops.iter().zip(&records) {
                 r.write_name(&mut buf);
                 assert_eq!(op.name, buf);
                 assert_eq!(op.class, r.class);
                 assert_eq!(op.phase, r.phase);
                 assert_eq!(op.layer, r.layer);
-                assert_eq!(op.flops.to_bits(), c.flops.to_bits(), "{}", op.name);
-                assert_eq!(op.params, c.params);
-                assert_eq!(op.in_elems, c.in_elems);
-                assert_eq!(op.out_elems, c.out_elems);
+                assert_eq!(op.flops.to_bits(), r.cost.flops.to_bits(), "{}", op.name);
+                assert_eq!(op.params, r.cost.params);
+                assert_eq!(op.in_elems, r.cost.in_elems);
+                assert_eq!(op.out_elems, r.cost.out_elems);
+            }
+        }
+    }
+
+    #[test]
+    fn template_is_the_fixed_ops_and_layer_0_of_the_step() {
+        for (cfg, layer_ops) in [
+            (ModelConfig::gpt2_probe(768, 5), 12),
+            (ModelConfig::llama2_probe(1024, 3), 14),
+            (ModelConfig::gpt2_probe(512, 1), 12),
+        ] {
+            let t = step_template(&cfg, 2, 128);
+            assert_eq!(t.layers, cfg.num_layers);
+            assert_eq!(t.layer_ops(), layer_ops, "{}", cfg.name);
+            assert_eq!(t.records.len(), FIXED_OPS + 2 * layer_ops);
+            let step = t.expand();
+            assert_eq!(
+                step.len(),
+                FIXED_OPS + 2 * layer_ops * cfg.num_layers as usize
+            );
+            let fixed_and_layer0: Vec<OpRecord> = step
+                .iter()
+                .filter(|r| matches!(r.layer, None | Some(0)))
+                .copied()
+                .collect();
+            assert_eq!(fixed_and_layer0, t.records, "{}", cfg.name);
+            // Every layer repeats layer 0, in the catalogue's order.
+            let mut seen = vec![0usize; t.records.len()];
+            for (run, _) in step_runs(t.layer_ops(), t.layers) {
+                run.for_each(|i| seen[i] += 1);
+            }
+            for (r, n) in t.records.iter().zip(&seen) {
+                let copies = if r.layer.is_some() { cfg.num_layers } else { 1 };
+                assert_eq!(*n as u64, copies, "{}", r.name());
             }
         }
     }

@@ -1,6 +1,7 @@
 //! Property-based tests of the inference workload cost model, sampled
 //! from a seeded [`SplitMix64`] stream.
 
+use dabench_core::gen::{self, Tier};
 use dabench_core::SplitMix64;
 use dabench_model::{InferenceWorkload, InferenceWorkloadError, ModelConfig, Precision};
 
@@ -121,4 +122,63 @@ fn overflow_prone_dimensions_error_cleanly() {
             );
         }
     }
+}
+
+/// `decode_cost` computes the context-free terms once, before its loop;
+/// every field must still equal, bit for bit, the sum of the per-step
+/// costs it stands for. Workloads come from every `gen` tier menu, on
+/// the batch ladders the population checker walks. Their power-of-two
+/// dimensions keep every sum exact; on the odd-shaped workloads the FLOP
+/// and KV-read sums pass 2^53 with low bits set and round, so adding each
+/// step's copy differs from multiplying by the step count there. (The
+/// weight and KV-write sums stay whole numbers below 2^53, exact either
+/// way.)
+#[test]
+fn decode_cost_equals_the_per_step_walk_bit_for_bit() {
+    let walk = |w: &InferenceWorkload| {
+        let (mut flops, mut wb, mut kv_read, mut kv_write) = (0.0, 0.0, 0.0, 0.0);
+        for i in 0..w.decode_len() {
+            let c = w.decode_step_cost(w.prompt_len() + i);
+            flops += c.flops;
+            wb += c.weight_bytes;
+            kv_read += c.kv_read_bytes;
+            kv_write += c.kv_write_bytes;
+        }
+        [
+            flops,
+            wb,
+            kv_read,
+            kv_write,
+            flops / (wb + kv_read + kv_write),
+        ]
+    };
+    let odd = [(1599, 95, 4095), (4095, 33, 1023)].map(|(hidden, layers, prompt)| {
+        let model = ModelConfig::gpt2_probe(hidden, layers);
+        InferenceWorkload::new(model, 1, prompt, 256, Precision::Fp32).expect("in range")
+    });
+    let menus = Tier::ALL
+        .into_iter()
+        .flat_map(|tier| (0..48).map(move |i| gen::sample(tier, 0x1C_0005, i)))
+        .map(|s| s.inference_workload());
+    let mut checked = 0;
+    for base in menus.chain(odd) {
+        for batch in [1, 3, 64, 999, 65_535, 65_536] {
+            let Ok(w) = base.with_batch_size(batch) else {
+                continue;
+            };
+            let c = w.decode_cost();
+            let got = [
+                c.flops,
+                c.weight_bytes,
+                c.kv_read_bytes,
+                c.kv_write_bytes,
+                c.intensity,
+            ];
+            for (field, (g, want)) in got.iter().zip(walk(&w)).enumerate() {
+                assert_eq!(g.to_bits(), want.to_bits(), "{w}: field {field}");
+            }
+            checked += 1;
+        }
+    }
+    assert!(checked > 1000, "only {checked} workloads checked");
 }

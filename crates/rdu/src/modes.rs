@@ -5,7 +5,7 @@ use crate::chip::{RduCompilerParams, RduSpec};
 use crate::section::{assign_units, Section};
 use crate::sharding::shard_lm_head;
 use dabench_core::compile::training_graph;
-use dabench_graph::{DataflowGraph, NodeRef};
+use dabench_graph::{NodeRef, TemplateGraph};
 use dabench_model::ops::{OpClass, Phase};
 use dabench_model::TrainingWorkload;
 use serde::{Deserialize, Serialize};
@@ -89,13 +89,13 @@ fn elem_bytes(w: &TrainingWorkload) -> u64 {
 /// identical). Node order equals the op-catalogue order, so downstream
 /// float accumulations stay bitwise identical to the legacy `step_ops()`
 /// walks.
-fn layer_template(g: &DataflowGraph) -> Vec<NodeRef<'_>> {
+fn layer_template(g: &TemplateGraph) -> Vec<NodeRef<'_>> {
     g.template_nodes()
         .filter(|o| o.layer() == Some(0))
         .collect()
 }
 
-fn non_layer_ops(g: &DataflowGraph) -> Vec<NodeRef<'_>> {
+fn non_layer_ops(g: &TemplateGraph) -> Vec<NodeRef<'_>> {
     g.template_nodes().filter(|o| o.layer().is_none()).collect()
 }
 
@@ -113,7 +113,7 @@ fn is_attention_internal(class: OpClass) -> bool {
 ///
 /// The graph's pre-linked forward twin replaces the legacy
 /// `name.replace(".bwd", ".fwd")` linear scan with an O(1) lookup.
-fn bwd_act_read_bytes(op: NodeRef<'_>, g: &DataflowGraph, eb: u64, tiled: bool) -> u64 {
+fn bwd_act_read_bytes(op: NodeRef<'_>, g: &TemplateGraph, eb: u64, tiled: bool) -> u64 {
     if op.phase() != Phase::Backward {
         return 0;
     }
@@ -128,7 +128,7 @@ fn bwd_act_read_bytes(op: NodeRef<'_>, g: &DataflowGraph, eb: u64, tiled: bool) 
 fn op_section(
     op: NodeRef<'_>,
     invocations: u64,
-    g: &DataflowGraph,
+    g: &TemplateGraph,
     workload: &TrainingWorkload,
     spec: &RduSpec,
     params: &RduCompilerParams,
@@ -159,7 +159,7 @@ fn optimizer_section(
     workload: &TrainingWorkload,
     spec: &RduSpec,
     params: &RduCompilerParams,
-    g: &DataflowGraph,
+    g: &TemplateGraph,
 ) -> Section {
     let opt = g
         .find("optimizer.upd")
@@ -224,7 +224,7 @@ fn module_section(
     label: &str,
     members: &[NodeRef<'_>],
     invocations: u64,
-    g: &DataflowGraph,
+    g: &TemplateGraph,
     workload: &TrainingWorkload,
     spec: &RduSpec,
     params: &RduCompilerParams,
@@ -387,7 +387,7 @@ fn o3_decoder_run(
     workload: &TrainingWorkload,
     spec: &RduSpec,
     params: &RduCompilerParams,
-    g: &DataflowGraph,
+    g: &TemplateGraph,
     phase: Phase,
     ratio: f64,
 ) -> Section {

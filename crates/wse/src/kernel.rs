@@ -201,6 +201,7 @@ pub fn kernels_of(workload: &TrainingWorkload) -> Vec<Kernel> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dabench_graph::GraphBuilder;
     use dabench_model::{ModelConfig, Precision};
 
     fn w(layers: u64) -> TrainingWorkload {
@@ -269,9 +270,10 @@ mod tests {
         assert_eq!(l1.len(), 2);
     }
 
-    /// Reference `kernels_of`: a linear `find` of each op's kernel.
+    /// Reference `kernels_of`: a linear `find` of each op's kernel, over
+    /// every node of the full-depth graph.
     fn kernels_by_find(workload: &TrainingWorkload) -> Vec<Kernel> {
-        let graph = training_graph(workload);
+        let graph = GraphBuilder::for_workload(workload);
         let mut kernels = vec![KernelKind::Embedding];
         for l in 0..workload.model().num_layers {
             kernels.push(KernelKind::Attention { layer: l });
