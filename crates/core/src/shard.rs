@@ -264,9 +264,11 @@ pub fn merge_journals(
 }
 
 /// Atomically replace the combined journal in `dir` with merged `text`:
-/// write a temp file, fsync it, and rename over [`JOURNAL_FILE`] — a
-/// crash mid-merge leaves either the old journal or the new one, never a
-/// torn hybrid.
+/// write a temp file, fsync it, rename it over [`JOURNAL_FILE`], and
+/// fsync `dir` — a crash mid-merge leaves either the old journal or the
+/// new one, never a torn hybrid. The rename is durable only once its
+/// directory is synced, so this returns (and the caller may delete the
+/// shard journals) only after that.
 ///
 /// # Errors
 ///
@@ -282,6 +284,7 @@ pub fn write_merged(dir: &Path, text: &str) -> io::Result<PathBuf> {
         file.sync_all()?;
     }
     std::fs::rename(&tmp, &path)?;
+    std::fs::File::open(dir)?.sync_all()?;
     Ok(path)
 }
 

@@ -19,10 +19,12 @@
 //!   [`PlatformError`] (see [`PlatformError::is_retryable`]) are retried
 //!   up to [`SupervisePolicy::max_retries`] times, after a fixed linear
 //!   backoff ([`RETRY_BACKOFF`] times the retry number).
-//! - **Crash-safe journal**: [`RunJournal`] appends one fsync'd JSONL
-//!   record per finished point; a killed run can be resumed with
-//!   [`RunJournal::resume`], replaying completed points verbatim so the
-//!   final output is byte-identical to an uninterrupted run.
+//! - **Crash-safe journal**: [`RunJournal`] holds one JSONL record per
+//!   finished point, each written with one `write(2)`; a sweep's records
+//!   reach the disk through a [`GroupCommit`] before the sweep reports
+//!   anything. A killed run can be resumed with [`RunJournal::resume`],
+//!   replaying completed points verbatim so the final output is
+//!   byte-identical to an uninterrupted run.
 //!
 //! The caller folds outcomes into a [`RunReport`] whose rendering is
 //! deterministic (input order, fixed formatting), suitable for diffing
@@ -317,7 +319,7 @@ impl InjectedErrorKind {
 /// for a SIGKILL'd or OOM-killed shard worker: `abort` raises `SIGABRT`
 /// via [`std::process::abort`], `exit:CODE` calls [`std::process::exit`].
 /// The counted forms (`abort:N`, `exit:CODE:N`) fire only while the
-/// point's durable start count — the number of `started` records already
+/// point's journaled start count — the number of `started` records already
 /// in the shard journal — is below `N`, so a respawned worker survives
 /// its second attempt and shard-death-plus-recovery is testable
 /// end-to-end without external kill timing.
@@ -336,14 +338,14 @@ pub enum Injection {
         /// How many leading attempts fail before the injection clears.
         failures: u32,
     },
-    /// `std::process::abort()` at point start while the durable start
+    /// `std::process::abort()` at point start while the journaled start
     /// count is below `failures` (`u32::MAX` = always).
     Abort {
         /// How many leading process-level starts die before the
         /// injection clears.
         failures: u32,
     },
-    /// `std::process::exit(code)` at point start while the durable start
+    /// `std::process::exit(code)` at point start while the journaled start
     /// count is below `failures` (`u32::MAX` = always).
     Exit {
         /// The exit code to die with.
@@ -413,7 +415,7 @@ impl Injection {
     /// Act on a **process-level** injection (`abort`, `exit:CODE`) at
     /// point start. `prior_starts` is the number of times this point has
     /// already been started by *some* process — for shard workers, the
-    /// count of durable `started` records in the shard journal
+    /// count of `started` records in the shard journal
     /// ([`Replay::started`]), so the injection survives respawns exactly
     /// `failures` times. Single-process callers pass 0 (the injection
     /// always fires). Attempt-level injections are a no-op here.
@@ -537,8 +539,9 @@ pub const STATUS_SHARD_META: &str = "shard";
 /// Status of a heartbeat control record appended periodically by a live
 /// shard worker so the parent can distinguish "slow" from "hung".
 pub const STATUS_HEARTBEAT: &str = "heartbeat";
-/// Status journaled by a shard worker *before* running a point: a
-/// durable "I am about to start this" marker. Counting `started` records
+/// Status journaled by a shard worker *before* running a point: an
+/// "I am about to start this" marker, written before the point can kill
+/// its process, so the kill cannot lose it. Counting `started` records
 /// for a label gives the number of process lives spent on it — the
 /// denominator for counted process-level injections
 /// ([`Injection::fire_process`]) — and a `started` record with no later
@@ -744,9 +747,9 @@ pub struct Replay {
     pub metrics: BTreeMap<String, String>,
     /// Labels journaled with a non-completed status (they will re-run).
     pub unfinished: Vec<String>,
-    /// Durable start counts: label → number of [`STATUS_STARTED`]
-    /// records. In a shard worker this is how many process lives have
-    /// already been spent on the point — fed to
+    /// Start counts: label → number of [`STATUS_STARTED`] records. In a
+    /// shard worker this is how many process lives have already been
+    /// spent on the point — fed to
     /// [`Injection::fire_process`] so counted `abort:N` / `exit:CODE:N`
     /// injections clear after `N` worker deaths.
     pub started: BTreeMap<String, u32>,
@@ -815,16 +818,23 @@ impl Replay {
     }
 }
 
-/// Append-only, fsync-on-append run journal (`journal.jsonl` inside a run
-/// directory).
+/// Append-only run journal (`journal.jsonl` inside a run directory).
 ///
 /// Line 1 is a header `{"schema":"dabench-journal-v1"}`; each subsequent
 /// line records one finished point: `{"label":…,"status":…,"data":…}`.
 /// `data` holds the point's rendered result for `completed` records and a
-/// failure description otherwise. Every append is flushed and fsync'd
-/// before returning, so a record is durable once the point is reported
-/// done — the journal can lose at most the line being written when the
-/// process is killed, which [`RunJournal::resume`] detects and discards.
+/// failure description otherwise.
+///
+/// Every record goes out in one `write(2)`. Once that call returns, the
+/// record is in the kernel's page cache, so killing the process cannot
+/// lose it: a kill can only cut the record being written, which
+/// [`RunJournal::resume`] detects and discards. Surviving a power loss
+/// takes an fsync. [`RunJournal::append`] fsyncs each record before
+/// returning (`serve` replies only after it); a sweep writes with
+/// [`RunJournal::write`] and lets a [`GroupCommit`] fsync behind it, so a
+/// power loss can lose at most the records no completed fsync covers
+/// yet, and the sweep prints nothing about those points before a final
+/// fsync covers them.
 #[derive(Debug)]
 pub struct RunJournal {
     file: File,
@@ -936,14 +946,91 @@ impl RunJournal {
     /// Propagates write/fsync failures — a journal that cannot persist
     /// must fail loudly, or `--resume` would silently re-run points.
     pub fn append(&mut self, label: &str, status: &str, data: &str) -> io::Result<()> {
-        jsonl::write_line(&mut self.file, format_record(label, status, data))?;
+        self.write(label, status, data)?;
         self.file.sync_all()
+    }
+
+    /// Append one record with one `write(2)` and no fsync: a process kill
+    /// cannot lose it once this returns, a power loss can until an fsync
+    /// covers it (see [`RunJournal::group_commit`]).
+    ///
+    /// # Errors
+    ///
+    /// Propagates the write failure.
+    pub fn write(&mut self, label: &str, status: &str, data: &str) -> io::Result<()> {
+        jsonl::write_line(&mut self.file, format_record(label, status, data))
+    }
+
+    /// Start a syncer thread that fsyncs this journal behind its writers,
+    /// through a second handle on the file. The syncer sleeps until a
+    /// record is reported with [`GroupCommit::written`], then fsyncs back
+    /// to back while reported records remain unsynced; each fsync covers
+    /// every record written before it began, so one fsync commits a whole
+    /// group.
+    ///
+    /// # Errors
+    ///
+    /// Fails if the file handle cannot be cloned or the thread cannot be
+    /// spawned.
+    pub fn group_commit(&self) -> io::Result<GroupCommit> {
+        let file = self.file.try_clone()?;
+        let path = self.path.clone();
+        let (written, unsynced) = mpsc::channel::<()>();
+        let syncer = std::thread::Builder::new()
+            .name("dabench-journal-sync".to_owned())
+            .spawn(move || {
+                while unsynced.recv().is_ok() {
+                    // Every record reported so far was written before this
+                    // fsync begins, so this one fsync covers them all.
+                    while unsynced.try_recv().is_ok() {}
+                    file.sync_all().map_err(|e| {
+                        io::Error::new(e.kind(), format!("fsync {}: {e}", path.display()))
+                    })?;
+                }
+                Ok(())
+            })?;
+        Ok(GroupCommit { written, syncer })
     }
 
     /// Where this journal lives on disk.
     #[must_use]
     pub fn path(&self) -> &Path {
         &self.path
+    }
+}
+
+/// The syncer thread of [`RunJournal::group_commit`]: writers report each
+/// record they wrote, and [`GroupCommit::finish`] returns once an fsync
+/// has covered all of them.
+#[derive(Debug)]
+pub struct GroupCommit {
+    written: mpsc::Sender<()>,
+    syncer: std::thread::JoinHandle<io::Result<()>>,
+}
+
+impl GroupCommit {
+    /// Report a record written to the journal; the syncer's next fsync
+    /// covers it.
+    pub fn written(&self) {
+        // A syncer whose fsync failed has stopped listening; `finish`
+        // returns that failure.
+        let _ = self.written.send(());
+    }
+
+    /// Wait until an fsync that began after the last
+    /// [`GroupCommit::written`] report has completed, then stop the
+    /// syncer. Returns at once when nothing was reported.
+    ///
+    /// # Errors
+    ///
+    /// The first failed fsync, naming the journal's path: a journal that
+    /// cannot persist must fail the run, or `--resume` would silently
+    /// re-run points.
+    pub fn finish(self) -> io::Result<()> {
+        drop(self.written);
+        self.syncer
+            .join()
+            .expect("the journal syncer only calls fsync, which does not panic")
     }
 }
 
@@ -1364,6 +1451,47 @@ mod tests {
         assert_eq!(err.kind(), io::ErrorKind::AlreadyExists);
         assert!(err.to_string().contains("--resume"), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn group_commit_returns_with_every_written_record_in_the_file() {
+        let dir = temp_dir("group");
+        let mut journal = RunJournal::create(&dir).unwrap();
+        let commit = journal.group_commit().unwrap();
+        for i in 0..50 {
+            journal
+                .write(&format!("p{i}"), "completed", &format!("row {i}"))
+                .unwrap();
+            commit.written();
+        }
+        commit.finish().unwrap();
+        drop(journal);
+        let (_journal, replay) = RunJournal::resume(&dir).unwrap();
+        assert_eq!(replay.completed.len(), 50);
+        assert_eq!(replay.dropped_tail, None);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// `/dev/null` takes every write, but fsync on it fails (EINVAL).
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_failed_group_commit_names_the_journal() {
+        let path = PathBuf::from("/dev/null");
+        let file = OpenOptions::new().append(true).open(&path).unwrap();
+        let mut journal = RunJournal { file, path };
+        assert!(journal.append("p", "completed", "x").is_err());
+
+        // Nothing reported, nothing to sync.
+        journal.group_commit().unwrap().finish().unwrap();
+
+        let commit = journal.group_commit().unwrap();
+        for _ in 0..3 {
+            journal.write("p", "completed", "x").unwrap();
+            commit.written();
+        }
+        let err = commit.finish().unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
+        assert!(err.to_string().contains("fsync /dev/null"), "{err}");
     }
 
     #[test]

@@ -712,9 +712,11 @@ fn run_gen(rest: &[String]) -> Result<ExitCode, String> {
 /// Hidden `dabench shard-worker` mode, spawned by `run_sweep_sharded`: run
 /// the assigned points through the shared supervised loop against this
 /// shard's own journal (`journal.shard-K.jsonl`, resumed so a respawn
-/// re-adopts its predecessor's durable records), with a heartbeat thread
-/// appending liveness records for the parent's watchdog. Writes nothing
-/// to stdout; exit 0 = clean, 2 = some points failed, 1 = hard error.
+/// re-adopts its predecessor's records), with a heartbeat thread
+/// writing liveness records for the parent's watchdog. Exits only after
+/// the loop's final fsync has covered every point record it wrote.
+/// Writes nothing to stdout; exit 0 = clean, 2 = some points failed,
+/// 1 = hard error.
 fn run_shard_worker(rest: &[String]) -> Result<ExitCode, String> {
     use std::sync::mpsc::{self, RecvTimeoutError};
     let mut shard: Option<usize> = None;
@@ -756,10 +758,12 @@ fn run_shard_worker(rest: &[String]) -> Result<ExitCode, String> {
     let (journal, replay) = RunJournal::resume_named(dir, &shard_journal_name(shard))
         .map_err(|e| format!("shard {shard} journal: {e}"))?;
     let journal = std::sync::Mutex::new(journal);
+    // Control records are advisory (replay and merge strip them), so they
+    // are written without an fsync of their own.
     journal
         .lock()
         .expect("journal lock")
-        .append(
+        .write(
             SHARD_CONTROL_LABEL,
             STATUS_SHARD_META,
             &format!("shard={shard} points={points_arg}"),
@@ -773,11 +777,12 @@ fn run_shard_worker(rest: &[String]) -> Result<ExitCode, String> {
     };
     let outcomes = std::thread::scope(|scope| {
         // Heartbeat: the parent's liveness watchdog keys on journal
-        // growth, so a live worker must append even while every point is
-        // busy. Append errors are ignored — heartbeats are advisory;
-        // point records fail loudly in the runner. Dropping `stop` (also
-        // on unwind) wakes the thread at once, so a worker exits as soon
-        // as its last point is journaled, not at the next beat.
+        // growth, so a live worker must write even while every point is
+        // busy. The file grows at `write(2)`, so a beat needs no fsync,
+        // and write errors are ignored — heartbeats are advisory; point
+        // records fail loudly in the runner. Dropping `stop` (also on
+        // unwind) wakes the thread at once, so a worker exits as soon as
+        // its last point is journaled, not at the next beat.
         let beat_every = opts.fleet.heartbeat;
         let (stop, stopped) = mpsc::channel::<()>();
         let journal = &journal;
@@ -785,7 +790,7 @@ fn run_shard_worker(rest: &[String]) -> Result<ExitCode, String> {
             let mut beat = 0u64;
             while let Err(RecvTimeoutError::Timeout) = stopped.recv_timeout(beat_every) {
                 beat += 1;
-                let _ = journal.lock().expect("journal lock").append(
+                let _ = journal.lock().expect("journal lock").write(
                     SHARD_CONTROL_LABEL,
                     dabench::core::supervise::STATUS_HEARTBEAT,
                     &format!("beat={beat}"),

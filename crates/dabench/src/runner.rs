@@ -3,17 +3,20 @@
 //!
 //! Both callers run the same code over `(global index, label)` points:
 //! journaled-replay short-circuit, failure injection, panic/deadline/retry
-//! supervision, durable journaling of every outcome, and metrics-digest
+//! supervision, journaling of every outcome, and metrics-digest
 //! journaling so `--resume` (and the shard merge) replay byte-identical
-//! traces. The only behavioral switch is [`RunnerConfig::journal_started`]:
-//! shard workers durably journal a `started` record before running each
-//! point — the marker that lets a respawned worker count prior process
-//! lives (and lets counted `abort:N` / `exit:CODE:N` injections clear) —
-//! while the single-process path writes exactly the records it always
-//! has, keeping its journal bytes unchanged.
+//! traces. Each record is one `write(2)`; a [`GroupCommit`] fsyncs them
+//! in groups behind the points, and the sweep returns only once an fsync
+//! has covered every record it wrote. The only behavioral switch is
+//! [`RunnerConfig::journal_started`]: shard workers journal a `started`
+//! record before running each point — the marker that lets a respawned
+//! worker count prior process lives (and lets counted `abort:N` /
+//! `exit:CODE:N` injections clear) — while the single-process path
+//! writes exactly the records it always has, keeping its journal bytes
+//! unchanged.
 
 use crate::core::obs;
-use crate::core::supervise::{Injection, SupervisePolicy, STATUS_STARTED};
+use crate::core::supervise::{GroupCommit, Injection, SupervisePolicy, STATUS_STARTED};
 use crate::core::{
     par_map, supervise_point, PlatformError, PointOutcome, PointTrace, Replay, RunJournal,
 };
@@ -28,33 +31,51 @@ pub struct RunnerConfig {
     pub policy: SupervisePolicy,
     /// Failure injections by point label (`DABENCH_INJECT`).
     pub injections: BTreeMap<String, Injection>,
-    /// Shard-worker mode: journal a durable [`STATUS_STARTED`] record
-    /// before each point and honor process-level injections against the
-    /// replayed start count.
+    /// Shard-worker mode: journal a [`STATUS_STARTED`] record before each
+    /// point and honor process-level injections against the replayed
+    /// start count.
     pub journal_started: bool,
 }
 
 /// Run `points` (global experiment index, label) under supervision,
 /// journaling every outcome. Returns outcomes in input order —
-/// byte-identical downstream output at any `--jobs`.
+/// byte-identical downstream output at any `--jobs` — and only after an
+/// fsync has covered every record the sweep wrote, so nothing is printed
+/// or merged about a point whose records a power loss could still take.
 ///
 /// # Errors
 ///
-/// The first journal append failure: a journal that cannot persist must
-/// stop the run, or `--resume` would silently re-execute points it
-/// believes are unrecorded.
+/// The first journal write failure, else a failed fsync: a journal that
+/// cannot persist must stop the run, or `--resume` would silently
+/// re-execute points it believes are unrecorded.
 pub fn run_supervised_points(
     points: &[(usize, String)],
     cfg: &RunnerConfig,
     journal: Option<&Mutex<RunJournal>>,
     replay: &Replay,
 ) -> Result<Vec<PointOutcome<String>>, String> {
+    let commit = journal
+        .map(|j| j.lock().expect("journal lock").group_commit())
+        .transpose()
+        .map_err(|e| format!("journal syncer: {e}"))?;
     let journal_error: Mutex<Option<String>> = Mutex::new(None);
-    let note_journal_error = |name: &str, e: &std::io::Error| {
-        journal_error
+    let record = |name: &str, status: &str, data: &str| {
+        let (Some(journal), Some(commit)) = (journal, &commit) else {
+            return;
+        };
+        let written = journal
             .lock()
-            .expect("journal error lock")
-            .get_or_insert_with(|| format!("journal append for `{name}`: {e}"));
+            .expect("journal lock")
+            .write(name, status, data);
+        match written {
+            Ok(()) => commit.written(),
+            Err(e) => {
+                journal_error
+                    .lock()
+                    .expect("journal error lock")
+                    .get_or_insert_with(|| format!("journal append for `{name}`: {e}"));
+            }
+        }
     };
     let outcomes = par_map(points, |(index, name)| {
         let i = *index as u64;
@@ -64,20 +85,12 @@ pub fn run_supervised_points(
             };
         }
         if cfg.journal_started {
-            // Durable "about to start" marker *before* any injected
-            // process death, so the count of lives spent on this point
-            // survives the crash it is about to cause.
+            // "About to start" marker *before* any injected process
+            // death: once written, the kill cannot take it, so the count
+            // of lives spent on this point survives the crash it is
+            // about to cause.
             let prior = replay.started.get(name).copied().unwrap_or(0);
-            if let Some(journal) = journal {
-                let appended = journal.lock().expect("journal lock").append(
-                    name,
-                    STATUS_STARTED,
-                    &format!("life={prior}"),
-                );
-                if let Err(e) = appended {
-                    note_journal_error(name, &e);
-                }
-            }
+            record(name, STATUS_STARTED, &format!("life={prior}"));
             if let Some(injection) = cfg.injections.get(name) {
                 injection.fire_process(prior);
             }
@@ -96,7 +109,7 @@ pub fn run_supervised_points(
             obs::with_point(i, &point, || render_experiment(&point))
                 .ok_or_else(|| PlatformError::Unsupported(format!("no renderer for `{point}`")))
         });
-        if let Some(journal) = journal {
+        if journal.is_some() {
             let data = match &outcome {
                 PointOutcome::Completed { value, .. } => Some(value.clone()),
                 PointOutcome::Failed { error, .. } => Some(error.to_string()),
@@ -107,14 +120,7 @@ pub fn run_supervised_points(
                 PointOutcome::Journaled { .. } => None,
             };
             if let Some(data) = data {
-                let appended =
-                    journal
-                        .lock()
-                        .expect("journal lock")
-                        .append(name, outcome.status(), &data);
-                if let Err(e) = appended {
-                    note_journal_error(name, &e);
-                }
+                record(name, outcome.status(), &data);
             }
         }
         // Harvest this point's traces. Completed points journal their
@@ -125,27 +131,23 @@ pub fn run_supervised_points(
         if obs::is_enabled() && !matches!(outcome, PointOutcome::Journaled { .. }) {
             let traces = obs::drain_prefix(&[i]);
             if matches!(outcome, PointOutcome::Completed { .. }) && !traces.is_empty() {
-                if let Some(journal) = journal {
+                if journal.is_some() {
                     let digest = traces
                         .iter()
                         .map(PointTrace::digest)
                         .collect::<Vec<_>>()
                         .join("\n");
-                    let appended = journal
-                        .lock()
-                        .expect("journal lock")
-                        .append(name, "metrics", &digest);
-                    if let Err(e) = appended {
-                        note_journal_error(name, &e);
-                    }
+                    record(name, "metrics", &digest);
                 }
                 obs::inject(traces);
             }
         }
         outcome
     });
+    let synced = commit.map_or(Ok(()), GroupCommit::finish);
     if let Some(e) = journal_error.into_inner().expect("journal error lock") {
         return Err(e);
     }
+    synced.map_err(|e| format!("journal sync: {e}"))?;
     Ok(outcomes)
 }

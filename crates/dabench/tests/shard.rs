@@ -104,7 +104,9 @@ fn aborted_worker_is_respawned_and_the_run_stays_byte_identical() {
     let dir = temp_dir("abort-sharded");
     // The worker holding fig11 calls abort() on its first life, then the
     // respawned process (life 1) clears the counted injection and runs
-    // the point normally.
+    // the point normally. The first life's `started` record gets no fsync
+    // of its own, and abort() may fire before the syncer reaches it; it
+    // was written, so the respawn still counts it.
     let r = run(
         &["all", "--shards", "3", "--run-dir", dir.to_str().unwrap()],
         Some("fig11=abort:1"),
