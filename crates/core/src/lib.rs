@@ -9,9 +9,9 @@
 //! - **Tier 1 — intra-chip profiling** ([`tier1`]): resource allocation
 //!   ratio (Eqs. 1–2), load imbalance (Eqs. 3–4), and resource-utilization
 //!   efficiency including a roofline analysis at the global-memory level.
-//! - **Tier 2 — inter-chip scalability and deployment** ([`tier2`]):
-//!   scaling strategies classified through the DP/TP/PP lens, plus batch
-//!   size and precision sweeps.
+//! - **Tier 2 — inter-chip scalability and deployment**: scaling
+//!   strategies classified through the DP/TP/PP lens ([`Scalable`]), plus
+//!   batch size and precision sweeps ([`tier2`]).
 //! - **Supervised sweep execution** ([`supervise`]): per-point panic
 //!   isolation, wall-clock deadlines, bounded retries, and a
 //!   crash-safe run journal enabling `--resume` (see

@@ -55,53 +55,6 @@ pub struct Tier1Report {
 }
 
 impl Tier1Report {
-    /// Render the report as a small Markdown document (for logs, issues
-    /// and dashboards).
-    #[must_use]
-    pub fn to_markdown(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(out, "### Tier-1 report — {}", self.platform);
-        let _ = writeln!(out, "*workload*: {}\n", self.workload);
-        let _ = writeln!(out, "| metric | value |");
-        let _ = writeln!(out, "|---|---|");
-        for (kind, ratio) in &self.allocation {
-            let _ = writeln!(out, "| {kind} allocation | {:.1}% |", 100.0 * ratio);
-        }
-        if let Some(li) = self.load_imbalance {
-            let _ = writeln!(out, "| load imbalance | {li:.3} |");
-        }
-        let _ = writeln!(out, "| achieved | {:.1} TFLOP/s |", self.achieved_tflops);
-        let _ = writeln!(
-            out,
-            "| compute efficiency | {:.1}% of {:.0} TFLOP/s |",
-            100.0 * self.compute_efficiency,
-            self.peak_tflops
-        );
-        let _ = writeln!(
-            out,
-            "| arithmetic intensity | {:.1} FLOPs/B |",
-            self.arithmetic_intensity
-        );
-        if let Some(bound) = self.bound {
-            let _ = writeln!(out, "| roofline | {bound} |");
-        }
-        for m in &self.memory {
-            let _ = writeln!(
-                out,
-                "| {} usage | {:.1}% |",
-                m.name,
-                100.0 * m.utilization()
-            );
-        }
-        let _ = writeln!(
-            out,
-            "| throughput | {:.3e} tokens/s |",
-            self.throughput_tokens_per_s
-        );
-        out
-    }
-
     /// Allocation ratio of a given unit kind, if reported.
     #[must_use]
     pub fn allocation_of(&self, kind: &str) -> Option<f64> {
@@ -202,34 +155,6 @@ impl Tier2Report {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn markdown_report_lists_everything() {
-        let r = Tier1Report {
-            platform: "p".into(),
-            workload: "w".into(),
-            allocation: vec![("pe".into(), 0.9)],
-            load_imbalance: Some(0.97),
-            achieved_tflops: 100.0,
-            peak_tflops: 1000.0,
-            compute_efficiency: 0.1,
-            arithmetic_intensity: 42.0,
-            attainable_tflops: Some(500.0),
-            bound: Some(BoundKind::ComputeBound),
-            memory: vec![MemoryLevelUsage {
-                name: "sram".into(),
-                used_bytes: 1,
-                capacity_bytes: 2,
-            }],
-            throughput_tokens_per_s: 1.0e5,
-            step_time_s: 0.1,
-        };
-        let md = r.to_markdown();
-        assert!(md.contains("pe allocation"));
-        assert!(md.contains("0.970"));
-        assert!(md.contains("compute-bound"));
-        assert!(md.contains("sram usage | 50.0%"));
-    }
 
     #[test]
     fn bound_kind_display() {

@@ -1,12 +1,13 @@
 //! Tier 2: inter-chip scalability and deployment optimization.
 //!
-//! The scalability side drives platforms through their [`Scalable`]
-//! implementation (DP / TP / PP / weight streaming, Sec. VI-A); the
-//! deployment side sweeps the two highest-impact knobs — batch size and
-//! precision (Sec. VI-B).
+//! The scalability side is each platform's [`Scalable`] implementation
+//! (DP / TP / PP / weight streaming, Sec. VI-A), which the experiments
+//! call directly; this module is the deployment side, sweeps of the two
+//! highest-impact knobs — batch size and precision (Sec. VI-B).
+//!
+//! [`Scalable`]: crate::platform::Scalable
 
-use crate::error::PlatformError;
-use crate::platform::{ParallelStrategy, Platform, Scalable, ScalingProfile};
+use crate::platform::Platform;
 use crate::report::{BatchPoint, PrecisionPoint, Tier2Report};
 use dabench_model::{Precision, TrainingWorkload};
 
@@ -73,31 +74,10 @@ pub fn run(
     }
 }
 
-/// Evaluate a series of scaling strategies on a [`Scalable`] platform.
-///
-/// # Errors
-///
-/// Returns the first hard failure; unsupported strategies are skipped and
-/// reported as `None` entries.
-pub fn scalability_series<P: Scalable + ?Sized>(
-    platform: &P,
-    workload: &TrainingWorkload,
-    strategies: &[ParallelStrategy],
-) -> Result<Vec<(ParallelStrategy, Option<ScalingProfile>)>, PlatformError> {
-    let mut out = Vec::with_capacity(strategies.len());
-    for &s in strategies {
-        match platform.scale(workload, s) {
-            Ok(p) => out.push((s, Some(p))),
-            Err(PlatformError::Unsupported(_)) => out.push((s, None)),
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::PlatformError;
     use crate::platform::{ChipProfile, ComputeUnitSpec, HardwareSpec};
     use dabench_model::ModelConfig;
 
@@ -149,25 +129,6 @@ mod tests {
         }
     }
 
-    impl Scalable for Toy {
-        fn scale(
-            &self,
-            _w: &TrainingWorkload,
-            strategy: ParallelStrategy,
-        ) -> Result<ScalingProfile, PlatformError> {
-            match strategy {
-                ParallelStrategy::DataParallel { replicas } => Ok(ScalingProfile {
-                    strategy,
-                    throughput_tokens_per_s: 100.0 * f64::from(replicas),
-                    communication_fraction: 0.1,
-                    per_unit_allocation: vec![],
-                    detail: vec![],
-                }),
-                _ => Err(PlatformError::Unsupported("only DP".into())),
-            }
-        }
-    }
-
     fn base() -> TrainingWorkload {
         TrainingWorkload::new(ModelConfig::gpt2_mini(), 8, 128, Precision::Fp32)
     }
@@ -195,20 +156,5 @@ mod tests {
         let report = run(&Toy, &base(), &[8, 16], &[Precision::Fp32, Precision::Fp16]);
         let gain = report.precision_gain().unwrap();
         assert!((gain - 0.3).abs() < 1e-9);
-    }
-
-    #[test]
-    fn scalability_series_skips_unsupported() {
-        let out = scalability_series(
-            &Toy,
-            &base(),
-            &[
-                ParallelStrategy::DataParallel { replicas: 2 },
-                ParallelStrategy::TensorParallel { degree: 4 },
-            ],
-        )
-        .unwrap();
-        assert!(out[0].1.is_some());
-        assert!(out[1].1.is_none());
     }
 }

@@ -175,11 +175,11 @@ fn make_body(name: &str) -> Box<dyn FnMut()> {
         }
         "graph_build_interned" => {
             // Cold construction of the full-depth interned arena graph for
-            // the deep 72-layer workload: one interner, contiguous
-            // node/edge storage, CSR adjacency — no memoization in the loop
-            // (the compile cache is bypassed by calling the builder
-            // directly). This is the reference graph
-            // `DABENCH_NO_INCREMENTAL=1` builds and reduces to its template.
+            // the deep 72-layer workload: one interner and contiguous node
+            // storage, no edges — no memoization in the loop (the compile
+            // cache is bypassed by calling the builder directly). This is
+            // the reference graph `DABENCH_NO_INCREMENTAL=1` builds and
+            // reduces to its template.
             let w = deep_compile_workload();
             Box::new(move || {
                 black_box(crate::graph::GraphBuilder::for_workload(&w));

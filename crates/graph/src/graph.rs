@@ -1,16 +1,15 @@
-//! The dataflow DAG type.
+//! The operator-graph type.
 //!
 //! Nodes live in contiguous arenas: one `Vec` per attribute (interned
-//! name, class, phase, layer, cost) plus CSR adjacency, instead of a
-//! `Vec<Op>` of heap-allocated names. The immutable *topology* (names,
-//! classes, adjacency) is shared behind an `Arc` so that incremental
-//! recompilation can re-cost an existing graph without rebuilding or
-//! copying its structure (see [`DataflowGraph::with_costs`]).
+//! name, class, phase, layer, cost) instead of a `Vec<Op>` of
+//! heap-allocated names. The immutable *topology* (names, classes,
+//! phases, layers, forward-twin links) is shared behind an `Arc` so that
+//! incremental recompilation can re-cost an existing graph without
+//! rebuilding or copying its structure (see [`DataflowGraph::with_costs`]).
 
 use crate::intern::{Interner, Symbol};
 use dabench_model::ops::{self, Op, OpClass, OpCost, OpRecord, Phase};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
@@ -25,30 +24,21 @@ impl fmt::Display for NodeId {
     }
 }
 
-/// Errors produced by graph construction and validation.
+/// Errors produced by graph construction.
 ///
 /// Variants carry the *resolved* operator name (looked up through the
 /// graph's interner), never a raw symbol id, so error text stays
 /// human-readable.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum GraphError {
-    /// The graph contains a cycle involving the named node.
-    Cycle(String),
-    /// An edge endpoint is out of range.
-    InvalidNode(usize),
     /// Two nodes share a name.
     DuplicateName(String),
-    /// A non-source node has no predecessors.
-    Orphan(String),
 }
 
 impl fmt::Display for GraphError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            GraphError::Cycle(n) => write!(f, "dependency cycle through node `{n}`"),
-            GraphError::InvalidNode(i) => write!(f, "edge references missing node index {i}"),
             GraphError::DuplicateName(n) => write!(f, "duplicate node name `{n}`"),
-            GraphError::Orphan(n) => write!(f, "non-source node `{n}` has no predecessors"),
         }
     }
 }
@@ -83,11 +73,6 @@ struct Topology {
     classes: Vec<OpClass>,
     phases: Vec<Phase>,
     layers: Vec<Option<u64>>,
-    index: HashMap<Symbol, usize>,
-    pred_off: Vec<u32>,
-    pred_adj: Vec<NodeId>,
-    succ_off: Vec<u32>,
-    succ_adj: Vec<NodeId>,
     /// For each backward node, the id of its forward twin (same operator,
     /// `.fwd` suffix); `None` for forward/update nodes.
     fwd_twin: Vec<Option<NodeId>>,
@@ -171,12 +156,12 @@ impl<'g> NodeRef<'g> {
     }
 }
 
-/// An immutable dataflow DAG whose nodes are LLM training operators.
+/// An immutable list of LLM training operators, in step order.
 ///
 /// Construct with [`DataflowGraph::from_parts`] or, for full training steps,
 /// [`crate::GraphBuilder`]. Node attributes are stored in contiguous arenas
-/// and names are interned ([`Symbol`]); edges point from producer to
-/// consumer. Access a node through the [`NodeRef`] view.
+/// and names are interned ([`Symbol`]); node `i`'s name is `Symbol(i)`.
+/// Access a node through the [`NodeRef`] view.
 ///
 /// # Example
 ///
@@ -185,8 +170,8 @@ impl<'g> NodeRef<'g> {
 /// use dabench_model::ModelConfig;
 ///
 /// let g = GraphBuilder::training_step(&ModelConfig::gpt2_mini(), 1, 64);
-/// // Every graph built by the builder is a valid DAG.
-/// g.validate().unwrap();
+/// let loss = g.find("loss.bwd").unwrap();
+/// assert_eq!(g.op(loss).name(), "loss.bwd");
 /// assert!(g.total_flops() > 0.0);
 /// ```
 #[derive(Debug, Clone)]
@@ -229,12 +214,16 @@ fn is_attention_internal(class: OpClass) -> bool {
     matches!(class, OpClass::AttnScores | OpClass::Softmax)
 }
 
-/// A graph's nodes in arena form, in node order, names interned:
-/// everything about a graph but its edges.
+/// The node whose name is `sym`: names are interned in node order.
+fn node_of(sym: Symbol) -> NodeId {
+    NodeId(sym.0 as usize)
+}
+
+/// A graph's nodes in arena form, in node order, names interned.
 #[derive(Debug)]
 pub(crate) struct Nodes {
-    pub(crate) interner: Interner,
-    pub(crate) names: Vec<Symbol>,
+    interner: Interner,
+    names: Vec<Symbol>,
     classes: Vec<OpClass>,
     phases: Vec<Phase>,
     layers: Vec<Option<u64>>,
@@ -276,13 +265,12 @@ impl Nodes {
 }
 
 impl DataflowGraph {
-    /// Build a graph from node payloads and (producer, consumer) edges.
+    /// Build a graph from node payloads, in node order.
     ///
     /// # Errors
     ///
-    /// Returns [`GraphError::InvalidNode`] if an edge endpoint is out of
-    /// range and [`GraphError::DuplicateName`] if node names collide.
-    pub fn from_parts(nodes: Vec<Op>, edges: &[(usize, usize)]) -> Result<Self, GraphError> {
+    /// Returns [`GraphError::DuplicateName`] if node names collide.
+    pub fn from_parts(nodes: Vec<Op>) -> Result<Self, GraphError> {
         let mut arena = Nodes::with_capacity(nodes.len(), 16);
         for op in &nodes {
             let cost = OpCost {
@@ -293,7 +281,7 @@ impl DataflowGraph {
             };
             arena.push(&op.name, op.class, op.phase, op.layer, cost);
         }
-        Self::from_interned(arena, edges)
+        Self::from_interned(arena)
     }
 
     /// Build a graph directly from interned arenas (the builder fast path).
@@ -301,10 +289,7 @@ impl DataflowGraph {
     /// # Errors
     ///
     /// Same contract as [`DataflowGraph::from_parts`].
-    pub(crate) fn from_interned(
-        nodes: Nodes,
-        edges: &[(usize, usize)],
-    ) -> Result<Self, GraphError> {
+    pub(crate) fn from_interned(nodes: Nodes) -> Result<Self, GraphError> {
         let Nodes {
             interner,
             names,
@@ -313,54 +298,14 @@ impl DataflowGraph {
             layers,
             costs,
         } = nodes;
-        let n = names.len();
-        let mut index = HashMap::with_capacity(n);
-        for (i, &sym) in names.iter().enumerate() {
-            if index.insert(sym, i).is_some() {
-                return Err(GraphError::DuplicateName(interner.resolve(sym).to_owned()));
-            }
-        }
-        for &(a, b) in edges {
-            if a >= n {
-                return Err(GraphError::InvalidNode(a));
-            }
-            if b >= n {
-                return Err(GraphError::InvalidNode(b));
-            }
-        }
-        // CSR adjacency, filled in edge input order so per-node neighbour
-        // order matches the legacy Vec-of-Vecs push order exactly.
-        let mut pred_deg = vec![0u32; n];
-        let mut succ_deg = vec![0u32; n];
-        for &(a, b) in edges {
-            succ_deg[a] += 1;
-            pred_deg[b] += 1;
-        }
-        let prefix = |deg: &[u32]| {
-            let mut off = Vec::with_capacity(n + 1);
-            let mut acc = 0u32;
-            off.push(0);
-            for &d in deg {
-                acc += d;
-                off.push(acc);
-            }
-            off
-        };
-        let pred_off = prefix(&pred_deg);
-        let succ_off = prefix(&succ_deg);
-        let mut pred_cur: Vec<u32> = pred_off[..n].to_vec();
-        let mut succ_cur: Vec<u32> = succ_off[..n].to_vec();
-        let mut pred_adj = vec![NodeId(0); edges.len()];
-        let mut succ_adj = vec![NodeId(0); edges.len()];
-        for &(a, b) in edges {
-            succ_adj[succ_cur[a] as usize] = NodeId(b);
-            succ_cur[a] += 1;
-            pred_adj[pred_cur[b] as usize] = NodeId(a);
-            pred_cur[b] += 1;
+        // Names are interned in node order, so node `i`'s name is
+        // `Symbol(i)` unless it repeats an earlier node's.
+        if let Some((_, &sym)) = (0u32..).zip(&names).find(|&(i, s)| s.0 != i) {
+            return Err(GraphError::DuplicateName(interner.resolve(sym).to_owned()));
         }
         // Backward → forward twin links (`l0.qkv_proj.bwd` → `…fwd`).
         let mut buf = String::new();
-        let fwd_twin: Vec<Option<NodeId>> = (0..n)
+        let fwd_twin: Vec<Option<NodeId>> = (0..names.len())
             .map(|i| {
                 if phases[i] != Phase::Backward {
                     return None;
@@ -369,9 +314,7 @@ impl DataflowGraph {
                 buf.clear();
                 buf.push_str(stem);
                 buf.push_str(".fwd");
-                interner
-                    .get(&buf)
-                    .and_then(|s| index.get(&s).copied().map(NodeId))
+                interner.get(&buf).map(node_of)
             })
             .collect();
         let summary = summarize(&classes, &phases, &layers, &costs);
@@ -382,11 +325,6 @@ impl DataflowGraph {
                 classes,
                 phases,
                 layers,
-                index,
-                pred_off,
-                pred_adj,
-                succ_off,
-                succ_adj,
                 fwd_twin,
             }),
             costs,
@@ -492,12 +430,6 @@ impl DataflowGraph {
         self.topo.names.len()
     }
 
-    /// Number of edges.
-    #[must_use]
-    pub fn edge_count(&self) -> usize {
-        self.topo.succ_adj.len()
-    }
-
     /// The operator at `id`.
     ///
     /// # Panics
@@ -509,109 +441,22 @@ impl DataflowGraph {
         NodeRef { g: self, i: id.0 }
     }
 
-    /// All node ids in insertion order.
-    pub fn node_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
-        (0..self.node_count()).map(NodeId)
-    }
-
     /// Iterate over `(id, node)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (NodeId, NodeRef<'_>)> {
         (0..self.node_count()).map(|i| (NodeId(i), NodeRef { g: self, i }))
     }
 
-    /// Predecessors (producers) of `id`.
-    #[must_use]
-    pub fn preds(&self, id: NodeId) -> &[NodeId] {
-        let t = &self.topo;
-        &t.pred_adj[t.pred_off[id.0] as usize..t.pred_off[id.0 + 1] as usize]
-    }
-
-    /// Successors (consumers) of `id`.
-    #[must_use]
-    pub fn succs(&self, id: NodeId) -> &[NodeId] {
-        let t = &self.topo;
-        &t.succ_adj[t.succ_off[id.0] as usize..t.succ_off[id.0 + 1] as usize]
-    }
-
-    /// Find a node by exact operator name (constant-time: interner lookup
-    /// plus one hash probe, no string scan over the node list).
+    /// Find a node by exact operator name (constant-time: one interner
+    /// lookup, no string scan over the node list).
     #[must_use]
     pub fn find(&self, name: &str) -> Option<NodeId> {
-        let sym = self.topo.interner.get(name)?;
-        self.topo.index.get(&sym).copied().map(NodeId)
+        self.topo.interner.get(name).map(node_of)
     }
 
     /// Total FLOPs over all nodes.
     #[must_use]
     pub fn total_flops(&self) -> f64 {
         self.costs.iter().map(|c| c.flops).sum()
-    }
-
-    /// A topological order of all nodes (Kahn's algorithm). Ties are broken
-    /// by insertion order, so the result is deterministic.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the graph contains a cycle; use [`DataflowGraph::validate`]
-    /// first on untrusted input.
-    #[must_use]
-    pub fn topological_order(&self) -> Vec<NodeId> {
-        self.try_topological_order()
-            .expect("graph contains a cycle")
-    }
-
-    fn try_topological_order(&self) -> Result<Vec<NodeId>, GraphError> {
-        let n = self.node_count();
-        let mut indegree: Vec<usize> = (0..n).map(|i| self.preds(NodeId(i)).len()).collect();
-        // A simple FIFO over a sorted frontier keeps the order stable.
-        let mut frontier: Vec<usize> = (0..n).filter(|&i| indegree[i] == 0).collect();
-        let mut order = Vec::with_capacity(n);
-        let mut head = 0;
-        while head < frontier.len() {
-            let u = frontier[head];
-            head += 1;
-            order.push(NodeId(u));
-            for &NodeId(v) in self.succs(NodeId(u)) {
-                indegree[v] -= 1;
-                if indegree[v] == 0 {
-                    frontier.push(v);
-                }
-            }
-        }
-        if order.len() != n {
-            let stuck = (0..n)
-                .find(|&i| indegree[i] > 0)
-                .map(|i| self.topo.interner.resolve(self.topo.names[i]).to_owned())
-                .unwrap_or_default();
-            return Err(GraphError::Cycle(stuck));
-        }
-        Ok(order)
-    }
-
-    /// ASAP level of every node: sources are level 0, every other node is
-    /// one more than its deepest predecessor. The maximum level + 1 is the
-    /// graph's critical-path length in operators.
-    #[must_use]
-    pub fn levels(&self) -> Vec<usize> {
-        let order = self.topological_order();
-        let mut level = vec![0usize; self.node_count()];
-        for &NodeId(u) in &order {
-            for &NodeId(p) in self.preds(NodeId(u)) {
-                level[u] = level[u].max(level[p] + 1);
-            }
-        }
-        level
-    }
-
-    /// Check structural invariants: DAG-ness and that every node except the
-    /// designated sources is reachable from a producer.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first violated invariant.
-    pub fn validate(&self) -> Result<(), GraphError> {
-        self.try_topological_order()?;
-        Ok(())
     }
 }
 
@@ -633,94 +478,43 @@ mod tests {
         }
     }
 
-    fn diamond() -> DataflowGraph {
-        // a -> b, a -> c, b -> d, c -> d
-        DataflowGraph::from_parts(
-            vec![
-                mk_op("a", 1.0),
-                mk_op("b", 2.0),
-                mk_op("c", 10.0),
-                mk_op("d", 1.0),
-            ],
-            &[(0, 1), (0, 2), (1, 3), (2, 3)],
-        )
+    fn four() -> DataflowGraph {
+        DataflowGraph::from_parts(vec![
+            mk_op("a", 1.0),
+            mk_op("b", 2.0),
+            mk_op("c", 10.0),
+            mk_op("d", 1.0),
+        ])
         .unwrap()
     }
 
     #[test]
-    fn topo_order_respects_edges() {
-        let g = diamond();
-        let order = g.topological_order();
-        let pos: Vec<usize> = {
-            let mut p = vec![0; 4];
-            for (i, NodeId(n)) in order.iter().enumerate() {
-                p[*n] = i;
-            }
-            p
-        };
-        assert!(pos[0] < pos[1]);
-        assert!(pos[0] < pos[2]);
-        assert!(pos[1] < pos[3]);
-        assert!(pos[2] < pos[3]);
-    }
-
-    #[test]
-    fn cycle_detected() {
-        let g =
-            DataflowGraph::from_parts(vec![mk_op("a", 1.0), mk_op("b", 1.0)], &[(0, 1), (1, 0)])
-                .unwrap();
-        assert!(matches!(g.validate(), Err(GraphError::Cycle(_))));
-    }
-
-    #[test]
     fn duplicate_names_rejected() {
-        let err = DataflowGraph::from_parts(vec![mk_op("a", 1.0), mk_op("a", 1.0)], &[]);
+        let err = DataflowGraph::from_parts(vec![mk_op("a", 1.0), mk_op("a", 1.0)]);
         assert!(matches!(err, Err(GraphError::DuplicateName(_))));
-    }
-
-    #[test]
-    fn invalid_edge_rejected() {
-        let err = DataflowGraph::from_parts(vec![mk_op("a", 1.0)], &[(0, 5)]);
-        assert!(matches!(err, Err(GraphError::InvalidNode(5))));
-    }
-
-    #[test]
-    fn levels_of_diamond() {
-        let g = diamond();
-        assert_eq!(g.levels(), vec![0, 1, 1, 2]);
+        // A repeat after a distinct name is caught too, and named.
+        let err =
+            DataflowGraph::from_parts(vec![mk_op("a", 1.0), mk_op("b", 1.0), mk_op("a", 1.0)]);
+        assert_eq!(err.unwrap_err(), GraphError::DuplicateName("a".to_owned()));
     }
 
     #[test]
     fn find_by_name() {
-        let g = diamond();
+        let g = four();
         assert_eq!(g.find("c"), Some(NodeId(2)));
         assert_eq!(g.find("zzz"), None);
     }
 
     #[test]
     fn error_messages_render_resolved_names() {
-        // Every variant prints the operator's text name, never a symbol id.
-        let cycle =
-            DataflowGraph::from_parts(vec![mk_op("a", 1.0), mk_op("b", 1.0)], &[(0, 1), (1, 0)])
-                .unwrap()
-                .validate()
-                .unwrap_err();
-        assert_eq!(cycle.to_string(), "dependency cycle through node `a`");
-        let dup =
-            DataflowGraph::from_parts(vec![mk_op("x", 1.0), mk_op("x", 1.0)], &[]).unwrap_err();
+        // The error prints the operator's text name, never a symbol id.
+        let dup = DataflowGraph::from_parts(vec![mk_op("x", 1.0), mk_op("x", 1.0)]).unwrap_err();
         assert_eq!(dup.to_string(), "duplicate node name `x`");
-        let invalid = DataflowGraph::from_parts(vec![mk_op("a", 1.0)], &[(0, 7)]).unwrap_err();
-        assert_eq!(invalid.to_string(), "edge references missing node index 7");
-        let orphan = GraphError::Orphan("l3.rope.fwd".to_owned());
-        assert_eq!(
-            orphan.to_string(),
-            "non-source node `l3.rope.fwd` has no predecessors"
-        );
     }
 
     #[test]
     fn node_ref_resolves_attributes() {
-        let g = diamond();
+        let g = four();
         let c = g.op(NodeId(2));
         assert_eq!(c.name(), "c");
         assert_eq!(c.class(), OpClass::Norm);
@@ -732,7 +526,7 @@ mod tests {
 
     #[test]
     fn with_costs_shares_topology_and_recosts() {
-        let g = diamond();
+        let g = four();
         let costs: Vec<OpCost> = g
             .iter()
             .map(|(_, n)| OpCost {
@@ -743,17 +537,15 @@ mod tests {
         let h = g.with_costs(costs);
         assert!(g.shares_topology(&h));
         assert_eq!(h.node_count(), g.node_count());
-        assert_eq!(h.edge_count(), g.edge_count());
         assert!((h.total_flops() - 3.0 * g.total_flops()).abs() < 1e-9);
         assert!((h.summary().total_flops - h.total_flops()).abs() < 1e-9);
-        // Topology queries are unchanged.
+        // Name lookups are unchanged.
         assert_eq!(h.find("c"), Some(NodeId(2)));
-        assert_eq!(h.succs(NodeId(0)), g.succs(NodeId(0)));
     }
 
     #[test]
     fn summary_matches_direct_sums() {
-        let g = diamond();
+        let g = four();
         let s = g.summary();
         assert!((s.total_flops - g.total_flops()).abs() < 1e-12);
         assert_eq!(s.forward_out_elems, 32); // four forward nodes × 8
@@ -767,7 +559,7 @@ mod tests {
         a.phase = Phase::Forward;
         let mut b = mk_op("l0.qkv_proj.bwd", 2.0);
         b.phase = Phase::Backward;
-        let g = DataflowGraph::from_parts(vec![a, b], &[(0, 1)]).unwrap();
+        let g = DataflowGraph::from_parts(vec![a, b]).unwrap();
         assert_eq!(g.forward_twin(NodeId(1)), Some(NodeId(0)));
         assert_eq!(g.forward_twin(NodeId(0)), None);
     }

@@ -1,9 +1,10 @@
-//! Generic partitioning utilities shared by the platform compilers.
+//! Contiguous partitioning of a weighted sequence.
 //!
-//! The RDU compiler cuts the operator graph into *sections*, the IPU
-//! compiler groups layers into *pipeline stages*. Both reduce to the same
-//! primitive: split a weighted sequence into contiguous groups subject to a
-//! balance or capacity objective.
+//! The IPU compiler groups decoder layers into *pipeline stages*
+//! (`dabench_ipu::pipeline`): it splits the layers' weights into a given
+//! number of contiguous groups with the lightest heaviest group
+//! ([`balanced_contiguous`]). [`bottleneck`] is that heaviest group's
+//! weight, the oracle the partition's tests check against.
 
 use serde::{Deserialize, Serialize};
 
@@ -14,8 +15,8 @@ use serde::{Deserialize, Serialize};
 /// ```
 /// use dabench_graph::partition::Partition;
 /// let p = Partition::from_sizes(&[2, 3]).unwrap();
-/// assert_eq!(p.group_of(4), Some(1));
-/// assert_eq!(p.groups().count(), 2);
+/// assert_eq!(p.groups().collect::<Vec<_>>(), vec![(0, 2), (2, 5)]);
+/// assert_eq!(p.len(), 5);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Partition {
@@ -57,15 +58,6 @@ impl Partition {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Index of the group containing item `i`, if in range.
-    #[must_use]
-    pub fn group_of(&self, i: usize) -> Option<usize> {
-        if i >= self.len() {
-            return None;
-        }
-        Some(self.ends.partition_point(|&e| e <= i))
     }
 
     /// Iterate over `(start, end)` half-open ranges of each group.
@@ -160,38 +152,6 @@ pub fn balanced_contiguous(weights: &[f64], k: usize) -> Option<Partition> {
     Partition::from_sizes(&sizes)
 }
 
-/// Split `weights` into contiguous groups such that no group exceeds
-/// `capacity`, using first-fit. Items heavier than `capacity` get a group
-/// of their own (the caller decides whether that is an error).
-///
-/// # Example
-///
-/// ```
-/// use dabench_graph::partition::capacity_contiguous;
-/// let p = capacity_contiguous(&[3.0, 3.0, 3.0, 3.0], 6.0);
-/// assert_eq!(p.sizes(), vec![2, 2]);
-/// ```
-#[must_use]
-pub fn capacity_contiguous(weights: &[f64], capacity: f64) -> Partition {
-    let mut sizes = Vec::new();
-    let mut acc = 0.0;
-    let mut count = 0usize;
-    for &w in weights {
-        if count > 0 && acc + w > capacity {
-            sizes.push(count);
-            acc = w;
-            count = 1;
-        } else {
-            acc += w;
-            count += 1;
-        }
-    }
-    if count > 0 {
-        sizes.push(count);
-    }
-    Partition::from_sizes(&sizes).unwrap_or(Partition { ends: Vec::new() })
-}
-
 /// Maximum group weight of a partition over `weights`.
 #[must_use]
 pub fn bottleneck(p: &Partition, weights: &[f64]) -> f64 {
@@ -207,15 +167,6 @@ mod tests {
     #[test]
     fn from_sizes_rejects_zero() {
         assert!(Partition::from_sizes(&[1, 0, 2]).is_none());
-    }
-
-    #[test]
-    fn group_of_boundaries() {
-        let p = Partition::from_sizes(&[2, 2]).unwrap();
-        assert_eq!(p.group_of(0), Some(0));
-        assert_eq!(p.group_of(1), Some(0));
-        assert_eq!(p.group_of(2), Some(1));
-        assert_eq!(p.group_of(4), None);
     }
 
     #[test]
@@ -248,21 +199,9 @@ mod tests {
     }
 
     #[test]
-    fn capacity_packs_greedily() {
-        let p = capacity_contiguous(&[4.0, 4.0, 4.0, 4.0, 4.0], 8.0);
-        assert_eq!(p.sizes(), vec![2, 2, 1]);
-    }
-
-    #[test]
-    fn capacity_oversized_item_isolated() {
-        let p = capacity_contiguous(&[1.0, 100.0, 1.0], 10.0);
-        assert_eq!(p.sizes(), vec![1, 1, 1]);
-    }
-
-    #[test]
-    fn bottleneck_of_capacity_partition() {
+    fn bottleneck_is_the_heaviest_group() {
         let w = [4.0, 4.0, 4.0, 4.0, 4.0];
-        let p = capacity_contiguous(&w, 8.0);
+        let p = Partition::from_sizes(&[2, 2, 1]).unwrap();
         assert!((bottleneck(&p, &w) - 8.0).abs() < 1e-12);
     }
 }

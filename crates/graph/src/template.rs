@@ -12,9 +12,8 @@ use dabench_model::ops::{Op, StepTemplate};
 /// all a platform compiler reads of a step. A template holds 37 nodes for
 /// a LLaMA-2 step and 33 for GPT-2 at any depth; only the summary's float
 /// sums, two additions per full-depth node, grow with the layer count.
-/// The template's nodes carry no edges, since no compiler walks a step's
-/// dependencies; [`crate::GraphBuilder`] builds the full-depth graph
-/// with them.
+/// [`crate::GraphBuilder`] builds the full-depth step, the reference a
+/// template is checked against.
 ///
 /// # Example
 ///
@@ -48,7 +47,7 @@ impl TemplateGraph {
     /// catalogue, not user error).
     #[must_use]
     pub fn new(t: &StepTemplate) -> Self {
-        let template = DataflowGraph::from_interned(Nodes::of_records(t.records()), &[])
+        let template = DataflowGraph::from_interned(Nodes::of_records(t.records()))
             .expect("the op catalogue names every operator once");
         Self::replayed(template, t.layers())
     }
@@ -63,10 +62,10 @@ impl TemplateGraph {
     }
 
     /// Re-cost this graph with the costs and layer count of `t`, a
-    /// template of the same operators: the node names and index are
-    /// shared, not copied. A template's operators do not depend on the
-    /// depth, so one graph serves every depth of its model family. This
-    /// is the incremental-recompilation patch path.
+    /// template of the same operators: the node names are shared, not
+    /// copied. A template's operators do not depend on the depth, so one
+    /// graph serves every depth of its model family. This is the
+    /// incremental-recompilation patch path.
     ///
     /// # Panics
     ///
@@ -103,8 +102,7 @@ impl TemplateGraph {
             .max()
             .map_or(0, |l| l + 1);
         Self {
-            template: DataflowGraph::from_parts(nodes, &[])
-                .expect("a graph's node names are distinct"),
+            template: DataflowGraph::from_parts(nodes).expect("a graph's node names are distinct"),
             layers,
             summary: *g.summary(),
         }
@@ -204,7 +202,7 @@ mod tests {
                 assert_eq!(g.layers(), cfg.num_layers);
                 assert_eq!(g.node_count(), full.node_count());
             }
-            // The patch path shares the names and index with its basis.
+            // The patch path shares the names with its basis.
             let patched = built.patch(&ops::step_template(&cfg, 4, 256));
             assert!(patched.shares_topology(&built));
             assert!(!reduced.shares_topology(&built));

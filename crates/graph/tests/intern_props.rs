@@ -126,10 +126,8 @@ fn arena_graph_matches_op_catalogue_for_random_workloads() {
             assert_eq!(graph.find(&legacy.name), Some(dabench_graph::NodeId(i)));
         }
 
-        // Structural invariants: valid DAG, every backward node twins a
-        // forward node carrying the swapped suffix.
-        graph.validate().expect("generated graph validates");
-        assert_eq!(graph.topological_order().len(), graph.node_count());
+        // Every backward node twins a forward node carrying the swapped
+        // suffix.
         for (id, node) in graph.iter() {
             if node.phase() == Phase::Backward {
                 let twin = graph.forward_twin(id).expect("backward node has twin");

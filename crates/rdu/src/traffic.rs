@@ -26,15 +26,6 @@ impl TrafficReport {
     pub fn total_bytes(&self) -> u64 {
         self.weight_bytes + self.input_bytes + self.output_bytes + self.optimizer_bytes
     }
-
-    /// Fraction of traffic attributable to activations (reads + writes).
-    #[must_use]
-    pub fn activation_fraction(&self) -> f64 {
-        if self.total_bytes() == 0 {
-            return 0.0;
-        }
-        (self.input_bytes + self.output_bytes) as f64 / self.total_bytes() as f64
-    }
 }
 
 /// Break a schedule's per-step DDR traffic into categories.
@@ -49,7 +40,7 @@ impl TrafficReport {
 /// let sections = partition(&w, &RduSpec::sn30(), &RduCompilerParams::default(), CompilationMode::O0);
 /// let report = traffic_report(&sections);
 /// // Per-operator sections make activations the dominant traffic class.
-/// assert!(report.activation_fraction() > 0.5);
+/// assert!(2 * (report.input_bytes + report.output_bytes) > report.total_bytes());
 /// ```
 #[must_use]
 pub fn traffic_report(sections: &[Section]) -> TrafficReport {

@@ -71,15 +71,6 @@ impl Kernel {
     pub fn name(&self) -> String {
         self.kind.to_string()
     }
-
-    /// Whether this kernel belongs to decoder layer `layer`.
-    #[must_use]
-    pub fn is_layer(&self, layer: u64) -> bool {
-        matches!(
-            self.kind,
-            KernelKind::Attention { layer: l } | KernelKind::Ffn { layer: l } if l == layer
-        )
-    }
 }
 
 fn kind_of(op: NodeRef<'_>) -> Option<KernelKind> {
@@ -261,13 +252,6 @@ mod tests {
             .unwrap();
         assert!((a0.flops - a3.flops).abs() < 1e-6);
         assert_eq!(a0.params, a3.params);
-    }
-
-    #[test]
-    fn is_layer_matches() {
-        let ks = kernels_of(&w(2));
-        let l1: Vec<_> = ks.iter().filter(|k| k.is_layer(1)).collect();
-        assert_eq!(l1.len(), 2);
     }
 
     /// Reference `kernels_of`: a linear `find` of each op's kernel, over

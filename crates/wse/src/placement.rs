@@ -29,18 +29,6 @@ impl PlacedRect {
     pub fn area(&self) -> u64 {
         self.width * self.rows
     }
-
-    /// PEs lost to column rounding inside this strip.
-    #[must_use]
-    pub fn padding(&self) -> u64 {
-        self.area() - self.used_pes
-    }
-
-    /// Horizontal center of the strip (for distance estimates).
-    #[must_use]
-    pub fn center_col(&self) -> f64 {
-        self.col as f64 + self.width as f64 / 2.0
-    }
 }
 
 /// A complete placement of kernels on the grid.
@@ -160,26 +148,6 @@ impl Placement {
     pub fn occupied_area(&self) -> u64 {
         self.rects.iter().map(PlacedRect::area).sum()
     }
-
-    /// PEs lost to rounding/fragmentation.
-    #[must_use]
-    pub fn fragmentation_pes(&self) -> u64 {
-        self.occupied_area() - self.used_pes()
-    }
-
-    /// Mean center-to-center distance (in columns) between consecutive
-    /// kernels — the dataflow communication distance.
-    #[must_use]
-    pub fn mean_hop_distance(&self) -> f64 {
-        if self.rects.len() < 2 {
-            return 0.0;
-        }
-        let mut acc = 0.0;
-        for pair in self.rects.windows(2) {
-            acc += (pair[1].center_col() - pair[0].center_col()).abs();
-        }
-        acc / (self.rects.len() - 1) as f64
-    }
 }
 
 /// Merge `dead_intervals` and return the complementary healthy column runs
@@ -235,28 +203,15 @@ mod tests {
     fn padding_accounts_rounding() {
         let p = Placement::strips(&regions(&[95]), 10, 30).unwrap();
         assert_eq!(p.rects[0].width, 10);
-        assert_eq!(p.fragmentation_pes(), 5);
+        assert_eq!(p.occupied_area() - p.used_pes(), 5);
         assert_eq!(p.used_pes(), 95);
     }
 
     #[test]
     fn exact_fit_has_no_padding() {
         let p = Placement::strips(&regions(&[100, 50]), 10, 15).unwrap();
-        assert_eq!(p.fragmentation_pes(), 0);
+        assert_eq!(p.used_pes(), 150);
         assert_eq!(p.occupied_area(), 150);
-    }
-
-    #[test]
-    fn hop_distance_grows_with_strip_width() {
-        let narrow = Placement::strips(&regions(&[10, 10]), 10, 100).unwrap();
-        let wide = Placement::strips(&regions(&[500, 500]), 10, 100).unwrap();
-        assert!(wide.mean_hop_distance() > narrow.mean_hop_distance());
-    }
-
-    #[test]
-    fn single_kernel_distance_zero() {
-        let p = Placement::strips(&regions(&[10]), 10, 100).unwrap();
-        assert_eq!(p.mean_hop_distance(), 0.0);
     }
 
     #[test]

@@ -6,7 +6,7 @@ use dabench::core::metrics::{
     allocation_ratio, load_imbalance, weighted_allocation_ratio, weighted_load_imbalance, Roofline,
 };
 use dabench::core::{SplitMix64, TaskProfile};
-use dabench::graph::partition::{balanced_contiguous, bottleneck, capacity_contiguous};
+use dabench::graph::partition::{balanced_contiguous, bottleneck};
 use dabench::graph::GraphBuilder;
 use dabench::model::{ModelConfig, Precision, TrainingWorkload};
 use dabench::sim::{steady_state_analysis, PipelineStage};
@@ -21,10 +21,10 @@ fn floats(rng: &mut SplitMix64, max_len: u64, lo: f64, hi: f64) -> Vec<f64> {
         .collect()
 }
 
-/// Any GPT-style probe builds a valid DAG whose op count and FLOPs are
-/// linear in depth.
+/// Any GPT-style probe builds a step whose op count is linear in depth,
+/// 9 fixed operators plus 12 per layer and phase, with positive FLOPs.
 #[test]
-fn training_graphs_are_valid_dags() {
+fn training_graph_node_count_is_linear_in_depth() {
     let mut rng = SplitMix64::new(0x1A_0001);
     for _ in 0..CASES {
         let hs = 64 * (1 + rng.below(7));
@@ -33,8 +33,7 @@ fn training_graphs_are_valid_dags() {
         let seq = 1 << (5 + rng.below(4));
         let cfg = ModelConfig::gpt2_probe(hs, layers);
         let g = GraphBuilder::training_step(&cfg, batch, seq);
-        assert!(g.validate().is_ok());
-        assert_eq!(g.topological_order().len(), g.node_count());
+        assert_eq!(g.node_count() as u64, 9 + 2 * 12 * layers);
         assert!(g.total_flops() > 0.0);
     }
 }
@@ -164,23 +163,6 @@ fn balanced_partition_invariants() {
         let max_w = weights.iter().cloned().fold(0.0f64, f64::max);
         let lower = (total / k as f64).max(max_w);
         assert!(bottleneck(&p, &weights) >= lower - 1e-9);
-    }
-}
-
-/// Capacity partitioning never exceeds the cap except for single
-/// oversized items.
-#[test]
-fn capacity_partition_respects_cap() {
-    let mut rng = SplitMix64::new(0x1A_0008);
-    for _ in 0..CASES {
-        let weights = floats(&mut rng, 40, 0.01, 10.0);
-        let cap = rng.uniform(0.5, 20.0);
-        let p = capacity_contiguous(&weights, cap);
-        assert_eq!(p.len(), weights.len());
-        for (s, e) in p.groups() {
-            let w: f64 = weights[s..e].iter().sum();
-            assert!(w <= cap + 1e-9 || e - s == 1);
-        }
     }
 }
 
