@@ -62,6 +62,52 @@ pub fn write_object(pairs: &[(&str, &str)]) -> String {
     out
 }
 
+/// Whether `line` is exactly the text [`write_object`] renders for
+/// `pairs`. The comparison runs in place, plain runs as slices, without
+/// building the escaped text.
+#[must_use]
+pub fn is_written_object(line: &[u8], pairs: &[(&str, &str)]) -> bool {
+    fn strip_object<'a>(line: &'a [u8], pairs: &[(&str, &str)]) -> Option<&'a [u8]> {
+        let mut rest = line.strip_prefix(b"{")?;
+        for (i, (k, v)) in pairs.iter().enumerate() {
+            if i > 0 {
+                rest = rest.strip_prefix(b",")?;
+            }
+            rest = strip_escaped(rest.strip_prefix(b"\"")?, k)?.strip_prefix(b"\":\"")?;
+            rest = strip_escaped(rest, v)?.strip_prefix(b"\"")?;
+        }
+        rest.strip_prefix(b"}")
+    }
+    strip_object(line, pairs).is_some_and(<[u8]>::is_empty)
+}
+
+/// What follows [`escape`]`(s)` in `text`, if `text` starts with it.
+fn strip_escaped<'a>(mut text: &'a [u8], s: &str) -> Option<&'a [u8]> {
+    let s = s.as_bytes();
+    let mut run = 0;
+    for (i, &b) in s.iter().enumerate() {
+        // Every byte `escape` rewrites is ASCII, so a multi-byte
+        // character is copied whole as part of a run.
+        let mut unicode = *b"\\u0000";
+        let escaped: &[u8] = match b {
+            b'"' => b"\\\"",
+            b'\\' => b"\\\\",
+            b'\n' => b"\\n",
+            b'\r' => b"\\r",
+            b'\t' => b"\\t",
+            0..=0x1f => {
+                unicode[4] = b'0' + (b >> 4);
+                unicode[5] = b"0123456789abcdef"[usize::from(b & 0xf)];
+                &unicode
+            }
+            _ => continue,
+        };
+        text = text.strip_prefix(&s[run..i])?.strip_prefix(escaped)?;
+        run = i + 1;
+    }
+    text.strip_prefix(&s[run..])
+}
+
 /// Write `line` and its `\n` to `out` as one buffer, in one `write_all`.
 ///
 /// A journal record, its header and a serve reply each go out this way.
@@ -284,6 +330,57 @@ mod tests {
         for (k, v) in pairs {
             assert_eq!(parsed.get(k).map(String::as_str), Some(v), "key {k}");
         }
+    }
+
+    #[test]
+    fn is_written_object_holds_for_exactly_the_written_bytes() {
+        // Every ASCII byte, the escapes, and multi-byte characters next
+        // to them: the written line matches, and so does no other line
+        // obtained from it by cutting it short or changing one byte.
+        let ascii: String = (0_u8..0x80).map(char::from).collect();
+        let mut rng = crate::SplitMix64::new(7);
+        for case in 0..40 {
+            let value: String = (0..rng.below(24))
+                .map(|_| match rng.below(4) {
+                    0 => char::from(rng.below(0x20) as u8),
+                    1 => ['"', '\\', 'é', '€', '😀'][rng.below(5) as usize],
+                    _ => char::from(b'a' + rng.below(26) as u8),
+                })
+                .collect();
+            let pairs = [
+                ("label", "p"),
+                ("data", ascii.as_str()),
+                ("x", value.as_str()),
+            ];
+            let line = write_object(&pairs).into_bytes();
+            assert!(is_written_object(&line, &pairs), "case {case}");
+            for cut in 0..line.len() {
+                assert!(
+                    !is_written_object(&line[..cut], &pairs),
+                    "case {case} cut {cut}"
+                );
+            }
+            for at in 0..line.len() {
+                let mut changed = line.clone();
+                changed[at] ^= 1 << (case % 8);
+                assert!(
+                    !is_written_object(&changed, &pairs),
+                    "case {case} byte {at}"
+                );
+            }
+        }
+        assert!(!is_written_object(
+            b"{\"a\":\"b\"}",
+            &[("a", "b"), ("c", "d")]
+        ));
+        assert!(
+            !is_written_object(b"{\"a\": \"b\"}", &[("a", "b")]),
+            "whitespace"
+        );
+        assert!(
+            !is_written_object(b"{\"a\":\"\\u0062\"}", &[("a", "b")]),
+            "needless escape"
+        );
     }
 
     #[test]

@@ -20,8 +20,8 @@ use std::process::{Child, Command, ExitStatus};
 use std::time::{Duration, Instant};
 
 use crate::supervise::{
-    format_record, journal_header, journal_parse_io_error, parse_journal_bytes, ParsedJournal,
-    JOURNAL_FILE, STATUS_STARTED,
+    format_record, is_record_line, journal_header, journal_parse_io_error, parse_journal_bytes,
+    JournalRecord, ParsedJournal, JOURNAL_FILE, STATUS_STARTED,
 };
 
 // ---------------------------------------------------------------------------
@@ -33,6 +33,13 @@ use crate::supervise::{
 #[must_use]
 pub fn shard_journal_name(shard: usize) -> String {
     format!("journal.shard-{shard}.jsonl")
+}
+
+/// File name of shard `k`'s worker log inside the run directory
+/// (`shard-K.log`): each worker life appends its stderr to it.
+#[must_use]
+pub fn shard_log_name(shard: usize) -> String {
+    format!("shard-{shard}.log")
 }
 
 /// Shard journals present in `dir`, as `(shard index, path)` sorted by
@@ -86,11 +93,22 @@ pub fn plan_shards(labels: &[String], shards: usize) -> Vec<Vec<String>> {
 ///
 /// I/O failures, schema mismatch, or mid-file corruption.
 pub fn read_journal(path: &Path) -> io::Result<ParsedJournal> {
+    read_journal_bytes(path).map(|(_, parsed)| parsed)
+}
+
+/// [`read_journal`], also returning the bytes it parsed (none for a
+/// missing file).
+///
+/// # Errors
+///
+/// As for [`read_journal`].
+pub fn read_journal_bytes(path: &Path) -> io::Result<(Vec<u8>, ParsedJournal)> {
     if !path.exists() {
-        return Ok(ParsedJournal::default());
+        return Ok((Vec::new(), ParsedJournal::default()));
     }
     let contents = std::fs::read(path)?;
-    parse_journal_bytes(&contents).map_err(|e| journal_parse_io_error(path, &e))
+    let parsed = parse_journal_bytes(&contents).map_err(|e| journal_parse_io_error(path, &e))?;
+    Ok((contents, parsed))
 }
 
 /// Labels with a durable final record (completed or failed any way) in
@@ -263,6 +281,46 @@ pub fn merge_journals(
     result
 }
 
+/// Whether `journal`, a combined journal's bytes parsed as `parsed`, is
+/// already what [`merge_journals`] writes from it alone: the header, then
+/// one `completed` record per label of `order`, in order, each optionally
+/// followed by its `metrics` record, every line spelled as
+/// [`format_record`] spells it, and nothing else. Re-merging such a
+/// journal rewrites the bytes it holds, so a resume that ran nothing and
+/// found no shard journal can leave it alone.
+#[must_use]
+pub fn is_merged(order: &[String], journal: &[u8], parsed: &ParsedJournal) -> bool {
+    let header = journal_header() + "\n";
+    let Some(body) = journal.strip_prefix(header.as_bytes()) else {
+        return false;
+    };
+    let mut lines = body.split_inclusive(|&b| b == b'\n');
+    let mut line_is = |label: &str, status: &str, data: &str| {
+        lines
+            .next()
+            .and_then(|line| line.strip_suffix(b"\n"))
+            .is_some_and(|line| is_record_line(line, label, status, data))
+    };
+    let mut records = parsed.records.iter().peekable();
+    let record_is = |r: &JournalRecord, label: &str, status: &str| {
+        r.label == label && r.status.as_deref() == Some(status) && r.data.is_some()
+    };
+    for label in order {
+        let Some(done) = records.next_if(|r| record_is(r, label, "completed")) else {
+            return false;
+        };
+        if !line_is(label, "completed", done.data.as_deref().unwrap_or_default()) {
+            return false;
+        }
+        if let Some(m) = records.next_if(|r| record_is(r, label, "metrics")) {
+            if !line_is(label, "metrics", m.data.as_deref().unwrap_or_default()) {
+                return false;
+            }
+        }
+    }
+    parsed.dropped_tail.is_none() && records.next().is_none() && lines.next().is_none()
+}
+
 /// Atomically replace the combined journal in `dir` with merged `text`:
 /// write a temp file, fsync it, rename it over [`JOURNAL_FILE`], and
 /// fsync `dir` — a crash mid-merge leaves either the old journal or the
@@ -375,9 +433,31 @@ struct LiveShard {
     child: Child,
     assigned: Vec<String>,
     journal: PathBuf,
+    /// The worker log ([`shard_log_name`]) and its length when this life
+    /// was spawned: what this life wrote starts there.
+    log: PathBuf,
+    log_start: u64,
     last_len: u64,
     last_growth: Instant,
     in_gap: bool,
+}
+
+impl LiveShard {
+    /// The last non-empty line this worker life wrote to its log.
+    fn last_log_line(&self) -> Option<String> {
+        use std::io::{Read, Seek, SeekFrom};
+        let mut log = std::fs::File::open(&self.log).ok()?;
+        log.seek(SeekFrom::Start(self.log_start)).ok()?;
+        let mut written = Vec::new();
+        log.read_to_end(&mut written).ok()?;
+        let written = String::from_utf8_lossy(&written);
+        let line = written.lines().map(str::trim).rfind(|l| !l.is_empty())?;
+        Some(line.to_owned())
+    }
+}
+
+fn file_len(path: &Path) -> u64 {
+    std::fs::metadata(path).map_or(0, |m| m.len())
 }
 
 fn describe_exit(status: ExitStatus) -> String {
@@ -441,12 +521,16 @@ pub fn supervise_shards(
         if labels.is_empty() {
             continue;
         }
+        let log = dir.join(shard_log_name(k));
+        let log_start = file_len(&log);
         let child = spawn(k, labels).spawn()?;
         live.push(LiveShard {
             index: k,
             child,
             assigned: labels.clone(),
             journal: dir.join(shard_journal_name(k)),
+            log,
+            log_start,
             last_len: 0,
             last_growth: Instant::now(),
             in_gap: false,
@@ -466,10 +550,16 @@ pub fn supervise_shards(
                         ShardOutcome::Partial
                     };
                 } else {
+                    // A worker that exits with a code says why on its
+                    // last log line (`error: ...`); name it with the exit.
+                    let mut detail = describe_exit(status);
+                    if let Some(line) = code.and_then(|_| shard.last_log_line()) {
+                        detail = format!("{detail}; {}: {line}", shard_log_name(shard.index));
+                    }
                     handle_death(
                         &mut statuses[shard.index],
                         &shard,
-                        describe_exit(status),
+                        detail,
                         cfg,
                         spawn,
                         &mut still,
@@ -478,7 +568,7 @@ pub fn supervise_shards(
                 continue;
             }
             // Still running: journal-growth liveness.
-            let len = std::fs::metadata(&shard.journal).map_or(0, |m| m.len());
+            let len = file_len(&shard.journal);
             if len != shard.last_len {
                 shard.last_len = len;
                 shard.last_growth = Instant::now();
@@ -545,12 +635,15 @@ fn handle_death(
     if status.respawns < cfg.max_respawns {
         status.respawns += 1;
         status.reassigned_points += u32::try_from(remaining.len()).unwrap_or(u32::MAX);
+        let log_start = file_len(&dead.log);
         let child = spawn(dead.index, &remaining).spawn()?;
         still.push(LiveShard {
             index: dead.index,
             child,
             assigned: remaining,
             journal: dead.journal.clone(),
+            log: dead.log.clone(),
+            log_start,
             last_len: 0,
             last_growth: Instant::now(),
             in_gap: false,
@@ -746,6 +839,66 @@ mod tests {
     }
 
     #[test]
+    fn is_merged_holds_exactly_for_a_merge_fixed_point() {
+        let order = labels(&["a", "b"]);
+        let merged = |records: &[(&str, &str, &str)]| {
+            merge_journals(&order, &[journal(records)], &BTreeMap::new()).text
+        };
+        let canonical = merged(&[
+            ("a", "completed", "A\n\"x\""),
+            ("a", "metrics", "M"),
+            ("b", "completed", "B"),
+        ]);
+        let holds = |text: &str| match parse_journal(text) {
+            Ok(parsed) => is_merged(&order, text.as_bytes(), &parsed),
+            Err(_) => false,
+        };
+        assert!(holds(&canonical), "{canonical}");
+        assert!(!holds(&merged(&[("a", "completed", "A")])), "b missing");
+        let lines: Vec<&str> = canonical.lines().collect();
+        let rejoin = |lines: &[&str]| lines.iter().map(|l| format!("{l}\n")).collect::<String>();
+        // Records out of order, a superseded failure, a second digest, a
+        // control record, another spelling of the same record, a torn
+        // tail: each still goes through the merge.
+        let failed = format_record("b", "failed", "boom");
+        let metrics = format_record("a", "metrics", "M");
+        let control = format_record(SHARD_CONTROL_LABEL, STATUS_HEARTBEAT, "t=1");
+        let spaced = lines[3].replace(",", ", ");
+        for (what, text) in [
+            ("swapped", rejoin(&[lines[0], lines[3], lines[1], lines[2]])),
+            (
+                "failure first",
+                rejoin(&[lines[0], lines[1], lines[2], &failed, lines[3]]),
+            ),
+            (
+                "two digests",
+                rejoin(&[lines[0], lines[1], lines[2], &metrics, lines[3]]),
+            ),
+            (
+                "control",
+                rejoin(&[lines[0], lines[1], lines[2], lines[3], &control]),
+            ),
+            (
+                "respelled",
+                rejoin(&[lines[0], lines[1], lines[2], &spaced]),
+            ),
+            ("torn tail", canonical.clone() + "{\"label\":\"b\""),
+        ] {
+            assert!(!holds(&text), "{what}: {text}");
+            assert_eq!(
+                merged_from_text(&order, &text),
+                canonical,
+                "{what} re-merges to the canonical bytes"
+            );
+        }
+    }
+
+    fn merged_from_text(order: &[String], text: &str) -> String {
+        let parsed = parse_journal(text).expect("parses");
+        merge_journals(order, &[parsed], &BTreeMap::new()).text
+    }
+
+    #[test]
     fn write_merged_replaces_atomically_and_cleanup_removes_shards() {
         let dir = std::env::temp_dir().join(format!("dabench-shard-merge-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -758,6 +911,61 @@ mod tests {
         remove_shard_journals(&dir).unwrap();
         assert!(list_shard_journals(&dir).unwrap().is_empty());
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn worker_that_errs_after_its_last_record_is_clean_and_names_its_error() {
+        // The worker journaled every point, then failed (a final fsync,
+        // say): nothing is lost, so the shard is clean, but the rollup
+        // names the error the worker's log ends with. A life that writes
+        // nothing to the log is not blamed for an earlier life's line.
+        for (script, named) in [
+            (r#"echo "error: journal sync: boom" >&2; exit 1"#, true),
+            ("exit 1", false),
+        ] {
+            let dir = std::env::temp_dir()
+                .join(format!("dabench-shard-log-{}-{named}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).unwrap();
+            std::fs::write(
+                dir.join(shard_journal_name(0)),
+                format!(
+                    "{}\n{}\n{}\n",
+                    journal_header(),
+                    format_record("a", "completed", "A"),
+                    format_record("b", "failed", "boom"),
+                ),
+            )
+            .unwrap();
+            std::fs::write(dir.join(shard_log_name(0)), "error: an earlier life\n").unwrap();
+            let log_dir = dir.clone();
+            let mut spawn = move |k: usize, _: &[String]| {
+                let log = std::fs::OpenOptions::new()
+                    .append(true)
+                    .open(log_dir.join(shard_log_name(k)))
+                    .unwrap();
+                let mut cmd = Command::new("sh");
+                cmd.args(["-c", script]).stderr(log);
+                cmd
+            };
+            let statuses = supervise_shards(
+                &dir,
+                &[labels(&["a", "b"])],
+                &ShardConfig::default(),
+                &mut spawn,
+            )
+            .unwrap();
+            assert_eq!(statuses[0].outcome, ShardOutcome::Clean);
+            assert_eq!(statuses[0].respawns, 0);
+            let out = render_rollups(&statuses);
+            let death = if named {
+                "[shard 0] died: exited with code 1; shard-0.log: error: journal sync: boom\n"
+            } else {
+                "[shard 0] died: exited with code 1\n"
+            };
+            assert!(out.contains(death), "{out}");
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     #[test]

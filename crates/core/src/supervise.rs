@@ -556,7 +556,22 @@ pub const SHARD_CONTROL_LABEL: &str = "__shard__";
 /// the combined journal byte-identically to a single-process run.
 #[must_use]
 pub fn format_record(label: &str, status: &str, data: &str) -> String {
-    jsonl::write_object(&[("label", label), ("status", status), ("data", data)])
+    jsonl::write_object(&record_pairs(label, status, data))
+}
+
+/// Whether `line` (no trailing newline) is exactly
+/// [`format_record`]`(label, status, data)`.
+pub(crate) fn is_record_line(line: &[u8], label: &str, status: &str, data: &str) -> bool {
+    jsonl::is_written_object(line, &record_pairs(label, status, data))
+}
+
+/// A journal record's fields, in the order its line carries them.
+fn record_pairs<'a>(
+    label: &'a str,
+    status: &'a str,
+    data: &'a str,
+) -> [(&'static str, &'a str); 3] {
+    [("label", label), ("status", status), ("data", data)]
 }
 
 /// The journal's first line, `{"schema":"dabench-journal-v1"}` (no

@@ -37,9 +37,9 @@ use dabench::bench_suite::run_bench;
 use dabench::core::jsonl::hex_snippet;
 use dabench::core::obs;
 use dabench::core::shard::{
-    emit_shard_counters, list_shard_journals, merge_journals, plan_shards, read_journal,
-    remove_shard_journals, render_rollups, shard_journal_name, supervise_shards, write_merged,
-    ShardConfig, ShardOutcome, SyntheticFailure,
+    emit_shard_counters, is_merged, list_shard_journals, merge_journals, plan_shards, read_journal,
+    read_journal_bytes, remove_shard_journals, render_rollups, shard_journal_name, shard_log_name,
+    supervise_shards, write_merged, MergedPoint, ShardConfig, ShardOutcome, SyntheticFailure,
 };
 use dabench::core::supervise::{
     parse_injections, Injection, Replay, RunJournal, RunReport, SupervisePolicy,
@@ -449,7 +449,10 @@ fn fold_stale_shards(dir: &std::path::Path, order: &[String]) -> Result<(), Stri
 /// supervise the fleet (heartbeat liveness, crash detection, bounded
 /// respawns), then merge the per-shard journals into the combined
 /// journal — stdout and journal byte-identical to a single-process run.
-/// See docs/sharding.md.
+/// A `--resume` whose combined journal is already its own merge
+/// ([`is_merged`]) runs no worker, finds no shard journal and leaves the
+/// journal alone: it prints and reports from its replay, as a
+/// single-process resume does. See docs/sharding.md.
 fn run_sweep_sharded(
     order: &[String],
     opts: &SweepOpts,
@@ -474,8 +477,13 @@ fn run_sweep_sharded(
             RunJournal::create(&dir).map_err(|e| format!("--run-dir {}: {e}", dir.display()))?;
         drop(journal);
     }
-    let combined = read_journal(&RunJournal::path_in(&dir)).map_err(|e| e.to_string())?;
-    let replay = Replay::from_journal(&combined);
+    let (journal_bytes, combined) =
+        read_journal_bytes(&RunJournal::path_in(&dir)).map_err(|e| e.to_string())?;
+    // A merged journal holds a completed record for every point, so such
+    // a resume has nothing pending and spawns no worker.
+    let merged_already = opts.run.resume && is_merged(order, &journal_bytes, &combined);
+    drop(journal_bytes);
+    let mut replay = Replay::from_journal(&combined);
     if let Some(tail) = &replay.dropped_tail {
         eprintln!("warning: discarded truncated journal record {tail:?}; its point will re-run");
     }
@@ -527,7 +535,7 @@ fn run_sweep_sharded(
             let log = std::fs::OpenOptions::new()
                 .create(true)
                 .append(true)
-                .open(worker_dir.join(format!("shard-{k}.log")));
+                .open(worker_dir.join(shard_log_name(k)));
             match log {
                 Ok(f) => cmd.stderr(std::process::Stdio::from(f)),
                 Err(_) => cmd.stderr(std::process::Stdio::null()),
@@ -538,45 +546,68 @@ fn run_sweep_sharded(
             .map_err(|e| format!("shard supervision: {e}"))?
     };
 
-    // Merge: the prior combined journal first (idempotent re-merge, keeps
-    // resumed results), then the shard journals ascending.
-    let mut sources = vec![combined];
-    for (k, path) in list_shard_journals(&dir).map_err(|e| format!("{}: {e}", dir.display()))? {
-        match read_journal(&path) {
-            Ok(parsed) => sources.push(parsed),
-            Err(e) => eprintln!(
-                "warning: shard {k} journal unreadable ({e}); its unfinished points count as dropped"
-            ),
-        }
-    }
-    let mut synthetic = std::collections::BTreeMap::new();
-    for s in &statuses {
-        if let ShardOutcome::Dead { dropped } = &s.outcome {
-            let detail = s
-                .deaths
-                .last()
-                .cloned()
-                .unwrap_or_else(|| "died".to_owned());
-            for label in dropped {
-                synthetic.insert(
-                    label.clone(),
-                    SyntheticFailure {
-                        status: "failed".to_owned(),
-                        data: format!(
-                            "shard {} {detail}; respawn budget ({}) exhausted",
-                            s.shard, opts.fleet.max_respawns
-                        ),
-                    },
-                );
+    let shard_journals =
+        list_shard_journals(&dir).map_err(|e| format!("{}: {e}", dir.display()))?;
+    let points = if merged_already && shard_journals.is_empty() {
+        // Re-merging would rewrite the same bytes: take every point from
+        // the replay instead.
+        drop(combined);
+        let mut metrics = std::mem::take(&mut replay.metrics);
+        std::mem::take(&mut replay.completed)
+            .into_iter()
+            .map(|(label, data)| {
+                let metrics = metrics.remove(&label);
+                let point = MergedPoint {
+                    status: "completed".to_owned(),
+                    data,
+                    metrics,
+                    source: 0,
+                };
+                (label, point)
+            })
+            .collect()
+    } else {
+        // Merge: the prior combined journal first (idempotent re-merge,
+        // keeps resumed results), then the shard journals ascending.
+        let mut sources = vec![combined];
+        for (k, path) in shard_journals {
+            match read_journal(&path) {
+                Ok(parsed) => sources.push(parsed),
+                Err(e) => eprintln!(
+                    "warning: shard {k} journal unreadable ({e}); its unfinished points count as dropped"
+                ),
             }
         }
-    }
-    let merged = merge_journals(order, &sources, &synthetic);
-    write_merged(&dir, &merged.text).map_err(|e| format!("journal merge: {e}"))?;
-    remove_shard_journals(&dir).map_err(|e| format!("shard journal cleanup: {e}"))?;
+        let mut synthetic = std::collections::BTreeMap::new();
+        for s in &statuses {
+            if let ShardOutcome::Dead { dropped } = &s.outcome {
+                let detail = s
+                    .deaths
+                    .last()
+                    .cloned()
+                    .unwrap_or_else(|| "died".to_owned());
+                for label in dropped {
+                    synthetic.insert(
+                        label.clone(),
+                        SyntheticFailure {
+                            status: "failed".to_owned(),
+                            data: format!(
+                                "shard {} {detail}; respawn budget ({}) exhausted",
+                                s.shard, opts.fleet.max_respawns
+                            ),
+                        },
+                    );
+                }
+            }
+        }
+        let merged = merge_journals(order, &sources, &synthetic);
+        write_merged(&dir, &merged.text).map_err(|e| format!("journal merge: {e}"))?;
+        remove_shard_journals(&dir).map_err(|e| format!("shard journal cleanup: {e}"))?;
+        merged.points
+    };
     if capture_metrics {
         inject_journaled_digests(order.iter().filter_map(|label| {
-            let p = merged.points.get(label)?;
+            let p = points.get(label)?;
             (p.status == "completed").then_some((label, p.metrics.as_ref()?))
         }))?;
     }
@@ -584,7 +615,7 @@ fn run_sweep_sharded(
     let mut report = RunReport::default();
     let mut texts = Vec::with_capacity(order.len());
     for label in order {
-        match merged.points.get(label) {
+        match points.get(label) {
             Some(p) if p.status == "completed" => {
                 print!("{}", p.data);
                 texts.push(Some(p.data.clone()));

@@ -16,8 +16,8 @@
 use crate::render::Table;
 use dabench_core::gen::{
     check_batch_ladder, check_determinism, check_fault_monotone, check_fp8_kv, format_label,
-    parse_label, sample, Invariant, LadderPoint, MemoryEdge, Scenario, ScenarioKind, Tier,
-    Violation,
+    parse_label, sample, Invariant, LadderPoint, MemoryEdge, ModelFamily, Scenario, ScenarioKind,
+    Tier, Violation,
 };
 use dabench_core::{
     catch_labeled, max_admissible_batch, par_map, profile_inference, AdmissionProbe, Degradable,
@@ -29,6 +29,8 @@ use dabench_ipu::Ipu;
 use dabench_model::{InferenceWorkload, Precision};
 use dabench_rdu::Rdu;
 use dabench_wse::Wse;
+use std::borrow::Cow;
+use std::collections::HashMap;
 
 /// Platform column order, shared with the inference sweep.
 pub use super::infer::PLATFORMS;
@@ -530,7 +532,8 @@ fn slot(inv: Invariant) -> usize {
 /// One record's share of a population check: checks run per invariant,
 /// violations in check order, and the invariants with an observation a
 /// `gen=violate:` injection could perturb. Only counters, flags and
-/// violations — no ladder or re-rendered record outlives the check.
+/// violations: no re-rendered record outlives the check, and no batch
+/// ladder outlives its shape's group.
 #[derive(Default)]
 struct RecordCheck {
     counts: [u64; Invariant::ALL.len()],
@@ -562,7 +565,96 @@ impl RecordCheck {
     }
 }
 
-fn check_scenario(ck: &mut RecordCheck, scenario: &Scenario, obs: &[GenObs]) {
+/// The fields of a serving scenario that its inference workload reads,
+/// all but the batch size. A batch ladder re-batches the workload at
+/// every rung, so scenarios of one shape have the same ladders.
+#[derive(PartialEq, Eq, Hash)]
+struct ServingShape {
+    family: ModelFamily,
+    hidden: u64,
+    layers: u64,
+    heads: u64,
+    kv_heads: u64,
+    seq: u64,
+    decode: u64,
+    precision: Precision,
+    kv_precision: Precision,
+}
+
+impl ServingShape {
+    /// The shape of a serving scenario; `None` for a training one.
+    fn of(s: &Scenario) -> Option<Self> {
+        (s.kind == ScenarioKind::Infer).then_some(ServingShape {
+            family: s.family,
+            hidden: s.hidden,
+            layers: s.layers,
+            heads: s.heads,
+            kv_heads: s.kv_heads,
+            seq: s.seq,
+            decode: s.decode,
+            precision: s.precision,
+            kv_precision: s.kv_precision,
+        })
+    }
+}
+
+/// One platform's batch ladder for a serving shape, before any injection
+/// perturbs it: the probed admission wall and the profiled rungs.
+struct ShapeLadder {
+    probe: AdmissionProbe,
+    rungs: Vec<LadderPoint>,
+}
+
+/// The ladders of `base`'s shape on every platform, in [`PLATFORMS`]
+/// order: powers of two below the probed wall (at most 20), the wall,
+/// and one past it unless the wall is the [`PROBE_LIMIT`] search cap.
+fn serving_ladders(base: &InferenceWorkload) -> Vec<ShapeLadder> {
+    PLATFORMS
+        .into_iter()
+        .map(|platform| {
+            let probe = platform_probe(platform, base);
+            let mut batches: Vec<u64> = Vec::new();
+            let mut b = 1;
+            while b < probe.max_batch && batches.len() < 20 {
+                batches.push(b);
+                b *= 2;
+            }
+            if probe.max_batch >= 1 {
+                batches.push(probe.max_batch);
+            }
+            // A wall at PROBE_LIMIT is the search cap, not a real
+            // wall — only cross the edge when the wall is genuine.
+            if probe.max_batch < PROBE_LIMIT {
+                batches.push(probe.max_batch + 1);
+            }
+            batches.dedup();
+            let rungs = batches
+                .into_iter()
+                .map(|batch| {
+                    let report = base.with_batch_size(batch).ok().and_then(|w| {
+                        let m = super::infer::platform_model(platform, &w);
+                        profile_inference(&m, &w).ok()
+                    });
+                    LadderPoint {
+                        batch,
+                        tokens_per_s: report.as_ref().map(|r| r.e2e_tokens_per_s),
+                        level: report.map(|r| r.memory.name),
+                    }
+                })
+                .collect();
+            ShapeLadder { probe, rungs }
+        })
+        .collect()
+}
+
+/// Check one scenario's observations. `ladders` holds its shape's batch
+/// ladders, derived here on first use.
+fn check_scenario(
+    ck: &mut RecordCheck,
+    scenario: &Scenario,
+    obs: &[GenObs],
+    ladders: &mut Option<Vec<ShapeLadder>>,
+) {
     let label = scenario.label();
     match scenario.kind {
         ScenarioKind::Train => {
@@ -617,47 +709,14 @@ fn check_scenario(ck: &mut RecordCheck, scenario: &Scenario, obs: &[GenObs]) {
             ));
 
             // Batch ladder per platform: monotone throughput within a
-            // memory level, consistent OOM wall.
-            let base = scenario.inference_workload();
-            for platform in PLATFORMS {
-                let probe = platform_probe(platform, &base);
-                let mut rungs: Vec<u64> = Vec::new();
-                let mut b = 1;
-                while b < probe.max_batch && rungs.len() < 20 {
-                    rungs.push(b);
-                    b *= 2;
-                }
-                if probe.max_batch >= 1 {
-                    rungs.push(probe.max_batch);
-                }
-                // A wall at PROBE_LIMIT is the search cap, not a real
-                // wall — only cross the edge when the wall is genuine.
+            // memory level, consistent OOM wall. The ladders depend only
+            // on the serving shape, so a group of records shares them.
+            let ladders =
+                ladders.get_or_insert_with(|| serving_ladders(&scenario.inference_workload()));
+            for (platform, shared) in PLATFORMS.into_iter().zip(ladders.iter()) {
+                let probe = &shared.probe;
                 let capped = probe.max_batch >= PROBE_LIMIT;
-                if !capped {
-                    rungs.push(probe.max_batch + 1);
-                }
-                rungs.dedup();
-                let mut ladder: Vec<LadderPoint> = rungs
-                    .iter()
-                    .map(|&batch| {
-                        let point = base.with_batch_size(batch).ok().and_then(|w| {
-                            let m = super::infer::platform_model(platform, &w);
-                            profile_inference(&m, &w).ok().map(|r| (w, r))
-                        });
-                        match point {
-                            Some((_, r)) => LadderPoint {
-                                batch,
-                                level: Some(r.memory.name),
-                                tokens_per_s: Some(r.e2e_tokens_per_s),
-                            },
-                            None => LadderPoint {
-                                batch,
-                                level: None,
-                                tokens_per_s: None,
-                            },
-                        }
-                    })
-                    .collect();
+                let mut ladder = Cow::Borrowed(shared.rungs.as_slice());
                 // The perturbable observation is the second rung of the
                 // first same-level fitting pair; a ladder without one
                 // offers the injection nothing to halve.
@@ -668,7 +727,8 @@ fn check_scenario(ck: &mut RecordCheck, scenario: &Scenario, obs: &[GenObs]) {
                 });
                 if let Some(k) = pair {
                     if ck.perturb(Invariant::BatchMonotone) {
-                        ladder[k].tokens_per_s = ladder[k - 1].tokens_per_s.map(|t| t / 2.0);
+                        let halved = ladder[k - 1].tokens_per_s.map(|t| t / 2.0);
+                        ladder.to_mut()[k].tokens_per_s = halved;
                     }
                 }
                 let mut wall_violation: Option<Violation> = None;
@@ -677,6 +737,7 @@ fn check_scenario(ck: &mut RecordCheck, scenario: &Scenario, obs: &[GenObs]) {
                     // admission followed by a larger one that "fits".
                     // (A lone fitting rung would read as a monotonicity
                     // drop on ladders whose wall sits past PROBE_LIMIT.)
+                    let ladder = ladder.to_mut();
                     ladder.push(LadderPoint {
                         batch: probe.max_batch.saturating_add(2),
                         level: None,
@@ -728,13 +789,15 @@ fn check_scenario(ck: &mut RecordCheck, scenario: &Scenario, obs: &[GenObs]) {
 }
 
 /// Check journaled record `index` of the population, perturbing its first
-/// observation perturbable for `inject`, if any.
+/// observation perturbable for `inject`, if any. `ladders` is shared by
+/// the records of one serving shape (see [`check_scenario`]).
 fn check_record(
     tier: Tier,
     seed: u64,
     index: u64,
     record: &str,
     inject: Option<Invariant>,
+    ladders: &mut Option<Vec<ShapeLadder>>,
 ) -> RecordCheck {
     let mut ck = RecordCheck {
         inject,
@@ -759,7 +822,7 @@ fn check_record(
         });
         return ck;
     }
-    check_scenario(&mut ck, &scenario, &obs);
+    check_scenario(&mut ck, &scenario, &obs, ladders);
     // Determinism: re-derive the whole record from the label alone and
     // compare byte-for-byte. Sampled (every DETERMINISM_STRIDE-th index)
     // because it doubles the scenario's evaluation cost.
@@ -777,8 +840,13 @@ fn check_record(
 /// Check the invariant catalog over a population of journaled records.
 ///
 /// `records` maps scenario index → record text, in index order. Records
-/// are checked independently on the `par_map` pool, then folded in index
-/// order, so the outcome is the same at any `--jobs`. `inject` carries a
+/// are grouped by serving shape (a training record is a group of one),
+/// and the groups are checked on the `par_map` pool: a group derives its
+/// batch ladders once, on its first record that parses and carries its
+/// label, checks every record against a copy, and drops them when it is
+/// done. Each record's check is then folded in index order, so the
+/// outcome is the same at any `--jobs` and equals checking the records
+/// one by one. `inject` carries a
 /// `gen=violate:<invariant>` clause from `DABENCH_INJECT`: the first
 /// record with an observation perturbable for it is re-checked with that
 /// observation perturbed, so the named invariant fails loudly — proof the
@@ -794,15 +862,31 @@ pub fn check_population(
     inject: Option<Invariant>,
 ) -> CheckOutcome {
     dabench_core::obs::muted(|| {
-        let checks = par_map(records, |(index, record)| {
-            check_record(tier, seed, *index, record, None)
-        });
+        let groups = shape_groups(tier, seed, records);
+        let mut checks: Vec<(usize, RecordCheck)> = par_map(&groups, |members| {
+            let mut ladders = None;
+            members
+                .iter()
+                .map(|&at| {
+                    let (index, record) = &records[at];
+                    let ck = check_record(tier, seed, *index, record, None, &mut ladders);
+                    (at, ck)
+                })
+                .collect::<Vec<_>>()
+        })
+        .into_iter()
+        .flatten()
+        .collect();
+        checks.sort_unstable_by_key(|&(at, _)| at);
         let mut counts = [0_u64; Invariant::ALL.len()];
         let mut violations = Vec::new();
         let mut pending = inject;
-        for ((index, record), mut ck) in records.iter().zip(checks) {
+        for ((index, record), (_, mut ck)) in records.iter().zip(checks) {
             if let Some(inv) = pending.filter(|inv| ck.perturbable[slot(*inv)]) {
-                ck = check_record(tier, seed, *index, record, Some(inv));
+                // The re-check derives its own ladders: an injected wall
+                // names the probe's memory level, which may depend on
+                // the record's own batch.
+                ck = check_record(tier, seed, *index, record, Some(inv), &mut None);
                 pending = None;
             }
             for (total, n) in counts.iter_mut().zip(ck.counts) {
@@ -822,6 +906,25 @@ pub fn check_population(
             violations,
         }
     })
+}
+
+/// Positions in `records` grouped by serving shape, groups in order of
+/// first appearance; a training record is a group of its own.
+fn shape_groups(tier: Tier, seed: u64, records: &[(u64, String)]) -> Vec<Vec<usize>> {
+    let mut groups: Vec<Vec<usize>> = Vec::new();
+    let mut by_shape: HashMap<ServingShape, usize> = HashMap::new();
+    for (at, (index, _)) in records.iter().enumerate() {
+        let Some(shape) = ServingShape::of(&sample(tier, seed, *index)) else {
+            groups.push(vec![at]);
+            continue;
+        };
+        let g = *by_shape.entry(shape).or_insert_with(|| {
+            groups.push(Vec::new());
+            groups.len() - 1
+        });
+        groups[g].push(at);
+    }
+    groups
 }
 
 /// The violations a hand-made counterexample of `inv` raises.
@@ -1054,6 +1157,123 @@ mod tests {
                 assert!(*checked > 0, "{inv} never checked");
             }
         }
+    }
+
+    /// `records` checked one at a time, folded in order: counts summed,
+    /// violations concatenated.
+    fn checked_one_by_one(tier: Tier, seed: u64, records: &[(u64, String)]) -> CheckOutcome {
+        let mut fold = CheckOutcome {
+            checked: Invariant::ALL.iter().map(|&inv| (inv, 0)).collect(),
+            violations: Vec::new(),
+        };
+        for record in records {
+            let one = check_population(tier, seed, std::slice::from_ref(record), None);
+            for ((_, total), (_, n)) in fold.checked.iter_mut().zip(one.checked) {
+                *total += n;
+            }
+            fold.violations.extend(one.violations);
+        }
+        fold
+    }
+
+    #[test]
+    fn grouped_check_equals_checking_records_one_by_one() {
+        for (tier, count, seed) in [(Tier::Hard, 300, 1), (Tier::Cosmic, 200, 2)] {
+            let records: Vec<(u64, String)> = (0..count)
+                .map(|i| (i, render_scenario(tier, seed, i)))
+                .collect();
+            let shapes: Vec<ServingShape> = records
+                .iter()
+                .filter_map(|(i, _)| ServingShape::of(&sample(tier, seed, *i)))
+                .collect();
+            let mut distinct: Vec<&ServingShape> = Vec::new();
+            for shape in &shapes {
+                if !distinct.contains(&shape) {
+                    distinct.push(shape);
+                }
+            }
+            assert!(
+                distinct.len() < shapes.len(),
+                "{}: precondition: serving shapes repeat",
+                tier.as_str()
+            );
+            assert_eq!(
+                check_population(tier, seed, &records, None),
+                checked_one_by_one(tier, seed, &records),
+                "{}",
+                tier.as_str()
+            );
+        }
+    }
+
+    #[test]
+    fn a_group_whose_first_record_is_bad_still_checks_the_rest() {
+        // Two serving scenarios of one shape: the first record of the
+        // group is corrupt, or carries another scenario's label, and the
+        // second is still checked on every platform's ladder.
+        let (tier, seed) = (Tier::Hard, 1);
+        let mut first_of: HashMap<ServingShape, u64> = HashMap::new();
+        let (a, b) = (0..)
+            .find_map(|i| {
+                let shape = ServingShape::of(&sample(tier, seed, i))?;
+                match first_of.get(&shape) {
+                    Some(&a) => Some((a, i)),
+                    None => {
+                        first_of.insert(shape, i);
+                        None
+                    }
+                }
+            })
+            .expect("a repeated serving shape");
+        let good = (b, render_scenario(tier, seed, b));
+        let alone = check_population(tier, seed, std::slice::from_ref(&good), None);
+        let ladders = alone
+            .checked
+            .iter()
+            .find(|(inv, _)| *inv == Invariant::BatchMonotone)
+            .map(|(_, n)| *n);
+        assert_eq!(ladders, Some(PLATFORMS.len() as u64));
+        for bad in [
+            "not a record".to_owned(),
+            render_scenario(tier, seed, a + 1),
+        ] {
+            let records = [(a, bad), good.clone()];
+            let outcome = check_population(tier, seed, &records, None);
+            assert_eq!(outcome.checked, alone.checked);
+            assert_eq!(outcome.violations.len(), alone.violations.len() + 1);
+            assert_eq!(outcome.violations[0].invariant, Invariant::SeedDeterminism);
+            assert_eq!(outcome, checked_one_by_one(tier, seed, &records));
+        }
+    }
+
+    #[test]
+    fn serving_scenarios_of_one_shape_have_one_workload_up_to_batch() {
+        // A field the workload reads but the shape omits would let two
+        // scenarios share ladders they do not have.
+        let mut by_shape: HashMap<ServingShape, (u64, InferenceWorkload)> = HashMap::new();
+        let mut rng = dabench_core::SplitMix64::new(27);
+        let mut batches_differ = 0;
+        for _ in 0..4000 {
+            let tier = Tier::ALL[rng.below(Tier::ALL.len() as u64) as usize];
+            let s = sample(tier, rng.below(4), rng.below(2000));
+            let Some(shape) = ServingShape::of(&s) else {
+                continue;
+            };
+            let w = s.inference_workload().with_batch_size(1).expect("batch 1");
+            match by_shape.get(&shape) {
+                Some((batch, seen)) => {
+                    assert_eq!(*seen, w, "{}", s.label());
+                    batches_differ += u32::from(*batch != s.batch);
+                }
+                None => {
+                    by_shape.insert(shape, (s.batch, w));
+                }
+            }
+        }
+        assert!(
+            batches_differ > 0,
+            "precondition: shapes repeat across batches"
+        );
     }
 
     #[test]

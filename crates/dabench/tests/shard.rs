@@ -371,3 +371,117 @@ fn shard_worker_rejects_unknown_points() {
     assert!(r.stderr.contains("not-an-experiment"), "{}", r.stderr);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// `dabench gen` over the hard tier's first 64 scenarios, sharded in two,
+/// plus `extra`.
+fn sharded_gen(extra: &[&str]) -> Run {
+    let args = ["gen", "--tier", "hard", "--count", "64", "--shards", "2"];
+    run(&[&args[..], extra].concat(), None)
+}
+
+fn inode(path: &Path) -> u64 {
+    use std::os::unix::fs::MetadataExt;
+    std::fs::metadata(path).expect("journal exists").ino()
+}
+
+#[test]
+fn sharded_resume_of_a_merged_journal_leaves_it_alone() {
+    // The journal is already its own merge: the resume replays it,
+    // spawns no worker and neither rewrites nor replaces the file.
+    let dir = temp_dir("gen-fixed-point");
+    let dir_s = dir.to_str().unwrap();
+    let first = sharded_gen(&["--run-dir", dir_s]);
+    assert_eq!(first.code, Some(0), "{}", first.stderr);
+    let path = dir.join("journal.jsonl");
+    let (bytes, ino) = (std::fs::read(&path).unwrap(), inode(&path));
+
+    let resumed = sharded_gen(&["--resume", dir_s]);
+    assert_eq!(resumed.code, Some(0), "{}", resumed.stderr);
+    assert_eq!(resumed.stdout, first.stdout, "resumed stdout differs");
+    assert!(
+        resumed.stderr.contains("resume: 64 replayed from journal")
+            && !resumed.stderr.contains("shard rollup"),
+        "{}",
+        resumed.stderr
+    );
+    assert_eq!(std::fs::read(&path).unwrap(), bytes, "journal rewritten");
+    assert_eq!(inode(&path), ino, "journal replaced");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn sharded_resume_re_merges_a_journal_that_is_not_its_own_merge() {
+    let dir = temp_dir("gen-remerge");
+    let dir_s = dir.to_str().unwrap();
+    let first = sharded_gen(&["--run-dir", dir_s]);
+    assert_eq!(first.code, Some(0), "{}", first.stderr);
+    let canonical = journal(&dir);
+    let lines: Vec<&str> = canonical.lines().collect();
+    let label = lines[1]
+        .strip_prefix("{\"label\":\"")
+        .and_then(|rest| rest.split('"').next())
+        .expect("label first");
+    let failed = format!("{{\"label\":\"{label}\",\"status\":\"failed\",\"data\":\"boom\"}}");
+    let swapped = [&[lines[0], lines[2], lines[1]][..], &lines[3..]].concat();
+    let superseded = [&[lines[0], &failed][..], &lines[1..]].concat();
+    for (what, variant) in [("swapped", swapped), ("superseded", superseded)] {
+        let text: String = variant.iter().map(|l| format!("{l}\n")).collect();
+        std::fs::write(dir.join("journal.jsonl"), &text).unwrap();
+        let resumed = sharded_gen(&["--resume", dir_s]);
+        assert_eq!(resumed.code, Some(0), "{what}: {}", resumed.stderr);
+        assert_eq!(resumed.stdout, first.stdout, "{what}: stdout differs");
+        assert_eq!(journal(&dir), canonical, "{what}: not re-merged");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The `--metrics` table that ends a run's stderr.
+fn metrics_table(stderr: &str) -> &str {
+    let at = stderr.find("== Observability").expect("a metrics table");
+    &stderr[at..]
+}
+
+#[test]
+fn sharded_resume_in_place_replays_the_metrics_table() {
+    let dir = temp_dir("gen-metrics");
+    let dir_s = dir.to_str().unwrap();
+    let first = sharded_gen(&["--run-dir", dir_s, "--metrics"]);
+    assert_eq!(first.code, Some(0), "{}", first.stderr);
+    let path = dir.join("journal.jsonl");
+    let ino = inode(&path);
+    let resumed = sharded_gen(&["--resume", dir_s, "--metrics"]);
+    assert_eq!(resumed.code, Some(0), "{}", resumed.stderr);
+    assert_eq!(inode(&path), ino, "journal replaced");
+    // A resume that runs no worker has no fleet counters; every other
+    // row is the original run's, and the table is the one an unsharded
+    // resume of the same journal prints.
+    let rows = |stderr: &str| -> Vec<String> {
+        metrics_table(stderr)
+            .lines()
+            .filter(|l| !l.contains(" shard."))
+            .skip(3)
+            .map(|l| l.split_whitespace().collect::<Vec<_>>().join(" "))
+            .collect()
+    };
+    assert!(rows(&first.stderr).len() > 1, "{}", first.stderr);
+    assert_eq!(rows(&resumed.stderr), rows(&first.stderr));
+    let unsharded = run(
+        &[
+            "gen",
+            "--tier",
+            "hard",
+            "--count",
+            "64",
+            "--resume",
+            dir_s,
+            "--metrics",
+        ],
+        None,
+    );
+    assert_eq!(unsharded.code, Some(0), "{}", unsharded.stderr);
+    assert_eq!(
+        metrics_table(&resumed.stderr),
+        metrics_table(&unsharded.stderr)
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -101,12 +101,6 @@ impl<'g> NodeRef<'g> {
         self.g.topo.interner.resolve(self.g.topo.names[self.i])
     }
 
-    /// The interned name symbol.
-    #[must_use]
-    pub fn symbol(self) -> Symbol {
-        self.g.topo.names[self.i]
-    }
-
     /// Operator class.
     #[must_use]
     pub fn class(self) -> OpClass {

@@ -23,14 +23,6 @@ pub struct PlacedRect {
     pub used_pes: u64,
 }
 
-impl PlacedRect {
-    /// Grid area of the strip (≥ `used_pes`).
-    #[must_use]
-    pub fn area(&self) -> u64 {
-        self.width * self.rows
-    }
-}
-
 /// A complete placement of kernels on the grid.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Placement {
@@ -142,12 +134,6 @@ impl Placement {
     pub fn used_pes(&self) -> u64 {
         self.rects.iter().map(|r| r.used_pes).sum()
     }
-
-    /// Total grid area consumed (used + padding).
-    #[must_use]
-    pub fn occupied_area(&self) -> u64 {
-        self.rects.iter().map(PlacedRect::area).sum()
-    }
 }
 
 /// Merge `dead_intervals` and return the complementary healthy column runs
@@ -178,6 +164,11 @@ pub fn healthy_runs(grid_cols: u64, dead_intervals: &[(u64, u64)]) -> Vec<(u64, 
 mod tests {
     use super::*;
 
+    /// Grid area the strips take, padding included.
+    fn occupied_area(p: &Placement) -> u64 {
+        p.rects.iter().map(|r| r.width * r.rows).sum()
+    }
+
     fn regions(sizes: &[u64]) -> Vec<(String, u64)> {
         sizes
             .iter()
@@ -203,7 +194,7 @@ mod tests {
     fn padding_accounts_rounding() {
         let p = Placement::strips(&regions(&[95]), 10, 30).unwrap();
         assert_eq!(p.rects[0].width, 10);
-        assert_eq!(p.occupied_area() - p.used_pes(), 5);
+        assert_eq!(occupied_area(&p) - p.used_pes(), 5);
         assert_eq!(p.used_pes(), 95);
     }
 
@@ -211,7 +202,7 @@ mod tests {
     fn exact_fit_has_no_padding() {
         let p = Placement::strips(&regions(&[100, 50]), 10, 15).unwrap();
         assert_eq!(p.used_pes(), 150);
-        assert_eq!(p.occupied_area(), 150);
+        assert_eq!(occupied_area(&p), 150);
     }
 
     #[test]
