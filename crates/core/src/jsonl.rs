@@ -17,20 +17,33 @@ use std::io;
 #[must_use]
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
+    escape_into(&mut out, s);
     out
+}
+
+/// Append [`escape`]`(s)` to `out`. The runs between the bytes it
+/// rewrites are copied whole; every such byte is ASCII, so each run ends
+/// on a character boundary.
+fn escape_into(out: &mut String, s: &str) {
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        out.push_str(&s[run..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
+            }
+        }
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
 }
 
 /// Render `v` as a JSON number that round-trips through `f64::from_str`
@@ -48,15 +61,22 @@ pub(crate) fn number(v: f64) -> String {
 ///
 /// The writer is the dual of [`parse_object`]: every value is a string,
 /// escaped with [`escape`], and the result contains no newline — safe to
-/// append to a JSONL stream as a single line.
+/// append to a JSONL stream as a single line. Keys and values are escaped
+/// straight into the line.
 #[must_use]
 pub fn write_object(pairs: &[(&str, &str)]) -> String {
-    let mut out = String::from("{");
+    let unescaped: usize = pairs.iter().map(|(k, v)| k.len() + v.len() + 6).sum();
+    let mut out = String::with_capacity(unescaped + 2);
+    out.push('{');
     for (i, (k, v)) in pairs.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        let _ = write!(out, "\"{}\":\"{}\"", escape(k), escape(v));
+        out.push('"');
+        escape_into(&mut out, k);
+        out.push_str("\":\"");
+        escape_into(&mut out, v);
+        out.push('"');
     }
     out.push('}');
     out
@@ -329,6 +349,52 @@ mod tests {
         let parsed = parse_object(&line).expect("round-trips");
         for (k, v) in pairs {
             assert_eq!(parsed.get(k).map(String::as_str), Some(v), "key {k}");
+        }
+    }
+
+    #[test]
+    fn run_wise_escape_writes_the_char_by_char_bytes() {
+        /// The escaper as it was, one `char` at a time: the reference.
+        fn reference(s: &str) -> String {
+            let mut out = String::new();
+            for c in s.chars() {
+                match c {
+                    '"' => out.push_str("\\\""),
+                    '\\' => out.push_str("\\\\"),
+                    '\n' => out.push_str("\\n"),
+                    '\r' => out.push_str("\\r"),
+                    '\t' => out.push_str("\\t"),
+                    c if (c as u32) < 0x20 => {
+                        let _ = write!(out, "\\u{:04x}", c as u32);
+                    }
+                    c => out.push(c),
+                }
+            }
+            out
+        }
+        let controls: String = (0_u8..0x20).map(char::from).collect();
+        assert_eq!(escape(&controls), reference(&controls));
+        let mut rng = crate::SplitMix64::new(28);
+        for case in 0..500 {
+            let text = |rng: &mut crate::SplitMix64| -> String {
+                (0..rng.below(64))
+                    .map(|_| match rng.below(5) {
+                        0 => char::from(rng.below(0x20) as u8),
+                        1 => ['"', '\\', '\u{7f}', 'é', '€', '😀'][rng.below(6) as usize],
+                        2 => char::from_u32(rng.below(0x11_0000) as u32).unwrap_or('?'),
+                        _ => char::from(0x20 + rng.below(0x5f) as u8),
+                    })
+                    .collect()
+            };
+            let (key, value) = (text(&mut rng), text(&mut rng));
+            assert_eq!(escape(&value), reference(&value), "case {case}");
+            let pairs = [(key.as_str(), value.as_str()), ("k", "")];
+            let expected = format!(
+                "{{\"{}\":\"{}\",\"k\":\"\"}}",
+                reference(&key),
+                reference(&value)
+            );
+            assert_eq!(write_object(&pairs), expected, "case {case}");
         }
     }
 

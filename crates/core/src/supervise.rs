@@ -129,7 +129,7 @@ pub enum PointOutcome<U> {
 impl<U> PointOutcome<U> {
     /// The point's value, when it has one (completed or journaled).
     #[must_use]
-    pub fn value(&self) -> Option<&U> {
+    pub fn into_value(self) -> Option<U> {
         match self {
             PointOutcome::Completed { value, .. } | PointOutcome::Journaled { value } => {
                 Some(value)

@@ -57,9 +57,36 @@ use dabench::runner::{run_supervised_points, RunnerConfig};
 use dabench::serve::run_serve;
 use dabench::suite::{experiment_tables, point_index, render_experiment, EXPERIMENTS};
 use dabench::wse::Wse;
-use std::io::Read as _;
+use std::io::{self, BufWriter, Read as _, Write as _};
 use std::process::ExitCode;
 use std::time::Duration;
+
+/// Bytes of the buffer each stdout block is written through.
+const STDOUT_BUFFER: usize = 64 * 1024;
+
+/// Write one block of stdout through one buffer and flush it, so the
+/// block is out before whatever the caller writes to stderr next. Stdout
+/// is locked only while the block is written. A failed write or flush is
+/// an error (`stdout: …`), not a panic; the explicit flush is what
+/// reports it, since dropping a `BufWriter` discards its error.
+fn write_stdout(
+    block: impl FnOnce(&mut BufWriter<io::StdoutLock<'static>>) -> io::Result<()>,
+) -> Result<(), String> {
+    let mut out = BufWriter::with_capacity(STDOUT_BUFFER, io::stdout().lock());
+    block(&mut out)
+        .and_then(|()| out.flush())
+        .map_err(|e| format!("stdout: {e}"))
+}
+
+/// Write `texts`' completed point texts as one stdout block.
+fn write_texts(texts: &[Option<String>]) -> Result<(), String> {
+    write_stdout(|out| {
+        texts
+            .iter()
+            .flatten()
+            .try_for_each(|text| out.write_all(text.as_bytes()))
+    })
+}
 
 /// The training-workload flags of `tier1`, `summary` and `faults`.
 struct Opts {
@@ -318,9 +345,9 @@ fn run_all(rest: &[String]) -> Result<ExitCode, String> {
 /// journal/resume/shard machinery (`dabench all` and `dabench gen` both
 /// funnel through here). Each label must resolve via
 /// [`render_experiment`]; point indices come from [`point_index`].
-/// Prints every completed point's text to stdout in `order`, the run
-/// report to stderr, and returns the report plus the per-label texts
-/// (`None` for failed points) so callers can post-process results.
+/// Prints every completed point's text to stdout in `order` as one block,
+/// the run report to stderr, and returns the report plus the per-label
+/// texts (`None` for failed points) so callers can post-process results.
 fn run_sweep(
     order: &[String],
     opts: &SweepOpts,
@@ -383,16 +410,15 @@ fn run_sweep(
     let outcomes = run_supervised_points(&points, &cfg, journal.as_ref(), &replay)?;
 
     let mut report = RunReport::default();
-    let mut texts = Vec::with_capacity(points.len());
-    for ((_, name), outcome) in points.iter().zip(&outcomes) {
-        report.record(name, outcome);
-        if let Some(text) = outcome.value() {
-            print!("{text}");
-            texts.push(Some(text.clone()));
-        } else {
-            texts.push(None);
-        }
-    }
+    let texts: Vec<Option<String>> = points
+        .iter()
+        .zip(outcomes)
+        .map(|((_, name), outcome)| {
+            report.record(name, &outcome);
+            outcome.into_value()
+        })
+        .collect();
+    write_texts(&texts)?;
     eprint!("{}", report.render());
     Ok((report, texts))
 }
@@ -548,7 +574,7 @@ fn run_sweep_sharded(
 
     let shard_journals =
         list_shard_journals(&dir).map_err(|e| format!("{}: {e}", dir.display()))?;
-    let points = if merged_already && shard_journals.is_empty() {
+    let mut points = if merged_already && shard_journals.is_empty() {
         // Re-merging would rewrite the same bytes: take every point from
         // the replay instead.
         drop(combined);
@@ -615,18 +641,17 @@ fn run_sweep_sharded(
     let mut report = RunReport::default();
     let mut texts = Vec::with_capacity(order.len());
     for label in order {
-        match points.get(label) {
+        match points.remove(label) {
             Some(p) if p.status == "completed" => {
-                print!("{}", p.data);
-                texts.push(Some(p.data.clone()));
                 if p.source == 0 && opts.run.resume {
                     report.record_status(label, "journaled", None);
                 } else {
                     report.record_status(label, "completed", None);
                 }
+                texts.push(Some(p.data));
             }
             Some(p) => {
-                report.record_status(label, &p.status, Some(p.data.clone()));
+                report.record_status(label, &p.status, Some(p.data));
                 texts.push(None);
             }
             None => {
@@ -638,6 +663,14 @@ fn run_sweep_sharded(
                 texts.push(None);
             }
         }
+    }
+    if let Err(e) = write_texts(&texts) {
+        // The error ends the run before anything could name the
+        // temporary directory for a `--resume`.
+        if ephemeral {
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+        return Err(e);
     }
     emit_shard_counters(&statuses);
     if !statuses.is_empty() {
@@ -701,33 +734,31 @@ fn run_gen(rest: &[String]) -> Result<ExitCode, String> {
         _ => None,
     });
 
+    // Stdout is four blocks, each flushed before the stderr that follows
+    // it: the population, the record texts (`run_sweep`), the results and
+    // ranking, and the invariants.
     let scenarios = population(tier, seed, count);
-    print!("{}", genx::render_population(tier, seed, &scenarios));
-    println!();
+    write_stdout(|out| writeln!(out, "{}", genx::render_population(tier, seed, &scenarios)))?;
     let order: Vec<String> = scenarios.iter().map(|s| s.label()).collect();
     let (report, texts) = run_sweep(&order, &opts)?;
 
-    // Everything downstream re-parses the journaled record texts, so a
-    // resumed or sharded run ranks exactly what a fresh run would.
-    let records: Vec<(u64, String)> = scenarios
-        .iter()
-        .zip(&texts)
-        .filter_map(|(s, text)| text.as_ref().map(|t| (s.index, t.clone())))
-        .collect();
-    let parsed: Vec<_> = records
-        .iter()
-        .filter_map(|(index, record)| {
-            genx::parse_record(record)
-                .map(|(_, obs)| (dabench::core::gen::sample(tier, seed, *index), obs))
-        })
-        .collect();
-    println!();
-    print!("{}", genx::render_results(&parsed));
-    println!();
-    print!("{}", genx::render_ranking(tier, &genx::ranking(&parsed)));
-    println!();
-    let outcome = genx::check_population(tier, seed, &records, inject);
-    print!("{}", genx::render_invariants(&outcome));
+    // Everything downstream reads the journaled record texts, each parsed
+    // once, so a resumed or sharded run ranks exactly what a fresh run
+    // would.
+    let journaled = genx::Journaled::parse(
+        scenarios
+            .into_iter()
+            .zip(&texts)
+            .filter_map(|(s, text)| Some((s, text.as_deref()?))),
+    );
+    write_stdout(|out| {
+        writeln!(out)?;
+        writeln!(out, "{}", genx::render_results(&journaled.observed))?;
+        let ranking = genx::ranking(&journaled.observed);
+        writeln!(out, "{}", genx::render_ranking(tier, &ranking))
+    })?;
+    let outcome = journaled.check(tier, seed, inject);
+    write_stdout(|out| write!(out, "{}", genx::render_invariants(&outcome)))?;
     for v in &outcome.violations {
         eprintln!("{v}");
     }

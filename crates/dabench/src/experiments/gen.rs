@@ -788,72 +788,191 @@ fn check_scenario(
     }
 }
 
-/// Check journaled record `index` of the population, perturbing its first
-/// observation perturbable for `inject`, if any. `ladders` is shared by
-/// the records of one serving shape (see [`check_scenario`]).
-fn check_record(
-    tier: Tier,
-    seed: u64,
-    index: u64,
-    record: &str,
-    inject: Option<Invariant>,
-    ladders: &mut Option<Vec<ShapeLadder>>,
-) -> RecordCheck {
-    let mut ck = RecordCheck {
-        inject,
-        ..RecordCheck::default()
-    };
-    let scenario = sample(tier, seed, index);
-    let Some((label, obs)) = parse_record(record) else {
-        ck.violations.push(Violation {
-            invariant: Invariant::SeedDeterminism,
-            scenario: format_label(tier, seed, index),
-            platform: "-".to_owned(),
-            detail: "journaled record is not a parsable gen-v1 block".to_owned(),
-        });
-        return ck;
-    };
-    if label != scenario.label() {
-        ck.violations.push(Violation {
-            invariant: Invariant::SeedDeterminism,
-            scenario: scenario.label(),
-            platform: "-".to_owned(),
-            detail: format!("journaled record carries label `{label}`"),
-        });
-        return ck;
-    }
-    check_scenario(&mut ck, &scenario, &obs, ladders);
-    // Determinism: re-derive the whole record from the label alone and
-    // compare byte-for-byte. Sampled (every DETERMINISM_STRIDE-th index)
-    // because it doubles the scenario's evaluation cost.
-    if index.is_multiple_of(DETERMINISM_STRIDE) {
-        ck.count(Invariant::SeedDeterminism);
-        let mut fresh = render_scenario(tier, seed, index);
-        if ck.perturb(Invariant::SeedDeterminism) {
-            fresh.push('#');
-        }
-        ck.push(check_determinism(&scenario.label(), record, &fresh));
-    }
-    ck
+/// A population's journaled records, each parsed once: what the results
+/// table, the ranking and the invariant checker read. Each record comes
+/// with the scenario the population sampled at its index, so nothing here
+/// samples again; only the determinism check re-renders a scenario.
+pub struct Journaled<'a> {
+    /// `(scenario, observations)` of every record that parses, in index
+    /// order: the rows of the results table and the ranking.
+    pub observed: Vec<(Scenario, Vec<GenObs>)>,
+    /// Every journaled record, in index order.
+    records: Vec<JournaledRecord<'a>>,
 }
 
-/// Check the invariant catalog over a population of journaled records.
-///
-/// `records` maps scenario index → record text, in index order. Records
-/// are grouped by serving shape (a training record is a group of one),
-/// and the groups are checked on the `par_map` pool: a group derives its
-/// batch ladders once, on its first record that parses and carries its
-/// label, checks every record against a copy, and drops them when it is
-/// done. Each record's check is then folded in index order, so the
-/// outcome is the same at any `--jobs` and equals checking the records
-/// one by one. `inject` carries a
-/// `gen=violate:<invariant>` clause from `DABENCH_INJECT`: the first
-/// record with an observation perturbable for it is re-checked with that
-/// observation perturbed, so the named invariant fails loudly — proof the
-/// checker is alive. If the population offers no such observation (e.g.
-/// `fault_monotone` on an all-healthy baby tier), a synthetic
-/// counterexample is fed through the same checker. The checker records
-/// nothing on the obs bus: its re-derivations are not sweep points.
+/// One journaled record: its population index, its text and, when it
+/// parses, the label it carries and its row of [`Journaled::observed`].
+struct JournaledRecord<'a> {
+    index: u64,
+    text: &'a str,
+    parsed: Option<(String, usize)>,
+}
+
+impl<'a> Journaled<'a> {
+    /// Parse every `(scenario, record text)` pair once, in index order.
+    #[must_use]
+    pub fn parse(records: impl IntoIterator<Item = (Scenario, &'a str)>) -> Self {
+        let mut observed = Vec::new();
+        let records = records
+            .into_iter()
+            .map(|(scenario, text)| {
+                let index = scenario.index;
+                let parsed = parse_record(text).map(|(label, obs)| {
+                    observed.push((scenario, obs));
+                    (label, observed.len() - 1)
+                });
+                JournaledRecord {
+                    index,
+                    text,
+                    parsed,
+                }
+            })
+            .collect();
+        Journaled { observed, records }
+    }
+
+    /// Check the invariant catalog over these records of population
+    /// `(tier, seed)`.
+    ///
+    /// Records are grouped by serving shape (a training record, or one
+    /// that does not parse, is a group of one), and the groups are
+    /// checked on the `par_map` pool: a group derives its batch ladders
+    /// once, on its first record that parses and carries its label,
+    /// checks every record against a copy, and drops them when it is
+    /// done. Each record's check is then folded in index order, so the
+    /// outcome is the same at any `--jobs` and equals checking the
+    /// records one by one. `inject` carries a `gen=violate:<invariant>`
+    /// clause from `DABENCH_INJECT`: the first record with an observation
+    /// perturbable for it is re-checked with that observation perturbed,
+    /// so the named invariant fails loudly — proof the checker is alive.
+    /// If the population offers no such observation (e.g.
+    /// `fault_monotone` on an all-healthy baby tier), a synthetic
+    /// counterexample is fed through the same checker. The checker
+    /// records nothing on the obs bus: its re-derivations are not sweep
+    /// points.
+    #[must_use]
+    pub fn check(&self, tier: Tier, seed: u64, inject: Option<Invariant>) -> CheckOutcome {
+        dabench_core::obs::muted(|| {
+            let mut checks: Vec<(usize, RecordCheck)> = par_map(&self.shape_groups(), |members| {
+                let mut ladders = None;
+                members
+                    .iter()
+                    .map(|&at| (at, self.check_record(tier, seed, at, None, &mut ladders)))
+                    .collect::<Vec<_>>()
+            })
+            .into_iter()
+            .flatten()
+            .collect();
+            checks.sort_unstable_by_key(|&(at, _)| at);
+            let mut counts = [0_u64; Invariant::ALL.len()];
+            let mut violations = Vec::new();
+            let mut pending = inject;
+            for (at, mut ck) in checks {
+                if let Some(inv) = pending.filter(|inv| ck.perturbable[slot(*inv)]) {
+                    // The re-check derives its own ladders: an injected
+                    // wall names the probe's memory level, which may
+                    // depend on the record's own batch.
+                    ck = self.check_record(tier, seed, at, Some(inv), &mut None);
+                    pending = None;
+                }
+                for (total, n) in counts.iter_mut().zip(ck.counts) {
+                    *total += n;
+                }
+                violations.extend(ck.violations);
+            }
+            // A requested injection that found no perturbable observation
+            // still must prove the checker fires: feed a synthetic
+            // counterexample through the same comparator.
+            if let Some(inv) = pending {
+                counts[slot(inv)] += 1;
+                violations.extend(synthetic_counterexample(inv));
+            }
+            CheckOutcome {
+                checked: Invariant::ALL.iter().copied().zip(counts).collect(),
+                violations,
+            }
+        })
+    }
+
+    /// Check record `at`, perturbing its first observation perturbable
+    /// for `inject`, if any. `ladders` is shared by the records of one
+    /// serving shape (see [`check_scenario`]).
+    fn check_record(
+        &self,
+        tier: Tier,
+        seed: u64,
+        at: usize,
+        inject: Option<Invariant>,
+        ladders: &mut Option<Vec<ShapeLadder>>,
+    ) -> RecordCheck {
+        let mut ck = RecordCheck {
+            inject,
+            ..RecordCheck::default()
+        };
+        let record = &self.records[at];
+        let Some((label, row)) = &record.parsed else {
+            ck.violations.push(Violation {
+                invariant: Invariant::SeedDeterminism,
+                scenario: format_label(tier, seed, record.index),
+                platform: "-".to_owned(),
+                detail: "journaled record is not a parsable gen-v1 block".to_owned(),
+            });
+            return ck;
+        };
+        let (scenario, obs) = &self.observed[*row];
+        if *label != scenario.label() {
+            ck.violations.push(Violation {
+                invariant: Invariant::SeedDeterminism,
+                scenario: scenario.label(),
+                platform: "-".to_owned(),
+                detail: format!("journaled record carries label `{label}`"),
+            });
+            return ck;
+        }
+        check_scenario(&mut ck, scenario, obs, ladders);
+        // Determinism: re-derive the whole record from the label alone
+        // and compare byte-for-byte. Sampled (every DETERMINISM_STRIDE-th
+        // index) because it doubles the scenario's evaluation cost.
+        if record.index.is_multiple_of(DETERMINISM_STRIDE) {
+            ck.count(Invariant::SeedDeterminism);
+            let mut fresh = render_scenario(tier, seed, record.index);
+            if ck.perturb(Invariant::SeedDeterminism) {
+                fresh.push('#');
+            }
+            ck.push(check_determinism(label, record.text, &fresh));
+        }
+        ck
+    }
+
+    /// Positions in the records grouped by serving shape, groups in order
+    /// of first appearance; a training record, or one that does not
+    /// parse, is a group of its own.
+    fn shape_groups(&self) -> Vec<Vec<usize>> {
+        let mut groups: Vec<Vec<usize>> = Vec::new();
+        let mut by_shape: HashMap<ServingShape, usize> = HashMap::new();
+        for (at, record) in self.records.iter().enumerate() {
+            let scenario = record
+                .parsed
+                .as_ref()
+                .map(|(_, row)| &self.observed[*row].0);
+            let Some(shape) = scenario.and_then(ServingShape::of) else {
+                groups.push(vec![at]);
+                continue;
+            };
+            let g = *by_shape.entry(shape).or_insert_with(|| {
+                groups.push(Vec::new());
+                groups.len() - 1
+            });
+            groups[g].push(at);
+        }
+        groups
+    }
+}
+
+/// Check the invariant catalog over a population of journaled records:
+/// `records` maps scenario index → record text, in index order. Each
+/// record's scenario is sampled from its index and its text parsed, then
+/// [`Journaled::check`] checks them.
 #[must_use]
 pub fn check_population(
     tier: Tier,
@@ -861,70 +980,10 @@ pub fn check_population(
     records: &[(u64, String)],
     inject: Option<Invariant>,
 ) -> CheckOutcome {
-    dabench_core::obs::muted(|| {
-        let groups = shape_groups(tier, seed, records);
-        let mut checks: Vec<(usize, RecordCheck)> = par_map(&groups, |members| {
-            let mut ladders = None;
-            members
-                .iter()
-                .map(|&at| {
-                    let (index, record) = &records[at];
-                    let ck = check_record(tier, seed, *index, record, None, &mut ladders);
-                    (at, ck)
-                })
-                .collect::<Vec<_>>()
-        })
-        .into_iter()
-        .flatten()
-        .collect();
-        checks.sort_unstable_by_key(|&(at, _)| at);
-        let mut counts = [0_u64; Invariant::ALL.len()];
-        let mut violations = Vec::new();
-        let mut pending = inject;
-        for ((index, record), (_, mut ck)) in records.iter().zip(checks) {
-            if let Some(inv) = pending.filter(|inv| ck.perturbable[slot(*inv)]) {
-                // The re-check derives its own ladders: an injected wall
-                // names the probe's memory level, which may depend on
-                // the record's own batch.
-                ck = check_record(tier, seed, *index, record, Some(inv), &mut None);
-                pending = None;
-            }
-            for (total, n) in counts.iter_mut().zip(ck.counts) {
-                *total += n;
-            }
-            violations.extend(ck.violations);
-        }
-        // A requested injection that found no perturbable observation
-        // still must prove the checker fires: feed a synthetic
-        // counterexample through the same comparator.
-        if let Some(inv) = pending {
-            counts[slot(inv)] += 1;
-            violations.extend(synthetic_counterexample(inv));
-        }
-        CheckOutcome {
-            checked: Invariant::ALL.iter().copied().zip(counts).collect(),
-            violations,
-        }
-    })
-}
-
-/// Positions in `records` grouped by serving shape, groups in order of
-/// first appearance; a training record is a group of its own.
-fn shape_groups(tier: Tier, seed: u64, records: &[(u64, String)]) -> Vec<Vec<usize>> {
-    let mut groups: Vec<Vec<usize>> = Vec::new();
-    let mut by_shape: HashMap<ServingShape, usize> = HashMap::new();
-    for (at, (index, _)) in records.iter().enumerate() {
-        let Some(shape) = ServingShape::of(&sample(tier, seed, *index)) else {
-            groups.push(vec![at]);
-            continue;
-        };
-        let g = *by_shape.entry(shape).or_insert_with(|| {
-            groups.push(Vec::new());
-            groups.len() - 1
-        });
-        groups[g].push(at);
-    }
-    groups
+    let records = records
+        .iter()
+        .map(|(index, text)| (sample(tier, seed, *index), text.as_str()));
+    Journaled::parse(records).check(tier, seed, inject)
 }
 
 /// The violations a hand-made counterexample of `inv` raises.
@@ -1093,23 +1152,17 @@ pub fn render_invariants(outcome: &CheckOutcome) -> Table {
 pub fn default_tables() -> Vec<Table> {
     let (tier, seed, count) = (DEFAULT_TIER, DEFAULT_SEED, DEFAULT_COUNT);
     let scenarios = dabench_core::gen::population(tier, seed, count);
-    let rendered: Vec<(u64, String)> = scenarios
+    let population = render_population(tier, seed, &scenarios);
+    let texts: Vec<String> = scenarios
         .iter()
-        .map(|s| (s.index, render_record(s, &evaluate(s))))
+        .map(|s| render_record(s, &evaluate(s)))
         .collect();
-    let parsed: Vec<(Scenario, Vec<GenObs>)> = rendered
-        .iter()
-        .map(|(index, record)| {
-            let (_, obs) = parse_record(record).expect("freshly rendered record parses");
-            (sample(tier, seed, *index), obs)
-        })
-        .collect();
-    let outcome = check_population(tier, seed, &rendered, None);
+    let journaled = Journaled::parse(scenarios.into_iter().zip(texts.iter().map(String::as_str)));
     vec![
-        render_population(tier, seed, &scenarios),
-        render_results(&parsed),
-        render_ranking(tier, &ranking(&parsed)),
-        render_invariants(&outcome),
+        population,
+        render_results(&journaled.observed),
+        render_ranking(tier, &ranking(&journaled.observed)),
+        render_invariants(&journaled.check(tier, seed, None)),
     ]
 }
 
@@ -1159,6 +1212,24 @@ mod tests {
         }
     }
 
+    /// Check `records` (scenario index → record text, in index order) as
+    /// `dabench gen` does: each text paired with the scenario of the
+    /// population at its index, a missing index being a failed point, and
+    /// parsed once.
+    fn check_as_gen(tier: Tier, seed: u64, records: &[(u64, String)]) -> CheckOutcome {
+        let count = records.last().map_or(0, |(index, _)| index + 1);
+        let mut texts = vec![None; usize::try_from(count).expect("small population")];
+        for (index, text) in records {
+            texts[usize::try_from(*index).expect("small index")] = Some(text.as_str());
+        }
+        let population = dabench_core::gen::population(tier, seed, count);
+        let pairs = population
+            .into_iter()
+            .zip(texts)
+            .filter_map(|(s, text)| Some((s, text?)));
+        Journaled::parse(pairs).check(tier, seed, None)
+    }
+
     /// `records` checked one at a time, folded in order: counts summed,
     /// violations concatenated.
     fn checked_one_by_one(tier: Tier, seed: u64, records: &[(u64, String)]) -> CheckOutcome {
@@ -1166,8 +1237,9 @@ mod tests {
             checked: Invariant::ALL.iter().map(|&inv| (inv, 0)).collect(),
             violations: Vec::new(),
         };
-        for record in records {
-            let one = check_population(tier, seed, std::slice::from_ref(record), None);
+        for (index, text) in records {
+            let one = Journaled::parse([(sample(tier, seed, *index), text.as_str())])
+                .check(tier, seed, None);
             for ((_, total), (_, n)) in fold.checked.iter_mut().zip(one.checked) {
                 *total += n;
             }
@@ -1198,7 +1270,7 @@ mod tests {
                 tier.as_str()
             );
             assert_eq!(
-                check_population(tier, seed, &records, None),
+                check_as_gen(tier, seed, &records),
                 checked_one_by_one(tier, seed, &records),
                 "{}",
                 tier.as_str()
@@ -1207,10 +1279,36 @@ mod tests {
     }
 
     #[test]
+    fn the_gen_path_and_check_population_check_alike() {
+        // A corrupt record, one carrying its neighbour's label and a
+        // missing one (a failed point), planted among good records: the
+        // parse-once path of `dabench gen` and the sample-and-parse
+        // adapter return the same outcome, which flags both bad records.
+        for (tier, count, seed) in [(Tier::Hard, 300, 1), (Tier::Cosmic, 200, 2)] {
+            let mut records: Vec<(u64, String)> = (0..count)
+                .map(|i| (i, render_scenario(tier, seed, i)))
+                .collect();
+            records[8].1 = "gen-v1 label=corrupt".to_owned();
+            records[16].1 = records[17].1.clone();
+            records.remove(3);
+            let outcome = check_as_gen(tier, seed, &records);
+            assert_eq!(outcome, check_population(tier, seed, &records, None));
+            let flagged: Vec<&str> = outcome
+                .violations
+                .iter()
+                .map(|v| v.scenario.as_str())
+                .collect();
+            let labels = [8, 16].map(|i| format_label(tier, seed, i));
+            assert_eq!(flagged, labels, "{}", tier.as_str());
+        }
+    }
+
+    #[test]
     fn a_group_whose_first_record_is_bad_still_checks_the_rest() {
-        // Two serving scenarios of one shape: the first record of the
-        // group is corrupt, or carries another scenario's label, and the
-        // second is still checked on every platform's ladder.
+        // Two serving scenarios of one shape: the first record carries
+        // another scenario's label, so it heads the group and derives no
+        // ladder, or is corrupt, so it is a group of its own; either way
+        // the second is still checked on every platform's ladder.
         let (tier, seed) = (Tier::Hard, 1);
         let mut first_of: HashMap<ServingShape, u64> = HashMap::new();
         let (a, b) = (0..)
@@ -1226,7 +1324,7 @@ mod tests {
             })
             .expect("a repeated serving shape");
         let good = (b, render_scenario(tier, seed, b));
-        let alone = check_population(tier, seed, std::slice::from_ref(&good), None);
+        let alone = check_as_gen(tier, seed, std::slice::from_ref(&good));
         let ladders = alone
             .checked
             .iter()
@@ -1238,7 +1336,7 @@ mod tests {
             render_scenario(tier, seed, a + 1),
         ] {
             let records = [(a, bad), good.clone()];
-            let outcome = check_population(tier, seed, &records, None);
+            let outcome = check_as_gen(tier, seed, &records);
             assert_eq!(outcome.checked, alone.checked);
             assert_eq!(outcome.violations.len(), alone.violations.len() + 1);
             assert_eq!(outcome.violations[0].invariant, Invariant::SeedDeterminism);

@@ -309,3 +309,57 @@ fn the_later_of_run_dir_and_resume_wins() {
     assert!(stderr.contains("11 replayed from journal"), "{stderr}");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A reader that goes away is a write error, not a panic: `gen`'s output
+/// (310 KB here) outgrows a pipe's 64 KiB buffer, so some write to a
+/// closed pipe fails whenever the reader closes it, and the run ends with
+/// the `error:` line and exit code 1 of any failed command.
+#[test]
+fn a_closed_stdout_is_an_error_not_a_panic() {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_dabench"))
+        .args(["gen", "--tier", "hard", "--count", "400", "--seed", "1"])
+        .env_remove("DABENCH_INJECT")
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("binary exits");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.starts_with("error: stdout:"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
+/// A sharded run without `--run-dir` journals in a temporary directory
+/// that only its own exit path removes. A reader that takes the
+/// population table and then goes away fails the write of the records,
+/// and that error must not leave the directory behind.
+#[test]
+fn a_reader_gone_mid_run_leaves_no_temporary_shard_directory() {
+    use std::io::BufRead as _;
+    let mut child = Command::new(env!("CARGO_BIN_EXE_dabench"))
+        .args(["gen", "--tier", "hard", "--count", "400", "--seed", "1"])
+        .args(["--shards", "2"])
+        .env_remove("DABENCH_INJECT")
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    let dir = std::env::temp_dir().join(format!("dabench-shards-{}", child.id()));
+    let mut stdout = std::io::BufReader::new(child.stdout.take().expect("piped"));
+    // The population table ends with a blank line; the records follow
+    // only after the sweep.
+    let mut line = String::new();
+    while stdout.read_line(&mut line).expect("stdout readable") > 1 {
+        line.clear();
+    }
+    drop(stdout);
+    let out = child.wait_with_output().expect("binary exits");
+    let left = dir.exists();
+    let _ = std::fs::remove_dir_all(&dir);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("error: stdout:"), "{stderr}");
+    assert!(!left, "{} left behind", dir.display());
+}

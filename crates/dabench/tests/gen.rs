@@ -321,3 +321,90 @@ fn finished_shard_workers_exit_without_waiting_for_a_heartbeat() {
     assert!(!r.stderr.contains("died"), "{}", r.stderr);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Run `gen` with `args` under `DABENCH_INJECT=gen=violate:batch_monotone`,
+/// stdout and stderr on one file as `> file 2>&1` puts them; returns the
+/// exit code and the interleaved stream.
+fn run_interleaved(args: &[&str], stream: &std::path::Path) -> (Option<i32>, String) {
+    let file = std::fs::File::create(stream).expect("stream file");
+    let status = Command::new(env!("CARGO_BIN_EXE_dabench"))
+        .arg("gen")
+        .args(args)
+        .env("DABENCH_INJECT", "gen=violate:batch_monotone")
+        .stdout(file.try_clone().expect("second handle"))
+        .stderr(file)
+        .status()
+        .expect("binary runs");
+    let text = std::fs::read_to_string(stream).expect("stream written");
+    (status.code(), text)
+}
+
+/// Assert that `stream` holds each of `markers` once, in this order, and
+/// every record between `markers[records.0]` and `markers[records.1]`.
+fn assert_stream_order(stream: &str, markers: &[&str], records: (usize, usize)) {
+    let mut positions = Vec::new();
+    for marker in markers {
+        assert_eq!(stream.matches(marker).count(), 1, "`{marker}`:\n{stream}");
+        positions.push(stream.find(marker).expect("counted"));
+    }
+    let first_record = stream.find("gen-v1 label=").expect("records printed");
+    let last_record = stream.rfind("gen-v1 label=").expect("records printed");
+    assert!(positions[records.0] < first_record, "{stream}");
+    assert!(last_record < positions[records.1], "{stream}");
+    assert!(
+        positions.is_sorted(),
+        "{markers:?} at {positions:?}:\n{stream}"
+    );
+}
+
+#[test]
+fn stdout_blocks_and_stderr_interleave_in_program_order() {
+    // Stdout is written in blocks; each must be out before the stderr
+    // line that follows it, so a `2>&1` stream reads in program order.
+    let dir = temp_dir("stream");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let run_dir = dir.join("run");
+    let run_dir_s = run_dir.to_str().expect("utf-8 temp path");
+    let base = ["--tier", "hard", "--count", "24", "--seed", "3"];
+    let [population, results, ranking, invariants] = [
+        "== Generated population",
+        "== Generated results",
+        "== Platform ranking",
+        "== Metamorphic invariants",
+    ];
+    let (report, violated) = ("run report:", "invariant violated: batch_monotone");
+
+    let (code, stream) = run_interleaved(&base, &dir.join("single.txt"));
+    assert_eq!(code, Some(4), "{stream}");
+    let order = [population, report, results, ranking, invariants, violated];
+    assert_stream_order(&stream, &order, (0, 1));
+
+    let sharded = [&base[..], &["--shards", "2", "--run-dir", run_dir_s]].concat();
+    let (code, stream) = run_interleaved(&sharded, &dir.join("sharded.txt"));
+    assert_eq!(code, Some(4), "{stream}");
+    let order = [
+        population,
+        "shard rollup:",
+        report,
+        results,
+        ranking,
+        invariants,
+        violated,
+    ];
+    assert_stream_order(&stream, &order, (0, 1));
+
+    let resumed = [&base[..], &["--resume", run_dir_s, "--shards", "2"]].concat();
+    let (code, stream) = run_interleaved(&resumed, &dir.join("resumed.txt"));
+    assert_eq!(code, Some(4), "{stream}");
+    let order = [
+        population,
+        "resume: 24 replayed",
+        report,
+        results,
+        ranking,
+        invariants,
+        violated,
+    ];
+    assert_stream_order(&stream, &order, (1, 2));
+    let _ = std::fs::remove_dir_all(&dir);
+}
