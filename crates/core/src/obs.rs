@@ -98,9 +98,7 @@ impl Phase {
 /// One recorded instrumentation event.
 ///
 /// Timestamps (`ts`) are logical: the per-point event sequence number at
-/// recording time. [`Event::Slice`] carries simulated time instead — it
-/// bridges [`sim`-style timelines](https://en.wikipedia.org/wiki/Trace_%28software%29)
-/// whose coordinates are model seconds, rendered as microsecond slices.
+/// recording time.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Event {
     /// A span opened (`ph:"B"` in Chrome trace terms).
@@ -132,26 +130,12 @@ pub enum Event {
         /// Logical timestamp.
         ts: u64,
     },
-    /// A complete slice on a named track (`ph:"X"`), in simulated time.
-    Slice {
-        /// Track (resource) the slice occupied, e.g. `wafer`.
-        track: String,
-        /// Slice name, e.g. a task id.
-        name: String,
-        /// Start, microseconds of simulated time.
-        start_us: u64,
-        /// Duration, microseconds of simulated time.
-        dur_us: u64,
-    },
 }
 
 impl Event {
-    fn logical_ts(&self) -> Option<u64> {
+    fn logical_ts(&self) -> u64 {
         match self {
-            Event::Begin { ts, .. } | Event::End { ts, .. } | Event::Counter { ts, .. } => {
-                Some(*ts)
-            }
-            Event::Slice { .. } => None,
+            Event::Begin { ts, .. } | Event::End { ts, .. } | Event::Counter { ts, .. } => *ts,
         }
     }
 }
@@ -207,14 +191,13 @@ impl PointTrace {
         let mut stack: Vec<(Phase, &str)> = Vec::new();
         let mut last_ts: Option<u64> = None;
         for (i, e) in self.events.iter().enumerate() {
-            if let Some(ts) = e.logical_ts() {
-                if last_ts.is_some_and(|prev| ts <= prev) {
-                    return Err(format!(
-                        "event {i}: non-monotone logical ts {ts} after {last_ts:?}"
-                    ));
-                }
-                last_ts = Some(ts);
+            let ts = e.logical_ts();
+            if last_ts.is_some_and(|prev| ts <= prev) {
+                return Err(format!(
+                    "event {i}: non-monotone logical ts {ts} after {last_ts:?}"
+                ));
             }
+            last_ts = Some(ts);
             match e {
                 Event::Begin { phase, name, .. } => stack.push((*phase, name)),
                 Event::End { phase, name, .. } => match stack.pop() {
@@ -226,7 +209,7 @@ impl PointTrace {
                         ))
                     }
                 },
-                Event::Counter { .. } | Event::Slice { .. } => {}
+                Event::Counter { .. } => {}
             }
         }
         if let Some((p, n)) = stack.pop() {
@@ -483,35 +466,6 @@ pub fn counter(key: &str, value: f64) {
     });
 }
 
-/// Record a complete slice on `track` spanning `[start_s, start_s +
-/// dur_s]` of *simulated* time. Used by the `sim` timeline bridge.
-/// No-op when disabled or outside a point context.
-pub fn slice(track: &str, name: &str, start_s: f64, dur_s: f64) {
-    if !is_enabled() {
-        return;
-    }
-    CTX.with(|c| {
-        if let Some(ctx) = c.borrow_mut().as_mut() {
-            ctx.events.push(Event::Slice {
-                track: track.to_owned(),
-                name: name.to_owned(),
-                start_us: seconds_to_us(start_s),
-                dur_us: seconds_to_us(dur_s),
-            });
-        }
-    });
-}
-
-fn seconds_to_us(s: f64) -> u64 {
-    let us = s * 1.0e6;
-    if us.is_finite() && us > 0.0 {
-        // Round half-up for stable, representable values.
-        (us + 0.5).floor().min(u64::MAX as f64) as u64
-    } else {
-        0
-    }
-}
-
 /// Drain the sink, sorted by path (then insertion order for ties), i.e.
 /// by *input* order of the work that produced the events.
 #[must_use]
@@ -686,19 +640,6 @@ impl PointTrace {
                         digest_escape(key)
                     );
                 }
-                Event::Slice {
-                    track,
-                    name,
-                    start_us,
-                    dur_us,
-                } => {
-                    let _ = write!(
-                        out,
-                        "S:{start_us}:{dur_us}:{}:{}",
-                        digest_escape(track),
-                        digest_escape(name)
-                    );
-                }
             }
         }
         out
@@ -762,21 +703,6 @@ impl PointTrace {
                         ts,
                     }
                 }
-                "S" => {
-                    let start_us = f.next()?.parse().ok()?;
-                    let dur_us = f.next()?.parse().ok()?;
-                    let track = digest_unescape(f.next()?)?;
-                    let name = digest_unescape(f.next()?)?;
-                    if f.next().is_some() {
-                        return None;
-                    }
-                    Event::Slice {
-                        track,
-                        name,
-                        start_us,
-                        dur_us,
-                    }
-                }
                 _ => return None,
             };
             events.push(event);
@@ -799,8 +725,7 @@ impl PointTrace {
 /// Each point becomes one thread (`tid` = 1-based rank in path order)
 /// named after its label/path via `thread_name` metadata. Span
 /// begins/ends map to `ph:"B"/"E"` at logical-tick `ts`; counters to
-/// `ph:"C"`; simulated-time slices to `ph:"X"` with microsecond
-/// coordinates. Output is a pure function of `traces` — byte-identical
+/// `ph:"C"`. Output is a pure function of `traces` — byte-identical
 /// across runs, worker counts, and resumes.
 #[must_use]
 pub fn chrome_trace(traces: &[PointTrace]) -> String {
@@ -853,17 +778,6 @@ pub fn chrome_trace(traces: &[PointTrace]) -> String {
                     jsonl::escape(key),
                     phase.map_or("-", Phase::as_str),
                     jsonl::number(*value)
-                ),
-                Event::Slice {
-                    track,
-                    name,
-                    start_us,
-                    dur_us,
-                } => format!(
-                    "{{\"name\":\"{}\",\"cat\":\"timeline:{}\",\"ph\":\"X\",\"pid\":0,\
-                     \"tid\":{tid},\"ts\":{start_us},\"dur\":{dur_us}}}",
-                    jsonl::escape(name),
-                    jsonl::escape(track)
                 ),
             };
             push(&mut out, line);
@@ -1205,12 +1119,6 @@ mod tests {
                     name: "wse.compile".to_owned(),
                     ts: 4,
                 },
-                Event::Slice {
-                    track: "wafer".to_owned(),
-                    name: "t%0".to_owned(),
-                    start_us: 0,
-                    dur_us: 17,
-                },
             ],
         };
         let digest = trace.digest();
@@ -1226,6 +1134,8 @@ mod tests {
         assert!(PointTrace::parse_digest("dabench-obs-v1|x|l|").is_none());
         assert!(PointTrace::parse_digest("dabench-obs-v1|0|l|Z:1:2:3").is_none());
         assert!(PointTrace::parse_digest("dabench-obs-v1|0|l|B:nophase:1:n").is_none());
+        // `S:` items (simulated-time slices) are not part of the format.
+        assert!(PointTrace::parse_digest("dabench-obs-v1|0|l|S:0:1:t:n").is_none());
         // Empty event list is fine.
         assert!(PointTrace::parse_digest("dabench-obs-v1|0|l|").is_some());
         assert!(PointTrace::parse_digest("dabench-obs-v1||l|").is_some());
@@ -1253,12 +1163,6 @@ mod tests {
                     name: "run".to_owned(),
                     ts: 3,
                 },
-                Event::Slice {
-                    track: "ingest".to_owned(),
-                    name: "s0".to_owned(),
-                    start_us: 10,
-                    dur_us: 5,
-                },
             ],
         };
         let json = chrome_trace(&[trace]);
@@ -1267,9 +1171,7 @@ mod tests {
         assert!(json.contains("\"ph\":\"B\""), "{json}");
         assert!(json.contains("\"ph\":\"E\""), "{json}");
         assert!(json.contains("\"ph\":\"C\""), "{json}");
-        assert!(json.contains("\"ph\":\"X\""), "{json}");
         assert!(json.contains("\\\"1\\\""), "label must be escaped: {json}");
-        assert!(json.contains("\"cat\":\"timeline:ingest\""), "{json}");
         assert!(json.trim_end().ends_with("],\"displayTimeUnit\":\"ms\"}"));
     }
 
@@ -1309,16 +1211,6 @@ mod tests {
         assert!(rendered.contains("pes"), "{rendered}");
         assert!(rendered.contains("42"), "{rendered}");
         assert!(render_metrics(&[]).is_empty());
-    }
-
-    #[test]
-    fn seconds_to_us_handles_degenerate_inputs() {
-        assert_eq!(seconds_to_us(0.0), 0);
-        assert_eq!(seconds_to_us(-1.0), 0);
-        assert_eq!(seconds_to_us(f64::NAN), 0);
-        assert_eq!(seconds_to_us(f64::INFINITY), 0);
-        assert_eq!(seconds_to_us(1.5e-6), 2);
-        assert_eq!(seconds_to_us(2.0), 2_000_000);
     }
 
     #[test]

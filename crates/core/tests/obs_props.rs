@@ -1,7 +1,7 @@
 //! Property tests for the observability recorder (`dabench_core::obs`).
 //!
 //! A seeded [`SplitMix64`] stream produces random instrumentation
-//! "programs" (nested spans, counters, slices, panics), the real recorder
+//! "programs" (nested spans, counters, panics), the real recorder
 //! executes them — through `par_map`, exactly like production code — and
 //! the resulting traces are checked against structural invariants and an
 //! independently computed model.
@@ -66,25 +66,18 @@ const NAMES: [&str; 6] = [
 enum Op {
     Span(Phase, &'static str, Vec<Op>),
     Counter(&'static str, f64),
-    Slice(&'static str, &'static str, f64, f64),
 }
 
 fn gen_ops(rng: &mut SplitMix64, depth: u64, budget: &mut u64) -> Vec<Op> {
     let mut ops = Vec::new();
     while *budget > 0 && rng.below(4) != 0 {
         *budget -= 1;
-        let op = match rng.below(if depth < 4 { 3 } else { 2 }) {
+        let op = match rng.below(if depth < 4 { 2 } else { 1 }) {
             // Dyadic values: floating sums reassociate exactly, so the
             // model total can be compared with `==`.
             0 => Op::Counter(NAMES[rng.below(6) as usize], {
                 (rng.below(4000) as f64 - 2000.0) / 8.0
             }),
-            1 => Op::Slice(
-                NAMES[rng.below(6) as usize],
-                NAMES[rng.below(6) as usize],
-                rng.below(1000) as f64 / 16.0,
-                rng.below(100) as f64 / 16.0,
-            ),
             _ => Op::Span(
                 PHASES[rng.below(5) as usize],
                 NAMES[rng.below(6) as usize],
@@ -102,7 +95,6 @@ fn exec(ops: &[Op]) {
         match op {
             Op::Span(phase, name, kids) => obs::span(*phase, name, || exec(kids)),
             Op::Counter(key, value) => obs::counter(key, *value),
-            Op::Slice(track, name, start, dur) => obs::slice(track, name, *start, *dur),
         }
     }
 }
@@ -121,7 +113,6 @@ fn model_counters(ops: &[Op], phase: Option<Phase>, acc: &mut BTreeMap<(&str, &s
                 cell.0 += 1;
                 cell.1 += value;
             }
-            Op::Slice(..) => {}
         }
     }
 }
@@ -217,7 +208,6 @@ fn burn(ops: &[Op], fuse: &mut u64) {
         match op {
             Op::Span(phase, name, kids) => obs::span(*phase, name, || burn(kids, fuse)),
             Op::Counter(key, value) => obs::counter(key, *value),
-            Op::Slice(track, name, start, dur) => obs::slice(track, name, *start, *dur),
         }
     }
 }
@@ -284,12 +274,6 @@ fn digests_round_trip_adversarial_values() {
             ts: 100 + i as u64,
         });
     }
-    events.push(Event::Slice {
-        track: "tr%:;ack".to_owned(),
-        name: "sl|ice".to_owned(),
-        start_us: u64::MAX,
-        dur_us: 0,
-    });
     let trace = PointTrace {
         path: vec![0, 7, u64::MAX],
         label: "label with %|;:\n everything".to_owned(),

@@ -32,6 +32,7 @@ use crate::suite::render_experiment;
 use crate::wse::{compile, Wse, WseCompilerParams, WseSpec};
 use std::collections::BTreeMap;
 use std::hint::black_box;
+use std::io::Write as _;
 
 /// One named benchmark in the suite.
 #[derive(Debug, Clone, Copy)]
@@ -470,7 +471,7 @@ pub fn render_list() -> String {
 pub fn run_bench(args: &[String]) -> Result<u8, String> {
     let opts = parse_bench_opts(args)?;
     if opts.list {
-        print!("{}", render_list());
+        crate::write_stdout(|out| write!(out, "{}", render_list()))?;
         return Ok(0);
     }
     let injections = parse_sleep_injections()?;
@@ -557,11 +558,14 @@ pub fn run_bench(args: &[String]) -> Result<u8, String> {
     };
     std::fs::write(&opts.out, report.to_json())
         .map_err(|e| format!("{}: {e}", opts.out.display()))?;
-    println!(
-        "wrote {} ({} benchmarks)",
-        opts.out.display(),
-        report.benchmarks.len()
-    );
+    crate::write_stdout(|out| {
+        writeln!(
+            out,
+            "wrote {} ({} benchmarks)",
+            opts.out.display(),
+            report.benchmarks.len()
+        )
+    })?;
 
     if let Some(baseline_path) = &opts.baseline {
         let text = std::fs::read_to_string(baseline_path)
@@ -570,11 +574,14 @@ pub fn run_bench(args: &[String]) -> Result<u8, String> {
             .map_err(|e| format!("--baseline {}: {e}", baseline_path.display()))?;
         let found = regressions(&report, &baseline, opts.gate_pct);
         if found.is_empty() {
-            println!(
-                "gate: no regressions beyond {}% against {}",
-                opts.gate_pct,
-                baseline_path.display()
-            );
+            crate::write_stdout(|out| {
+                writeln!(
+                    out,
+                    "gate: no regressions beyond {}% against {}",
+                    opts.gate_pct,
+                    baseline_path.display()
+                )
+            })?;
         } else {
             for r in &found {
                 eprintln!(

@@ -56,27 +56,11 @@ use dabench::rdu::{CompilationMode, Rdu};
 use dabench::runner::{run_supervised_points, RunnerConfig};
 use dabench::serve::run_serve;
 use dabench::suite::{experiment_tables, point_index, render_experiment, EXPERIMENTS};
+use dabench::write_stdout;
 use dabench::wse::Wse;
-use std::io::{self, BufWriter, Read as _, Write as _};
+use std::io::{Read as _, Write as _};
 use std::process::ExitCode;
 use std::time::Duration;
-
-/// Bytes of the buffer each stdout block is written through.
-const STDOUT_BUFFER: usize = 64 * 1024;
-
-/// Write one block of stdout through one buffer and flush it, so the
-/// block is out before whatever the caller writes to stderr next. Stdout
-/// is locked only while the block is written. A failed write or flush is
-/// an error (`stdout: …`), not a panic; the explicit flush is what
-/// reports it, since dropping a `BufWriter` discards its error.
-fn write_stdout(
-    block: impl FnOnce(&mut BufWriter<io::StdoutLock<'static>>) -> io::Result<()>,
-) -> Result<(), String> {
-    let mut out = BufWriter::with_capacity(STDOUT_BUFFER, io::stdout().lock());
-    block(&mut out)
-        .and_then(|()| out.flush())
-        .map_err(|e| format!("stdout: {e}"))
-}
 
 /// Write `texts`' completed point texts as one stdout block.
 fn write_texts(texts: &[Option<String>]) -> Result<(), String> {
@@ -195,11 +179,8 @@ fn parse_model(flags: &mut Flags<'_>) -> Result<ModelConfig, String> {
 /// all four platforms.
 fn run_infer(rest: &[String]) -> Result<(), String> {
     if rest.is_empty() {
-        print!(
-            "{}",
-            render_experiment("infer").expect("infer is a registered experiment")
-        );
-        return Ok(());
+        let text = render_experiment("infer").expect("infer is a registered experiment");
+        return write_stdout(|out| out.write_all(text.as_bytes()));
     }
     let mut model = ModelConfig::llama2_7b();
     let mut batch = 8u64;
@@ -227,9 +208,8 @@ fn run_infer(rest: &[String]) -> Result<(), String> {
     if let Some(kv) = kv_precision {
         w = w.with_kv_precision(kv);
     }
-    println!("Workload: {w}\n");
-    println!("{}", infer::render_single(&infer::run_single(&w)));
-    Ok(())
+    let table = infer::render_single(&infer::run_single(&w));
+    write_stdout(|out| writeln!(out, "Workload: {w}\n\n{table}"))
 }
 
 /// Every platform by its CLI name: the dataflow chips of [`degradable`]
@@ -274,10 +254,8 @@ fn run_faults(rest: &[String]) -> Result<(), String> {
     }
     let platform = degradable(name)?;
     let w = opts.workload();
-    let report = resilience_sweep(platform.as_ref(), &w, &plan, seed);
-    println!("Workload: {w}\n");
-    print!("{}", render_report(&report));
-    Ok(())
+    let report = render_report(&resilience_sweep(platform.as_ref(), &w, &plan, seed));
+    write_stdout(|out| write!(out, "Workload: {w}\n\n{report}"))
 }
 
 /// Options of a supervised sweep. `all`, `gen` and the hidden
@@ -709,7 +687,7 @@ fn run_gen(rest: &[String]) -> Result<ExitCode, String> {
     while let Some(flag) = flags.next_flag() {
         match flag {
             "--list-tiers" => {
-                print!("{}", genx::render_tiers());
+                write_stdout(|out| write!(out, "{}", genx::render_tiers()))?;
                 return Ok(ExitCode::SUCCESS);
             }
             "--tier" => {
@@ -1115,10 +1093,15 @@ fn run_report(cmd: &str, rest: &[String]) -> Result<(), String> {
     match cmd {
         "check" => {
             let checks = validation::run();
-            println!("{}", validation::render(&checks));
             let failed = checks.iter().filter(|c| !c.passed).count();
+            write_stdout(|out| {
+                writeln!(out, "{}", validation::render(&checks))?;
+                if failed == 0 {
+                    writeln!(out, "all {} claims reproduced", checks.len())?;
+                }
+                Ok(())
+            })?;
             if failed == 0 {
-                println!("all {} claims reproduced", checks.len());
                 Ok(())
             } else {
                 Err(format!("{failed} claim(s) failed"))
@@ -1130,10 +1113,11 @@ fn run_report(cmd: &str, rest: &[String]) -> Result<(), String> {
             .and_then(|name| {
                 let tables =
                     experiment_tables(name).ok_or_else(|| format!("no CSV export for `{name}`"))?;
-                for t in tables {
-                    print!("{}", t.to_csv());
-                }
-                Ok(())
+                write_stdout(|out| {
+                    tables
+                        .iter()
+                        .try_for_each(|t| out.write_all(t.to_csv().as_bytes()))
+                })
             }),
         "tier1" => rest
             .split_first()
@@ -1142,28 +1126,20 @@ fn run_report(cmd: &str, rest: &[String]) -> Result<(), String> {
                 let p = platform(name)?;
                 let w = parse_workload("tier1", flags)?;
                 match tier1::run(p.as_ref(), &w) {
-                    Ok(r) => {
-                        println!("{r:#?}");
-                        Ok(())
-                    }
+                    Ok(r) => write_stdout(|out| writeln!(out, "{r:#?}")),
                     Err(e) => Err(format!("{name} cannot run {w}: {e}")),
                 }
             }),
         "faults" => run_faults(rest),
         "infer" => run_infer(rest),
-        "summary" => parse_workload("summary", rest).map(|w| {
-            println!("Workload: {w}\n");
-            println!("{}", summary::render(&summary::run(&w)));
-        }),
-        "help" | "--help" | "-h" => {
-            println!("{}", usage());
-            Ok(())
+        "summary" => {
+            let w = parse_workload("summary", rest)?;
+            let table = summary::render(&summary::run(&w));
+            write_stdout(|out| writeln!(out, "Workload: {w}\n\n{table}"))
         }
+        "help" | "--help" | "-h" => write_stdout(|out| writeln!(out, "{}", usage())),
         other => match render_experiment(other) {
-            Some(text) => {
-                print!("{text}");
-                Ok(())
-            }
+            Some(text) => write_stdout(|out| out.write_all(text.as_bytes())),
             None => Err(format!("unknown command `{other}`\n{}", usage())),
         },
     }

@@ -21,7 +21,7 @@ use dabench_core::gen::{
 };
 use dabench_core::{
     catch_labeled, max_admissible_batch, par_map, profile_inference, AdmissionProbe, Degradable,
-    ParallelStrategy, Platform, PlatformError, Scalable,
+    ParallelStrategy, PlatformError, Scalable,
 };
 use dabench_faults::{FaultPlan, PlanSpec};
 use dabench_gpu::GpuCluster;
@@ -31,6 +31,7 @@ use dabench_rdu::Rdu;
 use dabench_wse::Wse;
 use std::borrow::Cow;
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 /// Platform column order, shared with the inference sweep.
 pub use super::infer::PLATFORMS;
@@ -112,6 +113,34 @@ fn plan_seed(s: &Scenario) -> u64 {
     dabench_core::SplitMix64::fork(s.seed ^ (0xFA17 + s.tier.rank()), s.index).next_u64()
 }
 
+/// A platform's default chip, with its fault model when it has one.
+type Chip = (
+    &'static (dyn Scalable + Sync),
+    Option<&'static (dyn Degradable + Sync)>,
+);
+
+/// The default chip of `platform`, or `None` for an unknown name. The four
+/// chips are built once per process: each construction formats and hashes
+/// its whole configuration into a memo-cache key.
+fn default_chip(platform: &str) -> Option<Chip> {
+    static CHIPS: OnceLock<(Wse, Rdu, Ipu, GpuCluster)> = OnceLock::new();
+    let (wse, rdu, ipu, gpu) = CHIPS.get_or_init(|| {
+        (
+            Wse::default(),
+            Rdu::default(),
+            Ipu::default(),
+            GpuCluster::default(),
+        )
+    });
+    Some(match platform {
+        "wse" => (wse, Some(wse)),
+        "rdu" => (rdu, Some(rdu)),
+        "ipu" => (ipu, Some(ipu)),
+        "gpu" => (gpu, None),
+        _ => return None,
+    })
+}
+
 fn degrade_on(platform: &(dyn Degradable + Sync), s: &Scenario) -> Result<f64, PlatformError> {
     let spec = PlanSpec::from_intensity(&s.faults)
         .map_err(|e| PlatformError::Unsupported(format!("sampled fault plan: {e}")))?;
@@ -122,6 +151,8 @@ fn degrade_on(platform: &(dyn Degradable + Sync), s: &Scenario) -> Result<f64, P
 
 fn train_obs(platform: &str, s: &Scenario) -> GenObs {
     let w = s.training_workload();
+    let (chip, faults) =
+        default_chip(platform).unwrap_or_else(|| panic!("unknown platform `{platform}`"));
     let outcome: Result<(f64, String), PlatformError> = if s.parallelism > 1 {
         // Fault plans model single-chip fabric damage; under multi-chip
         // scaling the scored result is the healthy scaled throughput.
@@ -130,35 +161,19 @@ fn train_obs(platform: &str, s: &Scenario) -> GenObs {
         } else {
             format!("scaled x{} (faults not applied)", s.parallelism)
         };
-        let strategy = native_strategy(platform, s.parallelism);
-        let scaled = match platform {
-            "wse" => Wse::default().scale(&w, strategy),
-            "rdu" => Rdu::default().scale(&w, strategy),
-            "ipu" => Ipu::default().scale(&w, strategy),
-            "gpu" => GpuCluster::default().scale(&w, strategy),
-            other => panic!("unknown platform `{other}`"),
-        };
-        scaled.map(|p| (p.throughput_tokens_per_s, note))
+        chip.scale(&w, native_strategy(platform, s.parallelism))
+            .map(|p| (p.throughput_tokens_per_s, note))
     } else if s.faults.is_healthy() {
-        let profiled = match platform {
-            "wse" => Wse::default().profile(&w),
-            "rdu" => Rdu::default().profile(&w),
-            "ipu" => Ipu::default().profile(&w),
-            "gpu" => GpuCluster::default().profile(&w),
-            other => panic!("unknown platform `{other}`"),
-        };
-        profiled.map(|p| (p.throughput_tokens_per_s, "healthy".to_owned()))
+        chip.profile(&w)
+            .map(|p| (p.throughput_tokens_per_s, "healthy".to_owned()))
     } else {
-        let degraded = match platform {
-            "wse" => degrade_on(&Wse::default(), s),
-            "rdu" => degrade_on(&Rdu::default(), s),
-            "ipu" => degrade_on(&Ipu::default(), s),
+        let degraded = match faults {
+            Some(faults) => degrade_on(faults, s),
             // A missing fault model is an explicit loss on faulted
             // scenarios, not a silent fallback to healthy numbers.
-            "gpu" => Err(PlatformError::Unsupported(
-                "gpu baseline has no fault model".to_owned(),
-            )),
-            other => panic!("unknown platform `{other}`"),
+            None => Err(PlatformError::Unsupported(format!(
+                "{platform} baseline has no fault model"
+            ))),
         };
         degraded.map(|t| (t, "degraded".to_owned()))
     };
@@ -667,13 +682,14 @@ fn check_scenario(
                     let Some(faulty) = o.tokens_per_s else {
                         continue;
                     };
-                    let healthy = match o.platform.as_str() {
-                        "wse" => Wse::default().profile(&w),
-                        "rdu" => Rdu::default().profile(&w),
-                        "ipu" => Ipu::default().profile(&w),
-                        _ => continue,
+                    // Only a platform with a fault model records a
+                    // degraded throughput.
+                    let Some((chip, Some(_))) = default_chip(&o.platform) else {
+                        continue;
                     };
-                    let Ok(healthy) = healthy else { continue };
+                    let Ok(healthy) = chip.profile(&w) else {
+                        continue;
+                    };
                     ck.count(Invariant::FaultMonotone);
                     let mut healthy_tps = quantize_tps(healthy.throughput_tokens_per_s);
                     if ck.perturb(Invariant::FaultMonotone) {

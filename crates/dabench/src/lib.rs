@@ -29,6 +29,31 @@ pub mod runner;
 pub mod serve;
 pub mod suite;
 
+use std::io::{self, BufWriter, Write as _};
+
+/// Bytes of the buffer each stdout block is written through.
+const STDOUT_BUFFER: usize = 64 * 1024;
+
+/// Write one block of stdout through one buffer and flush it, so the
+/// block is out before whatever the caller writes to stderr next. Every
+/// `dabench` command writes its stdout through here. Stdout is locked only
+/// while the block is written.
+///
+/// # Errors
+///
+/// `stdout: <error>` when a write or the flush fails, for instance once
+/// the reader has closed the pipe: an error the command returns, not a
+/// panic. The explicit flush is what reports it, since dropping a
+/// `BufWriter` discards its error.
+pub fn write_stdout(
+    block: impl FnOnce(&mut BufWriter<io::StdoutLock<'static>>) -> io::Result<()>,
+) -> Result<(), String> {
+    let mut out = BufWriter::with_capacity(STDOUT_BUFFER, io::stdout().lock());
+    block(&mut out)
+        .and_then(|()| out.flush())
+        .map_err(|e| format!("stdout: {e}"))
+}
+
 /// Re-export of the framework core (`dabench-core`).
 pub mod core {
     pub use dabench_core::*;
@@ -44,7 +69,8 @@ pub mod graph {
     pub use dabench_graph::*;
 }
 
-/// Re-export of the discrete-event engine (`dabench-sim`).
+/// Re-export of the pipeline timing model and discrete-event engine
+/// (`dabench-sim`).
 pub mod sim {
     pub use dabench_sim::*;
 }

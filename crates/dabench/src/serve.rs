@@ -138,10 +138,12 @@ pub fn run_serve(rest: &[String], on_listen: impl FnOnce(DrainHandle)) -> Result
     let addr = server
         .local_addr()
         .map_err(|e| format!("local_addr: {e}"))?;
-    println!("dabench serve listening on {addr} (protocol {PROTOCOL})");
-    std::io::stdout()
-        .flush()
-        .map_err(|e| format!("stdout: {e}"))?;
+    crate::write_stdout(|out| {
+        writeln!(
+            out,
+            "dabench serve listening on {addr} (protocol {PROTOCOL})"
+        )
+    })?;
     if let Some(line) = server.resume_summary() {
         eprintln!("{line}");
     }

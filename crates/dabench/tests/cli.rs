@@ -310,25 +310,41 @@ fn the_later_of_run_dir_and_resume_wins() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A reader that goes away is a write error, not a panic: `gen`'s output
-/// (310 KB here) outgrows a pipe's 64 KiB buffer, so some write to a
-/// closed pipe fails whenever the reader closes it, and the run ends with
-/// the `error:` line and exit code 1 of any failed command.
+/// A reader that goes away is a write error, not a panic, for every
+/// command: the run ends with the `error:` line and exit code 1 of any
+/// failed command. Each child's stdout is a pipe whose read end is closed
+/// before the spawn, so its first write fails even when the output would
+/// fit in the pipe's 64 KiB buffer.
 #[test]
 fn a_closed_stdout_is_an_error_not_a_panic() {
-    let mut child = Command::new(env!("CARGO_BIN_EXE_dabench"))
-        .args(["gen", "--tier", "hard", "--count", "400", "--seed", "1"])
-        .env_remove("DABENCH_INJECT")
-        .stdout(std::process::Stdio::piped())
-        .stderr(std::process::Stdio::piped())
-        .spawn()
-        .expect("binary runs");
-    drop(child.stdout.take());
-    let out = child.wait_with_output().expect("binary exits");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(1), "{stderr}");
-    assert!(stderr.starts_with("error: stdout:"), "{stderr}");
-    assert!(!stderr.contains("panicked"), "{stderr}");
+    let commands: [&[&str]; 11] = [
+        &["gen", "--tier", "hard", "--count", "400", "--seed", "1"],
+        &["gen", "--list-tiers"],
+        &["table3"],
+        &["csv", "fig12"],
+        &["infer"],
+        &["check"],
+        &["help"],
+        &["summary"],
+        &["tier1", "wse"],
+        &["faults", "wse"],
+        &["bench", "--list"],
+    ];
+    for args in commands {
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let out = Command::new(env!("CARGO_BIN_EXE_dabench"))
+            .args(args)
+            .env_remove("DABENCH_INJECT")
+            .stdout(writer)
+            .stderr(std::process::Stdio::piped())
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.starts_with("error: stdout:"), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
 }
 
 /// A sharded run without `--run-dir` journals in a temporary directory

@@ -335,12 +335,6 @@ fn single_bit_flips_never_panic_a_parser() {
                 value: 0.1 + 0.2,
                 ts: 1,
             },
-            Event::Slice {
-                track: "wafer".to_owned(),
-                name: "compute0".to_owned(),
-                start_us: 5,
-                dur_us: 7,
-            },
             Event::End {
                 phase: Phase::Compile,
                 name: "wse.compile".to_owned(),

@@ -397,12 +397,7 @@ impl Simulation {
                 finish: finish[i],
             })
             .collect();
-        Ok(SimResult::new(
-            timings,
-            self.resources.iter().map(|r| r.name.clone()).collect(),
-            busy,
-            now,
-        ))
+        Ok(SimResult::new(timings, busy, now))
     }
 }
 

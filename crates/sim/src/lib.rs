@@ -1,20 +1,23 @@
 //! # dabench-sim
 //!
-//! A small discrete-event simulation engine for dataflow execution.
+//! Runtime timing for dataflow execution: a closed-form pipeline model and
+//! the discrete-event engine it is checked against.
 //!
-//! Dataflow hardware fires an operator as soon as (a) all of its input data
-//! is available and (b) the hardware region it is mapped to is free. This
-//! crate models exactly that: tasks with dependencies and durations compete
-//! for finite-capacity [`Resource`]s, and the engine reports when
-//! everything started and finished.
+//! The platform models in `dabench-wse` and `dabench-ipu` derive the
+//! paper's *runtime* metrics (pipeline fill, bottleneck stage, steady-state
+//! throughput) from [`steady_state_analysis`], while their analytic
+//! compilers supply the *compile-time* metrics. Their fault models, and
+//! the RDU's, price recovery with the two cost models in [`faulty`]
+//! ([`RetryPolicy`], [`CheckpointModel`]).
 //!
-//! The platform models in `dabench-wse` / `dabench-rdu` / `dabench-ipu` use
-//! it for the paper's *runtime* metrics (per-task throughput feeding the
-//! load-imbalance computation, pipeline steady-state throughput) while
-//! their analytic compilers supply the *compile-time* metrics. Their
-//! fault models price recovery with the two cost models in [`faulty`]
-//! ([`RetryPolicy`], [`CheckpointModel`]), and [`trace`] bridges
-//! simulated timelines into the Chrome trace.
+//! The engine is the closed form's test reference and is run by no
+//! command. Dataflow hardware fires an operator as soon as (a) all of its
+//! input data is available and (b) the hardware region it is mapped to is
+//! free. The engine models exactly that: tasks with dependencies and
+//! durations compete for finite-capacity [`Resource`]s, and a
+//! [`Simulation`] reports when everything started and finished.
+//! `crates/wse/tests/event_validation.rs` checks the WSE kernel pipeline's
+//! closed-form timing against it.
 //!
 //! # Example
 //!
@@ -37,7 +40,6 @@ mod engine;
 pub mod faulty;
 mod pipeline;
 mod stats;
-pub mod trace;
 
 pub use engine::{Resource, SimError, Simulation, TaskId, TaskSpec};
 pub use faulty::{CheckpointModel, RetryPolicy};

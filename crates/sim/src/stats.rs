@@ -38,21 +38,14 @@ impl TaskTiming {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SimResult {
     timings: Vec<TaskTiming>,
-    resource_names: Vec<String>,
     resource_busy: Vec<f64>,
     makespan: f64,
 }
 
 impl SimResult {
-    pub(crate) fn new(
-        timings: Vec<TaskTiming>,
-        resource_names: Vec<String>,
-        resource_busy: Vec<f64>,
-        makespan: f64,
-    ) -> Self {
+    pub(crate) fn new(timings: Vec<TaskTiming>, resource_busy: Vec<f64>, makespan: f64) -> Self {
         Self {
             timings,
-            resource_names,
             resource_busy,
             makespan,
         }
@@ -68,12 +61,6 @@ impl SimResult {
     #[must_use]
     pub fn timings(&self) -> &[TaskTiming] {
         &self.timings
-    }
-
-    /// Names of the registered resources.
-    #[must_use]
-    pub fn resource_names(&self) -> &[String] {
-        &self.resource_names
     }
 
     /// Total busy time of resource `r` (sum over its slots).
@@ -109,19 +96,6 @@ impl SimResult {
     pub fn timing_of(&self, name: &str) -> Option<&TaskTiming> {
         self.timings.iter().find(|t| t.name == name)
     }
-
-    /// Interval between the first start and last finish on resource `r`,
-    /// or `None` when no task ran there.
-    #[must_use]
-    pub fn resource_span(&self, r: usize) -> Option<(f64, f64)> {
-        let mut first = f64::INFINITY;
-        let mut last = f64::NEG_INFINITY;
-        for t in self.timings.iter().filter(|t| t.resource == r) {
-            first = first.min(t.start);
-            last = last.max(t.finish);
-        }
-        (first.is_finite() && last.is_finite()).then_some((first, last))
-    }
 }
 
 #[cfg(test)]
@@ -135,16 +109,6 @@ mod tests {
         let res = sim.run().unwrap();
         assert!(res.timing_of("alpha").is_some());
         assert!(res.timing_of("beta").is_none());
-    }
-
-    #[test]
-    fn span_covers_resource_activity() {
-        let mut sim = Simulation::new(vec![Resource::new("a", 1), Resource::new("b", 1)]);
-        let p = sim.add_task(TaskSpec::new("p", 0, 2.0));
-        sim.add_task(TaskSpec::new("c", 1, 1.0).after(p));
-        let res = sim.run().unwrap();
-        assert_eq!(res.resource_span(0), Some((0.0, 2.0)));
-        assert_eq!(res.resource_span(1), Some((2.0, 3.0)));
     }
 
     #[test]

@@ -44,23 +44,6 @@ impl WseSpec {
         }
     }
 
-    /// The CS-3 / WSE-3 configuration: ~900k PEs, higher per-PE rate, and
-    /// the MemoryX-backed external memory that makes weight streaming the
-    /// primary large-model mode (the paper defers CS-3 for lack of public
-    /// chip-level data; this preset follows the vendor data sheet).
-    #[must_use]
-    pub fn cs3() -> Self {
-        Self {
-            grid_rows: 900,
-            grid_cols: 1000,
-            sram_per_pe_bytes: 48 * 1024,
-            peak_flops_per_pe: 2.4e9,
-            mem_bw_bytes_per_s: 21e15,
-            fabric_bw_bytes_per_s: 214e15,
-            external_bw_bytes_per_s: 3.0e12,
-        }
-    }
-
     /// Total PE count.
     #[must_use]
     pub fn pe_count(&self) -> u64 {
@@ -186,15 +169,6 @@ mod tests {
         assert!((s.total_sram_bytes() as f64 - 40e9).abs() / 40e9 < 0.05);
         // Peak in the paper-consistent band.
         assert!((1500.0..1800.0).contains(&s.peak_tflops()));
-    }
-
-    #[test]
-    fn cs3_is_a_step_up() {
-        let cs2 = WseSpec::cs2();
-        let cs3 = WseSpec::cs3();
-        assert!(cs3.pe_count() > cs2.pe_count());
-        assert!(cs3.peak_tflops() > cs2.peak_tflops());
-        assert!(cs3.external_bw_bytes_per_s > cs2.external_bw_bytes_per_s);
     }
 
     #[test]

@@ -10,11 +10,10 @@
 use crate::chip::{WseCompilerParams, WseSpec};
 use crate::compile::{compile, WseCompilation};
 use crate::placement::{healthy_runs, Placement};
-use crate::runtime::execute;
+use crate::platform_impl::profile_of;
 use crate::Wse;
 use dabench_core::{
-    ChipProfile, Degradable, DegradedProfile, FaultKind, FaultSet, MemoryLevelUsage, Platform,
-    PlatformError, RecoveryCost,
+    Degradable, DegradedProfile, FaultKind, FaultSet, Platform, PlatformError, RecoveryCost,
 };
 use dabench_model::TrainingWorkload;
 use dabench_sim::{CheckpointModel, RetryPolicy};
@@ -82,28 +81,6 @@ pub fn compile_degraded(
             dead_intervals.len()
         ),
     })
-}
-
-fn profile_of(
-    spec: &WseSpec,
-    params: &WseCompilerParams,
-    comp: &WseCompilation,
-    workload: &TrainingWorkload,
-) -> ChipProfile {
-    let exec = execute(spec, params, comp, workload);
-    ChipProfile {
-        unit_usage: vec![("pe".to_owned(), comp.allocated_pes(), comp.chip_pes)],
-        tasks: exec.task_profiles.clone(),
-        sections: vec![],
-        memory: vec![MemoryLevelUsage {
-            name: "pe-sram".to_owned(),
-            used_bytes: comp.memory.config_bytes + comp.memory.training_bytes,
-            capacity_bytes: comp.memory.capacity_bytes,
-        }],
-        achieved_tflops: exec.achieved_tflops,
-        throughput_tokens_per_s: exec.throughput_tokens_per_s,
-        step_time_s: exec.step_time_s,
-    }
 }
 
 impl Degradable for Wse {

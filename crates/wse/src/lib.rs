@@ -46,7 +46,6 @@ mod placement;
 mod platform_impl;
 mod runtime;
 mod scale;
-mod streaming;
 
 pub use chip::{WseCompilerParams, WseSpec};
 pub use compile::{compile, CompiledKernel, WseCompilation, WseMemoryReport};
@@ -56,7 +55,6 @@ pub use kernel::{kernels_of, Kernel, KernelKind};
 pub use placement::{healthy_runs, PlacedRect, Placement};
 pub use runtime::{execute, WseExecution};
 pub use scale::{data_parallel, weight_streaming, ReplicaPlan, WeightStreamingRun};
-pub use streaming::{streaming_schedule, try_streaming_schedule, StreamedLayer, StreamingSchedule};
 
 /// The Cerebras WSE-2 platform model.
 ///

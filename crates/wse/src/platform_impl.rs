@@ -1,6 +1,7 @@
 //! [`Platform`] and [`Scalable`] implementations for the WSE model.
 
-use crate::compile::compile;
+use crate::chip::{WseCompilerParams, WseSpec};
+use crate::compile::{compile, WseCompilation};
 use crate::runtime::execute;
 use crate::scale::{data_parallel, weight_streaming};
 use crate::Wse;
@@ -9,6 +10,31 @@ use dabench_core::{
     MemoryScope, ParallelStrategy, Platform, PlatformError, Scalable, ScalingProfile,
 };
 use dabench_model::TrainingWorkload;
+
+/// Execute `comp` on `spec` and report it as a chip profile: the one
+/// assembly behind the healthy profile and the remapped one of
+/// `Degradable::degrade`.
+pub(crate) fn profile_of(
+    spec: &WseSpec,
+    params: &WseCompilerParams,
+    comp: &WseCompilation,
+    workload: &TrainingWorkload,
+) -> ChipProfile {
+    let exec = execute(spec, params, comp, workload);
+    ChipProfile {
+        unit_usage: vec![("pe".to_owned(), comp.allocated_pes(), comp.chip_pes)],
+        tasks: exec.task_profiles,
+        sections: vec![],
+        memory: vec![MemoryLevelUsage {
+            name: "pe-sram".to_owned(),
+            used_bytes: comp.memory.config_bytes + comp.memory.training_bytes,
+            capacity_bytes: comp.memory.capacity_bytes,
+        }],
+        achieved_tflops: exec.achieved_tflops,
+        throughput_tokens_per_s: exec.throughput_tokens_per_s,
+        step_time_s: exec.step_time_s,
+    }
+}
 
 impl Platform for Wse {
     fn name(&self) -> &str {
@@ -37,29 +63,12 @@ impl Platform for Wse {
 
     fn profile(&self, workload: &TrainingWorkload) -> Result<ChipProfile, PlatformError> {
         let compilation = compile(self.wse_spec(), self.compiler_params(), workload, None)?;
-        let exec = execute(
+        Ok(profile_of(
             self.wse_spec(),
             self.compiler_params(),
             &compilation,
             workload,
-        );
-        Ok(ChipProfile {
-            unit_usage: vec![(
-                "pe".to_owned(),
-                compilation.allocated_pes(),
-                compilation.chip_pes,
-            )],
-            tasks: exec.task_profiles.clone(),
-            sections: vec![],
-            memory: vec![MemoryLevelUsage {
-                name: "pe-sram".to_owned(),
-                used_bytes: compilation.memory.config_bytes + compilation.memory.training_bytes,
-                capacity_bytes: compilation.memory.capacity_bytes,
-            }],
-            achieved_tflops: exec.achieved_tflops,
-            throughput_tokens_per_s: exec.throughput_tokens_per_s,
-            step_time_s: exec.step_time_s,
-        })
+        ))
     }
 }
 
