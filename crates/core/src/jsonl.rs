@@ -9,6 +9,7 @@
 //! bench report reads back through the reader itself, `parse`, which takes
 //! exactly the JSON these writers emit, in code small enough to audit.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::io;
@@ -82,50 +83,87 @@ pub fn write_object(pairs: &[(&str, &str)]) -> String {
     out
 }
 
-/// Whether `line` is exactly the text [`write_object`] renders for
-/// `pairs`. The comparison runs in place, plain runs as slices, without
-/// building the escaped text.
+/// The values of `line` if it is exactly the text [`write_object`] renders
+/// for `keys` and some values: the keys in this order, each value spelled
+/// as [`escape`] spells it, no whitespace. Any other spelling of the same
+/// object (`\u000a` for `\n`, `\/`, upper-case hex, a space) reads as
+/// `None`, so `write_object` of the keys and the values read is `line`
+/// again. The read runs in place: a value without escapes is borrowed
+/// from `line`, and one with escapes is decoded once.
 #[must_use]
-pub fn is_written_object(line: &[u8], pairs: &[(&str, &str)]) -> bool {
-    fn strip_object<'a>(line: &'a [u8], pairs: &[(&str, &str)]) -> Option<&'a [u8]> {
-        let mut rest = line.strip_prefix(b"{")?;
-        for (i, (k, v)) in pairs.iter().enumerate() {
-            if i > 0 {
-                rest = rest.strip_prefix(b",")?;
-            }
-            rest = strip_escaped(rest.strip_prefix(b"\"")?, k)?.strip_prefix(b"\":\"")?;
-            rest = strip_escaped(rest, v)?.strip_prefix(b"\"")?;
+pub(crate) fn read_written_object<'a, const N: usize>(
+    line: &'a str,
+    keys: [&str; N],
+) -> Option<[Cow<'a, str>; N]> {
+    let mut values = std::array::from_fn(|_| Cow::Borrowed(""));
+    let mut rest = line.strip_prefix('{')?;
+    for (i, (key, value)) in keys.into_iter().zip(&mut values).enumerate() {
+        if i > 0 {
+            rest = rest.strip_prefix(',')?;
         }
-        rest.strip_prefix(b"}")
+        let (read, after) = read_escaped(rest.strip_prefix('"')?)?;
+        rest = after.strip_prefix(":\"")?;
+        if read != key {
+            return None;
+        }
+        (*value, rest) = read_escaped(rest)?;
     }
-    strip_object(line, pairs).is_some_and(<[u8]>::is_empty)
+    (rest == "}").then_some(values)
 }
 
-/// What follows [`escape`]`(s)` in `text`, if `text` starts with it.
-fn strip_escaped<'a>(mut text: &'a [u8], s: &str) -> Option<&'a [u8]> {
-    let s = s.as_bytes();
-    let mut run = 0;
-    for (i, &b) in s.iter().enumerate() {
-        // Every byte `escape` rewrites is ASCII, so a multi-byte
-        // character is copied whole as part of a run.
-        let mut unicode = *b"\\u0000";
-        let escaped: &[u8] = match b {
-            b'"' => b"\\\"",
-            b'\\' => b"\\\\",
-            b'\n' => b"\\n",
-            b'\r' => b"\\r",
-            b'\t' => b"\\t",
-            0..=0x1f => {
-                unicode[4] = b'0' + (b >> 4);
-                unicode[5] = b"0123456789abcdef"[usize::from(b & 0xf)];
-                &unicode
-            }
-            _ => continue,
+/// Decode the string `text` starts with, up to its closing `"`, if it is
+/// spelled as [`escape`] spells it; returns the string and the rest of
+/// `text` after the quote. Every byte `escape` rewrites is ASCII, so the
+/// runs between them end on character boundaries.
+fn read_escaped(text: &str) -> Option<(Cow<'_, str>, &str)> {
+    let mut decoded: Option<String> = None;
+    let mut rest = text;
+    loop {
+        let run = rest.bytes().position(ends_run)?;
+        let (plain, stop, after) = (&rest[..run], rest.as_bytes()[run], &rest[run + 1..]);
+        if stop == b'"' {
+            let value = match decoded {
+                None => Cow::Borrowed(plain),
+                Some(mut out) => {
+                    out.push_str(plain);
+                    Cow::Owned(out)
+                }
+            };
+            return Some((value, after));
+        }
+        if stop != b'\\' {
+            return None; // a raw control character
+        }
+        let (c, len) = match *after.as_bytes().first()? {
+            b'"' => ('"', 1),
+            b'\\' => ('\\', 1),
+            b'n' => ('\n', 1),
+            b'r' => ('\r', 1),
+            b't' => ('\t', 1),
+            b'u' => match after.as_bytes().get(1..5)? {
+                [b'0', b'0', high @ (b'0' | b'1'), low] => {
+                    let low = b"0123456789abcdef".iter().position(|d| d == low)?;
+                    let c = char::from(((high - b'0') << 4) | low as u8);
+                    if matches!(c, '\n' | '\r' | '\t') {
+                        return None;
+                    }
+                    (c, 5)
+                }
+                _ => return None,
+            },
+            _ => return None,
         };
-        text = text.strip_prefix(&s[run..i])?.strip_prefix(escaped)?;
-        run = i + 1;
+        let out = decoded.get_or_insert_with(|| String::with_capacity(text.len()));
+        out.push_str(plain);
+        out.push(c);
+        rest = &after[len..];
     }
-    text.strip_prefix(&s[run..])
+}
+
+/// Whether `b` ends a run of plain string text: a `"`, a `\` or a control
+/// character.
+fn ends_run(b: u8) -> bool {
+    b == b'"' || b == b'\\' || b < 0x20
 }
 
 /// Write `line` and its `\n` to `out` as one buffer, in one `write_all`.
@@ -399,10 +437,34 @@ mod tests {
     }
 
     #[test]
-    fn is_written_object_holds_for_exactly_the_written_bytes() {
+    fn read_written_object_reads_exactly_the_written_bytes() {
         // Every ASCII byte, the escapes, and multi-byte characters next
-        // to them: the written line matches, and so does no other line
-        // obtained from it by cutting it short or changing one byte.
+        // to them: the written line reads back to its values, and a line
+        // obtained from it by cutting it short or changing one byte reads
+        // exactly when it is the written line of what it reads (which
+        // the general parser then agrees on).
+        const KEYS: [&str; 3] = ["label", "data", "x"];
+        let reads_as_written = |line: &str, what: &str| match read_written_object(line, KEYS) {
+            Some(values) => {
+                let pairs: Vec<(&str, &str)> =
+                    KEYS.into_iter().zip(values.iter().map(|v| &**v)).collect();
+                assert_eq!(write_object(&pairs), line, "{what}");
+                let expected = pairs
+                    .iter()
+                    .map(|&(k, v)| (k.to_owned(), v.to_owned()))
+                    .collect();
+                assert_eq!(parse_object(line), Some(expected), "{what}");
+            }
+            None => {
+                if let Some(fields) = parse_object(line).filter(|f| f.len() == KEYS.len()) {
+                    let pairs: Vec<(&str, &str)> = KEYS
+                        .into_iter()
+                        .filter_map(|k| Some((k, fields.get(k)?.as_str())))
+                        .collect();
+                    assert_ne!(write_object(&pairs), line, "{what}");
+                }
+            }
+        };
         let ascii: String = (0_u8..0x80).map(char::from).collect();
         let mut rng = crate::SplitMix64::new(7);
         for case in 0..40 {
@@ -418,35 +480,50 @@ mod tests {
                 ("data", ascii.as_str()),
                 ("x", value.as_str()),
             ];
-            let line = write_object(&pairs).into_bytes();
-            assert!(is_written_object(&line, &pairs), "case {case}");
-            for cut in 0..line.len() {
-                assert!(
-                    !is_written_object(&line[..cut], &pairs),
+            let line = write_object(&pairs);
+            let read = read_written_object(&line, KEYS).expect("the written line reads");
+            assert_eq!(
+                read.each_ref().map(|v| &**v),
+                pairs.map(|(_, v)| v),
+                "case {case}"
+            );
+            for cut in (0..line.len()).filter(|&cut| line.is_char_boundary(cut)) {
+                assert_eq!(
+                    read_written_object(&line[..cut], KEYS),
+                    None,
                     "case {case} cut {cut}"
                 );
             }
             for at in 0..line.len() {
-                let mut changed = line.clone();
+                let mut changed = line.clone().into_bytes();
                 changed[at] ^= 1 << (case % 8);
-                assert!(
-                    !is_written_object(&changed, &pairs),
-                    "case {case} byte {at}"
-                );
+                // A flip into invalid UTF-8 is no line to read.
+                if let Ok(changed) = std::str::from_utf8(&changed) {
+                    reads_as_written(changed, &format!("case {case} byte {at}"));
+                }
             }
         }
-        assert!(!is_written_object(
-            b"{\"a\":\"b\"}",
-            &[("a", "b"), ("c", "d")]
-        ));
-        assert!(
-            !is_written_object(b"{\"a\": \"b\"}", &[("a", "b")]),
-            "whitespace"
+        // The same object spelled another way reads as nothing.
+        fn read(line: &str) -> Option<[Cow<'_, str>; 1]> {
+            read_written_object(line, ["a"])
+        }
+        assert_eq!(
+            read(r#"{"a":"b\n\u001f"}"#),
+            Some([Cow::Borrowed("b\n\u{1f}")])
         );
-        assert!(
-            !is_written_object(b"{\"a\":\"\\u0062\"}", &[("a", "b")]),
-            "needless escape"
-        );
+        for other in [
+            r#"{"a":"b\u000a\u001f"}"#,
+            r#"{"a":"b\n\u001F"}"#,
+            r#"{"a":"b\n\u001f\/"}"#,
+            r#"{"a": "b\n\u001f"}"#,
+            r#"{"a":"b\n\u001f","c":"d"}"#,
+            r#"{"a":"b\n\u001f"} "#,
+            "{\"a\":\"b\n\u{1f}\"}",
+        ] {
+            assert_eq!(read(other), None, "{other}");
+            assert!(parse_object(other).is_some(), "{other} is still JSON");
+        }
+        assert_eq!(read_written_object("{\"a\":\"b\"}", ["a", "c"]), None);
     }
 
     #[test]

@@ -20,8 +20,8 @@ use std::process::{Child, Command, ExitStatus};
 use std::time::{Duration, Instant};
 
 use crate::supervise::{
-    format_record, is_record_line, journal_header, journal_parse_io_error, parse_journal_bytes,
-    JournalRecord, ParsedJournal, JOURNAL_FILE, STATUS_STARTED,
+    format_record, journal_header, journal_parse_io_error, parse_journal_bytes, read_record_line,
+    ParsedJournal, JOURNAL_FILE, STATUS_STARTED,
 };
 
 // ---------------------------------------------------------------------------
@@ -93,22 +93,20 @@ pub fn plan_shards(labels: &[String], shards: usize) -> Vec<Vec<String>> {
 ///
 /// I/O failures, schema mismatch, or mid-file corruption.
 pub fn read_journal(path: &Path) -> io::Result<ParsedJournal> {
-    read_journal_bytes(path).map(|(_, parsed)| parsed)
+    let contents = read_journal_bytes(path)?;
+    parse_journal_bytes(&contents).map_err(|e| journal_parse_io_error(path, &e))
 }
 
-/// [`read_journal`], also returning the bytes it parsed (none for a
-/// missing file).
+/// A journal file's bytes, unparsed; none for a missing file.
 ///
 /// # Errors
 ///
-/// As for [`read_journal`].
-pub fn read_journal_bytes(path: &Path) -> io::Result<(Vec<u8>, ParsedJournal)> {
+/// I/O failures.
+pub fn read_journal_bytes(path: &Path) -> io::Result<Vec<u8>> {
     if !path.exists() {
-        return Ok((Vec::new(), ParsedJournal::default()));
+        return Ok(Vec::new());
     }
-    let contents = std::fs::read(path)?;
-    let parsed = parse_journal_bytes(&contents).map_err(|e| journal_parse_io_error(path, &e))?;
-    Ok((contents, parsed))
+    std::fs::read(path)
 }
 
 /// Labels with a durable final record (completed or failed any way) in
@@ -281,44 +279,43 @@ pub fn merge_journals(
     result
 }
 
-/// Whether `journal`, a combined journal's bytes parsed as `parsed`, is
-/// already what [`merge_journals`] writes from it alone: the header, then
-/// one `completed` record per label of `order`, in order, each optionally
+/// Read `journal`, a combined journal's bytes, if it is already what
+/// [`merge_journals`] writes from it alone: the header, then one
+/// `completed` record per label of `order`, in order, each optionally
 /// followed by its `metrics` record, every line spelled as
-/// [`format_record`] spells it, and nothing else. Re-merging such a
-/// journal rewrites the bytes it holds, so a resume that ran nothing and
-/// found no shard journal can leave it alone.
+/// [`format_record`] spells it, and nothing else. Returns each label's
+/// `(data, metrics digest)` in `order`: what
+/// [`Replay::from_journal`](crate::supervise::Replay::from_journal) of
+/// its parse holds. Re-merging such a journal rewrites the bytes it
+/// holds, so a resume that runs nothing can print from this read and
+/// leave the journal alone. The read is one pass over the bytes that
+/// decodes each line once and accepts only the writer's own spelling;
+/// any other journal reads as `None`, to be parsed and re-merged.
 #[must_use]
-pub fn is_merged(order: &[String], journal: &[u8], parsed: &ParsedJournal) -> bool {
+pub fn read_merged(order: &[String], journal: &[u8]) -> Option<Vec<(String, Option<String>)>> {
     let header = journal_header() + "\n";
-    let Some(body) = journal.strip_prefix(header.as_bytes()) else {
-        return false;
-    };
-    let mut lines = body.split_inclusive(|&b| b == b'\n');
-    let mut line_is = |label: &str, status: &str, data: &str| {
-        lines
-            .next()
-            .and_then(|line| line.strip_suffix(b"\n"))
-            .is_some_and(|line| is_record_line(line, label, status, data))
-    };
-    let mut records = parsed.records.iter().peekable();
-    let record_is = |r: &JournalRecord, label: &str, status: &str| {
-        r.label == label && r.status.as_deref() == Some(status) && r.data.is_some()
-    };
+    let body = std::str::from_utf8(journal.strip_prefix(header.as_bytes())?).ok()?;
+    // `None` for a torn line or one spelled another way.
+    let mut records = body
+        .split_inclusive('\n')
+        .map(|line| read_record_line(line.strip_suffix('\n')?))
+        .peekable();
+    let mut points = Vec::with_capacity(order.len());
     for label in order {
-        let Some(done) = records.next_if(|r| record_is(r, label, "completed")) else {
-            return false;
-        };
-        if !line_is(label, "completed", done.data.as_deref().unwrap_or_default()) {
-            return false;
+        let [read, status, data] = records.next()??;
+        if read != label.as_str() || status != "completed" {
+            return None;
         }
-        if let Some(m) = records.next_if(|r| record_is(r, label, "metrics")) {
-            if !line_is(label, "metrics", m.data.as_deref().unwrap_or_default()) {
-                return false;
-            }
-        }
+        let metrics = records
+            .next_if(|r| {
+                r.as_ref()
+                    .is_some_and(|[l, s, _]| l == label && s == "metrics")
+            })
+            .flatten()
+            .map(|[_, _, digest]| digest.into_owned());
+        points.push((data.into_owned(), metrics));
     }
-    parsed.dropped_tail.is_none() && records.next().is_none() && lines.next().is_none()
+    records.next().is_none().then_some(points)
 }
 
 /// Atomically replace the combined journal in `dir` with merged `text`:
@@ -710,8 +707,8 @@ pub fn emit_shard_counters(statuses: &[ShardStatus]) {
 mod tests {
     use super::*;
     use crate::supervise::{
-        parse_journal, JournalRecord, JOURNAL_SCHEMA, SHARD_CONTROL_LABEL, STATUS_HEARTBEAT,
-        STATUS_STARTED,
+        parse_journal, JournalRecord, Replay, JOURNAL_SCHEMA, SHARD_CONTROL_LABEL,
+        STATUS_HEARTBEAT, STATUS_STARTED,
     };
 
     fn labels(names: &[&str]) -> Vec<String> {
@@ -839,32 +836,55 @@ mod tests {
     }
 
     #[test]
-    fn is_merged_holds_exactly_for_a_merge_fixed_point() {
+    fn read_merged_reads_exactly_a_merge_fixed_point() {
         let order = labels(&["a", "b"]);
         let merged = |records: &[(&str, &str, &str)]| {
             merge_journals(&order, &[journal(records)], &BTreeMap::new()).text
         };
         let canonical = merged(&[
-            ("a", "completed", "A\n\"x\""),
+            ("a", "completed", "A\n\"x\"\u{1f}/"),
             ("a", "metrics", "M"),
             ("b", "completed", "B"),
         ]);
-        let holds = |text: &str| match parse_journal(text) {
-            Ok(parsed) => is_merged(&order, text.as_bytes(), &parsed),
-            Err(_) => false,
+        // What the general path replays from the same bytes.
+        let replayed = |text: &str| {
+            let replay = Replay::from_journal(parse_journal(text).expect("parses"));
+            let point = |l: &String| (replay.completed[l].clone(), replay.metrics.get(l).cloned());
+            order.iter().map(point).collect::<Vec<_>>()
         };
-        assert!(holds(&canonical), "{canonical}");
-        assert!(!holds(&merged(&[("a", "completed", "A")])), "b missing");
+        let read = |text: &str| read_merged(&order, text.as_bytes());
+        assert_eq!(read(&canonical), Some(replayed(&canonical)), "{canonical}");
         let lines: Vec<&str> = canonical.lines().collect();
         let rejoin = |lines: &[&str]| lines.iter().map(|l| format!("{l}\n")).collect::<String>();
-        // Records out of order, a superseded failure, a second digest, a
-        // control record, another spelling of the same record, a torn
-        // tail: each still goes through the merge.
+        let no_digest = rejoin(&[lines[0], lines[1], lines[3]]);
+        assert_eq!(read(&no_digest), Some(replayed(&no_digest)));
+        assert_eq!(read(&no_digest).unwrap()[0].1, None);
+        // A missing or extra record, records out of order, a superseded
+        // failure, a second digest, a control record, another spelling of
+        // the same record, a torn tail: each reads as nothing and goes
+        // through the merge.
         let failed = format_record("b", "failed", "boom");
         let metrics = format_record("a", "metrics", "M");
+        let extra = format_record("c", "completed", "C");
         let control = format_record(SHARD_CONTROL_LABEL, STATUS_HEARTBEAT, "t=1");
-        let spaced = lines[3].replace(",", ", ");
+        let respelled = |from: &str, to: &str| {
+            assert!(lines[1].contains(from), "{from} in {}", lines[1]);
+            rejoin(&[
+                lines[0],
+                &lines[1].replacen(from, to, 1),
+                lines[2],
+                lines[3],
+            ])
+        };
         for (what, text) in [
+            (
+                "b missing",
+                merged(&[("a", "completed", "A\n\"x\"\u{1f}/")]),
+            ),
+            (
+                "extra",
+                rejoin(&[lines[0], lines[1], lines[2], lines[3], &extra]),
+            ),
             ("swapped", rejoin(&[lines[0], lines[3], lines[1], lines[2]])),
             (
                 "failure first",
@@ -878,18 +898,24 @@ mod tests {
                 "control",
                 rejoin(&[lines[0], lines[1], lines[2], lines[3], &control]),
             ),
+            ("\\u000a", respelled("\\n", "\\u000a")),
+            ("\\/", respelled("/", "\\/")),
+            ("upper-case hex", respelled("\\u001f", "\\u001F")),
+            ("space after `:`", respelled(":", ": ")),
             (
-                "respelled",
-                rejoin(&[lines[0], lines[1], lines[2], &spaced]),
+                "space after `,`",
+                rejoin(&[lines[0], lines[1], lines[2], &lines[3].replace(',', ", ")]),
             ),
             ("torn tail", canonical.clone() + "{\"label\":\"b\""),
         ] {
-            assert!(!holds(&text), "{what}: {text}");
-            assert_eq!(
-                merged_from_text(&order, &text),
-                canonical,
-                "{what} re-merges to the canonical bytes"
-            );
+            assert_eq!(read(&text), None, "{what}: {text}");
+            if what != "b missing" {
+                assert_eq!(
+                    merged_from_text(&order, &text),
+                    canonical,
+                    "{what} re-merges to the canonical bytes"
+                );
+            }
         }
     }
 

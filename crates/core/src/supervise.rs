@@ -33,6 +33,7 @@
 use crate::error::PlatformError;
 use crate::jsonl;
 use std::any::Any;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Seek as _};
@@ -559,11 +560,14 @@ pub fn format_record(label: &str, status: &str, data: &str) -> String {
     jsonl::write_object(&record_pairs(label, status, data))
 }
 
-/// Whether `line` (no trailing newline) is exactly
-/// [`format_record`]`(label, status, data)`.
-pub(crate) fn is_record_line(line: &[u8], label: &str, status: &str, data: &str) -> bool {
-    jsonl::is_written_object(line, &record_pairs(label, status, data))
+/// The `[label, status, data]` of `line` (no trailing newline) if it is
+/// exactly [`format_record`] of them (see [`jsonl::read_written_object`]).
+pub(crate) fn read_record_line(line: &str) -> Option<[Cow<'_, str>; 3]> {
+    jsonl::read_written_object(line, RECORD_KEYS)
 }
+
+/// The keys of a journal record, in the order its line carries them.
+const RECORD_KEYS: [&str; 3] = ["label", "status", "data"];
 
 /// A journal record's fields, in the order its line carries them.
 fn record_pairs<'a>(
@@ -571,7 +575,8 @@ fn record_pairs<'a>(
     status: &'a str,
     data: &'a str,
 ) -> [(&'static str, &'a str); 3] {
-    [("label", label), ("status", status), ("data", data)]
+    let [l, s, d] = RECORD_KEYS;
+    [(l, label), (s, status), (d, data)]
 }
 
 /// The journal's first line, `{"schema":"dabench-journal-v1"}` (no
@@ -692,17 +697,17 @@ pub fn parse_journal_bytes(contents: &[u8]) -> Result<ParsedJournal, JournalPars
             None // no trailing newline: the append was cut mid-line
         };
         match fields {
-            Some(fields) if invalid.is_none() => {
+            Some(mut fields) if invalid.is_none() => {
                 if line_no == 1 {
-                    let schema = fields.get("schema").cloned();
+                    let schema = fields.remove("schema");
                     if schema.as_deref() != Some(JOURNAL_SCHEMA) {
                         return Err(JournalParseError::BadSchema { found: schema });
                     }
                 } else {
                     parsed.records.push(JournalRecord {
-                        label: fields.get("label").cloned().unwrap_or_default(),
-                        status: fields.get("status").cloned(),
-                        data: fields.get("data").cloned(),
+                        label: fields.remove("label").unwrap_or_default(),
+                        status: fields.remove("status"),
+                        data: fields.remove("data"),
                     });
                 }
                 parsed.valid_bytes += consumed;
@@ -776,21 +781,22 @@ pub struct Replay {
 
 impl Replay {
     /// Fold a parsed journal's point records (control records skipped)
-    /// into what a resumed run replays, adopts and re-runs.
+    /// into what a resumed run replays, adopts and re-runs. Labels and
+    /// data move out of `parsed`, uncopied.
     #[must_use]
-    pub fn from_journal(parsed: &ParsedJournal) -> Self {
+    pub fn from_journal(parsed: ParsedJournal) -> Self {
         let mut replay = Replay::default();
-        for record in &parsed.records {
+        for record in parsed.records {
             if record.is_control() {
                 continue;
             }
-            let label = record.label.clone();
-            match (record.status.as_deref(), record.data.as_ref()) {
+            let label = record.label;
+            match (record.status.as_deref(), record.data) {
                 (Some("completed"), Some(data)) => {
-                    replay.completed.insert(label, data.clone());
+                    replay.completed.insert(label, data);
                 }
                 (Some("metrics"), Some(data)) => {
-                    replay.metrics.insert(label, data.clone());
+                    replay.metrics.insert(label, data);
                 }
                 (Some(STATUS_STARTED), _) => {
                     *replay.started.entry(label.clone()).or_insert(0) += 1;
@@ -799,7 +805,7 @@ impl Replay {
                 _ => replay.unfinished.push(label),
             }
         }
-        replay.dropped_tail = parsed.dropped_tail.clone();
+        replay.dropped_tail = parsed.dropped_tail;
         replay
     }
 
@@ -824,13 +830,23 @@ impl Replay {
     /// recoveries must be visible, never silent.
     #[must_use]
     pub fn resume_summary(&self) -> String {
-        format!(
-            "resume: {} replayed from journal, {} adopted (re-run), {} abandoned (truncated tail)",
+        resume_summary(
             self.completed.len(),
             self.adopted_labels().len(),
-            usize::from(self.dropped_tail.is_some()),
+            self.dropped_tail.is_some(),
         )
     }
+}
+
+/// The [`Replay::resume_summary`] line of a journal that replays
+/// `replayed` points, re-adopts `adopted` and abandoned a truncated tail
+/// or not.
+#[must_use]
+pub fn resume_summary(replayed: usize, adopted: usize, abandoned: bool) -> String {
+    format!(
+        "resume: {replayed} replayed from journal, {adopted} adopted (re-run), {} abandoned (truncated tail)",
+        usize::from(abandoned),
+    )
 }
 
 /// Append-only run journal (`journal.jsonl` inside a run directory).
@@ -934,17 +950,18 @@ impl RunJournal {
         let contents = std::fs::read(&path)?;
         let parsed =
             parse_journal_bytes(&contents).map_err(|e| journal_parse_io_error(&path, &e))?;
-        let replay = Replay::from_journal(&parsed);
+        let valid_bytes = parsed.valid_bytes;
+        let replay = Replay::from_journal(parsed);
 
         // Heal a dropped tail: truncate to the last valid record so the
         // next append starts on a fresh line.
         let file = OpenOptions::new().read(true).append(true).open(&path)?;
-        if parsed.valid_bytes < contents.len() {
-            file.set_len(parsed.valid_bytes as u64)?;
+        if valid_bytes < contents.len() {
+            file.set_len(valid_bytes as u64)?;
             file.sync_all()?;
         }
         let mut journal = Self { file, path };
-        if parsed.valid_bytes == 0 {
+        if valid_bytes == 0 {
             // Empty (or fully discarded) file: rewrite the header.
             jsonl::write_line(&mut journal.file, journal_header())?;
             journal.file.sync_all()?;

@@ -37,13 +37,15 @@ use dabench::bench_suite::run_bench;
 use dabench::core::jsonl::hex_snippet;
 use dabench::core::obs;
 use dabench::core::shard::{
-    emit_shard_counters, is_merged, list_shard_journals, merge_journals, plan_shards, read_journal,
-    read_journal_bytes, remove_shard_journals, render_rollups, shard_journal_name, shard_log_name,
-    supervise_shards, write_merged, MergedPoint, ShardConfig, ShardOutcome, SyntheticFailure,
+    emit_shard_counters, list_shard_journals, merge_journals, plan_shards, read_journal,
+    read_journal_bytes, read_merged, remove_shard_journals, render_rollups, shard_journal_name,
+    shard_log_name, supervise_shards, write_merged, ShardConfig, ShardOutcome, ShardStatus,
+    SyntheticFailure,
 };
 use dabench::core::supervise::{
-    parse_injections, Injection, Replay, RunJournal, RunReport, SupervisePolicy,
-    SHARD_CONTROL_LABEL, STATUS_SHARD_META,
+    journal_parse_io_error, parse_injections, parse_journal_bytes, resume_summary, Injection,
+    ParsedJournal, Replay, RunJournal, RunReport, SupervisePolicy, SHARD_CONTROL_LABEL,
+    STATUS_SHARD_META,
 };
 use dabench::core::{jobs, set_jobs, tier1, Degradable, Platform, PointTrace};
 use dabench::experiments::{gen as genx, infer, summary, validation};
@@ -319,6 +321,10 @@ fn run_all(rest: &[String]) -> Result<ExitCode, String> {
     })
 }
 
+/// What a sweep returns: its run report and each point's text, in
+/// order (`None` for a failed point).
+type Swept = (RunReport, Vec<Option<String>>);
+
 /// Run an arbitrary ordered list of supervised point labels through the
 /// journal/resume/shard machinery (`dabench all` and `dabench gen` both
 /// funnel through here). Each label must resolve via
@@ -326,20 +332,35 @@ fn run_all(rest: &[String]) -> Result<ExitCode, String> {
 /// Prints every completed point's text to stdout in `order` as one block,
 /// the run report to stderr, and returns the report plus the per-label
 /// texts (`None` for failed points) so callers can post-process results.
-fn run_sweep(
-    order: &[String],
-    opts: &SweepOpts,
-) -> Result<(RunReport, Vec<Option<String>>), String> {
-    if opts.shards > 1 {
-        return run_sweep_sharded(order, opts);
-    }
+fn run_sweep(order: &[String], opts: &SweepOpts) -> Result<Swept, String> {
+    // Fail on malformed DABENCH_INJECT before anything else, sharded or
+    // not, rather than once per worker log.
     let injections = parse_injections()?;
+    let mut journal_bytes = None;
+    if let Some(dir) = opts.run.run_dir.as_deref().filter(|_| opts.run.resume) {
+        // A killed sharded parent leaves per-shard journals behind;
+        // fold them into the combined journal first so `--resume`
+        // works identically across the sharded layout.
+        fold_stale_shards(dir, order)?;
+        // A journal that is its own merge completes every point: such a
+        // resume runs nothing and leaves the journal alone, so it prints
+        // from one read of the bytes and parses nothing. A read error
+        // surfaces below, as each path reports it.
+        let bytes = read_journal_bytes(&RunJournal::path_in(dir)).ok();
+        if let Some(points) = bytes.as_deref().and_then(|b| read_merged(order, b)) {
+            drop(bytes);
+            return replay_merged(order, points);
+        }
+        journal_bytes = bytes;
+    }
+    if opts.shards > 1 {
+        return run_sweep_sharded(order, opts, journal_bytes);
+    }
+    // `RunJournal::resume` reads the journal again: it also heals a torn
+    // tail and holds the file open for the points that re-run.
+    drop(journal_bytes);
     let (journal, replay) = match &opts.run.run_dir {
         Some(dir) if opts.run.resume => {
-            // A killed sharded parent leaves per-shard journals behind;
-            // fold them into the combined journal first so `--resume`
-            // works identically across the sharded layout.
-            fold_stale_shards(dir, order)?;
             let (j, replay) =
                 RunJournal::resume(dir).map_err(|e| format!("--resume {}: {e}", dir.display()))?;
             (Some(std::sync::Mutex::new(j)), replay)
@@ -453,17 +474,13 @@ fn fold_stale_shards(dir: &std::path::Path, order: &[String]) -> Result<(), Stri
 /// supervise the fleet (heartbeat liveness, crash detection, bounded
 /// respawns), then merge the per-shard journals into the combined
 /// journal — stdout and journal byte-identical to a single-process run.
-/// A `--resume` whose combined journal is already its own merge
-/// ([`is_merged`]) runs no worker, finds no shard journal and leaves the
-/// journal alone: it prints and reports from its replay, as a
-/// single-process resume does. See docs/sharding.md.
+/// `resumed` holds the combined journal's bytes when a `--resume` has
+/// read them already. See docs/sharding.md.
 fn run_sweep_sharded(
     order: &[String],
     opts: &SweepOpts,
-) -> Result<(RunReport, Vec<Option<String>>), String> {
-    // Fail on malformed DABENCH_INJECT here, with the same message a
-    // single-process run gives, rather than once per worker log.
-    parse_injections()?;
+    resumed: Option<Vec<u8>>,
+) -> Result<Swept, String> {
     let (dir, ephemeral) = match &opts.run.run_dir {
         Some(d) => (d.clone(), false),
         None => (
@@ -471,9 +488,7 @@ fn run_sweep_sharded(
             true,
         ),
     };
-    if opts.run.resume {
-        fold_stale_shards(&dir, order)?;
-    } else {
+    if !opts.run.resume {
         // Same refuse-to-clobber semantics as a single-process --run-dir;
         // the handle is dropped — in sharded mode only the merge step
         // writes the combined journal.
@@ -481,13 +496,78 @@ fn run_sweep_sharded(
             RunJournal::create(&dir).map_err(|e| format!("--run-dir {}: {e}", dir.display()))?;
         drop(journal);
     }
-    let (journal_bytes, combined) =
-        read_journal_bytes(&RunJournal::path_in(&dir)).map_err(|e| e.to_string())?;
-    // A merged journal holds a completed record for every point, so such
-    // a resume has nothing pending and spawns no worker.
-    let merged_already = opts.run.resume && is_merged(order, &journal_bytes, &combined);
+    let path = RunJournal::path_in(&dir);
+    let journal_bytes = match resumed {
+        Some(bytes) => bytes,
+        None => read_journal_bytes(&path).map_err(|e| e.to_string())?,
+    };
+    let combined = parse_journal_bytes(&journal_bytes)
+        .map_err(|e| journal_parse_io_error(&path, &e).to_string())?;
     drop(journal_bytes);
-    let mut replay = Replay::from_journal(&combined);
+    let ((report, texts), statuses) = run_shards(order, opts, &dir, combined)?;
+    if let Err(e) = write_texts(&texts) {
+        // The error ends the run before anything could name the
+        // temporary directory for a `--resume`.
+        if ephemeral {
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+        return Err(e);
+    }
+    emit_shard_counters(&statuses);
+    if !statuses.is_empty() {
+        eprint!("{}", render_rollups(&statuses));
+    }
+    eprint!("{}", report.render());
+    let clean = report.is_clean();
+    if ephemeral {
+        if clean {
+            let _ = std::fs::remove_dir_all(&dir);
+        } else {
+            eprintln!(
+                "run directory kept at {} (pass --resume {0} --shards {1} to retry)",
+                dir.display(),
+                opts.shards
+            );
+        }
+    }
+    Ok((report, texts))
+}
+
+/// A `--resume` whose journal [`read_merged`] read as `points`: every
+/// point replays its journaled `(data, metrics digest)`. Prints and
+/// reports as a resume that parses the journal does.
+fn replay_merged(order: &[String], points: Vec<(String, Option<String>)>) -> Result<Swept, String> {
+    eprintln!("{}", resume_summary(points.len(), 0, false));
+    if obs::is_enabled() {
+        let digests = order.iter().zip(&points);
+        inject_journaled_digests(digests.filter_map(|(label, (_, m))| Some((label, m.as_ref()?))))?;
+    }
+    let mut report = RunReport::default();
+    let texts: Vec<Option<String>> = order
+        .iter()
+        .zip(points)
+        .map(|(label, (data, _))| {
+            report.record_status(label, "journaled", None);
+            Some(data)
+        })
+        .collect();
+    write_texts(&texts)?;
+    eprint!("{}", report.render());
+    Ok((report, texts))
+}
+
+/// Run every point that `combined`, the parsed combined journal, does
+/// not complete on a supervised shard fleet; then merge `combined` with
+/// the shard journals and write the merge over the combined journal.
+/// Returns the sweep and the fleet's statuses.
+fn run_shards(
+    order: &[String],
+    opts: &SweepOpts,
+    dir: &std::path::Path,
+    combined: ParsedJournal,
+) -> Result<(Swept, Vec<ShardStatus>), String> {
+    // The merge below reads `combined` too.
+    let replay = Replay::from_journal(combined.clone());
     if let Some(tail) = &replay.dropped_tail {
         eprintln!("warning: discarded truncated journal record {tail:?}; its point will re-run");
     }
@@ -500,6 +580,7 @@ fn run_sweep_sharded(
         .filter(|l| !replay.completed.contains_key(*l))
         .cloned()
         .collect();
+    drop(replay);
     let capture_metrics = obs::is_enabled();
     let statuses = if pending.is_empty() {
         Vec::new()
@@ -509,7 +590,7 @@ fn run_sweep_sharded(
         // Split this process's thread budget across the fleet so
         // `--shards N --jobs J` uses ~J threads total, not N*J.
         let worker_jobs = (jobs() / plan.len().max(1)).max(1);
-        let worker_dir = dir.clone();
+        let worker_dir = dir.to_path_buf();
         let deadline = opts.run.deadline;
         let max_retries = opts.run.max_retries;
         let heartbeat_ms = opts.fleet.heartbeat.as_millis();
@@ -546,69 +627,49 @@ fn run_sweep_sharded(
             };
             cmd
         };
-        supervise_shards(&dir, &plan, &opts.fleet, &mut spawn)
+        supervise_shards(dir, &plan, &opts.fleet, &mut spawn)
             .map_err(|e| format!("shard supervision: {e}"))?
     };
 
-    let shard_journals =
-        list_shard_journals(&dir).map_err(|e| format!("{}: {e}", dir.display()))?;
-    let mut points = if merged_already && shard_journals.is_empty() {
-        // Re-merging would rewrite the same bytes: take every point from
-        // the replay instead.
-        drop(combined);
-        let mut metrics = std::mem::take(&mut replay.metrics);
-        std::mem::take(&mut replay.completed)
-            .into_iter()
-            .map(|(label, data)| {
-                let metrics = metrics.remove(&label);
-                let point = MergedPoint {
-                    status: "completed".to_owned(),
-                    data,
-                    metrics,
-                    source: 0,
-                };
-                (label, point)
-            })
-            .collect()
-    } else {
-        // Merge: the prior combined journal first (idempotent re-merge,
-        // keeps resumed results), then the shard journals ascending.
-        let mut sources = vec![combined];
-        for (k, path) in shard_journals {
-            match read_journal(&path) {
-                Ok(parsed) => sources.push(parsed),
-                Err(e) => eprintln!(
-                    "warning: shard {k} journal unreadable ({e}); its unfinished points count as dropped"
-                ),
+    // Merge: the prior combined journal first (idempotent re-merge,
+    // keeps resumed results), then the shard journals ascending.
+    let shard_journals = list_shard_journals(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
+    let mut sources = vec![combined];
+    for (k, path) in shard_journals {
+        match read_journal(&path) {
+            Ok(parsed) => sources.push(parsed),
+            Err(e) => eprintln!(
+                "warning: shard {k} journal unreadable ({e}); its unfinished points count as dropped"
+            ),
+        }
+    }
+    let mut synthetic = std::collections::BTreeMap::new();
+    for s in &statuses {
+        if let ShardOutcome::Dead { dropped } = &s.outcome {
+            let detail = s
+                .deaths
+                .last()
+                .cloned()
+                .unwrap_or_else(|| "died".to_owned());
+            for label in dropped {
+                synthetic.insert(
+                    label.clone(),
+                    SyntheticFailure {
+                        status: "failed".to_owned(),
+                        data: format!(
+                            "shard {} {detail}; respawn budget ({}) exhausted",
+                            s.shard, opts.fleet.max_respawns
+                        ),
+                    },
+                );
             }
         }
-        let mut synthetic = std::collections::BTreeMap::new();
-        for s in &statuses {
-            if let ShardOutcome::Dead { dropped } = &s.outcome {
-                let detail = s
-                    .deaths
-                    .last()
-                    .cloned()
-                    .unwrap_or_else(|| "died".to_owned());
-                for label in dropped {
-                    synthetic.insert(
-                        label.clone(),
-                        SyntheticFailure {
-                            status: "failed".to_owned(),
-                            data: format!(
-                                "shard {} {detail}; respawn budget ({}) exhausted",
-                                s.shard, opts.fleet.max_respawns
-                            ),
-                        },
-                    );
-                }
-            }
-        }
-        let merged = merge_journals(order, &sources, &synthetic);
-        write_merged(&dir, &merged.text).map_err(|e| format!("journal merge: {e}"))?;
-        remove_shard_journals(&dir).map_err(|e| format!("shard journal cleanup: {e}"))?;
-        merged.points
-    };
+    }
+    let merged = merge_journals(order, &sources, &synthetic);
+    drop(sources);
+    write_merged(dir, &merged.text).map_err(|e| format!("journal merge: {e}"))?;
+    remove_shard_journals(dir).map_err(|e| format!("shard journal cleanup: {e}"))?;
+    let mut points = merged.points;
     if capture_metrics {
         inject_journaled_digests(order.iter().filter_map(|label| {
             let p = points.get(label)?;
@@ -642,32 +703,7 @@ fn run_sweep_sharded(
             }
         }
     }
-    if let Err(e) = write_texts(&texts) {
-        // The error ends the run before anything could name the
-        // temporary directory for a `--resume`.
-        if ephemeral {
-            let _ = std::fs::remove_dir_all(&dir);
-        }
-        return Err(e);
-    }
-    emit_shard_counters(&statuses);
-    if !statuses.is_empty() {
-        eprint!("{}", render_rollups(&statuses));
-    }
-    eprint!("{}", report.render());
-    let clean = report.is_clean();
-    if ephemeral {
-        if clean {
-            let _ = std::fs::remove_dir_all(&dir);
-        } else {
-            eprintln!(
-                "run directory kept at {} (pass --resume {0} --shards {1} to retry)",
-                dir.display(),
-                opts.shards
-            );
-        }
-    }
-    Ok((report, texts))
+    Ok(((report, texts), statuses))
 }
 
 /// `dabench gen`: sample a seeded scenario population at a difficulty

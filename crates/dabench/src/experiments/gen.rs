@@ -13,7 +13,7 @@
 //! batch monotonicity, OOM-wall consistency, seeded determinism). See
 //! `docs/generation.md`.
 
-use crate::render::Table;
+use crate::render::{Row, Table};
 use dabench_core::gen::{
     check_batch_ladder, check_determinism, check_fault_monotone, check_fp8_kv, format_label,
     parse_label, sample, Invariant, LadderPoint, MemoryEdge, ModelFamily, Scenario, ScenarioKind,
@@ -55,30 +55,31 @@ pub const PROBE_LIMIT: u64 = 65536;
 pub const DETERMINISM_STRIDE: u64 = 8;
 
 /// One platform's observation of one scenario, as carried by a `gen-v1`
-/// record line.
+/// record line. One parsed from a record ([`parse_record`]) borrows its
+/// text fields from the record; one [`evaluate`] made owns them.
 #[derive(Debug, Clone, PartialEq)]
-pub struct GenObs {
+pub struct GenObs<'a> {
     /// Platform name.
-    pub platform: String,
+    pub platform: &'a str,
     /// Batch size actually evaluated (differs from the sampled batch for
     /// memory-edge scenarios, which resolve against this platform's wall).
     pub batch: u64,
     /// Achieved tokens/s (`None` on any error, including OOM).
     pub tokens_per_s: Option<f64>,
     /// Serving memory level (`None` for training scenarios and errors).
-    pub level: Option<String>,
+    pub level: Option<Cow<'a, str>>,
     /// Free-form note: the error text, or an evaluation mode remark.
-    pub note: String,
+    pub note: Cow<'a, str>,
 }
 
-impl GenObs {
-    fn failed(platform: &str, batch: u64, note: String) -> Self {
+impl GenObs<'static> {
+    fn failed(platform: &'static str, batch: u64, note: String) -> Self {
         GenObs {
-            platform: platform.to_owned(),
+            platform,
             batch,
             tokens_per_s: None,
             level: None,
-            note,
+            note: note.into(),
         }
     }
 }
@@ -149,7 +150,7 @@ fn degrade_on(platform: &(dyn Degradable + Sync), s: &Scenario) -> Result<f64, P
     Ok(d.degraded.throughput_tokens_per_s)
 }
 
-fn train_obs(platform: &str, s: &Scenario) -> GenObs {
+fn train_obs(platform: &'static str, s: &Scenario) -> GenObs<'static> {
     let w = s.training_workload();
     let (chip, faults) =
         default_chip(platform).unwrap_or_else(|| panic!("unknown platform `{platform}`"));
@@ -179,17 +180,17 @@ fn train_obs(platform: &str, s: &Scenario) -> GenObs {
     };
     match outcome {
         Ok((tokens_per_s, note)) => GenObs {
-            platform: platform.to_owned(),
+            platform,
             batch: s.batch,
             tokens_per_s: Some(tokens_per_s),
             level: None,
-            note,
+            note: note.into(),
         },
         Err(e) => GenObs::failed(platform, s.batch, e.to_string()),
     }
 }
 
-fn infer_obs(platform: &str, s: &Scenario) -> GenObs {
+fn infer_obs(platform: &'static str, s: &Scenario) -> GenObs<'static> {
     let base = s.inference_workload();
     let (batch, note) = match s.memory_edge {
         MemoryEdge::Off => (s.batch, String::new()),
@@ -225,14 +226,14 @@ fn infer_obs(platform: &str, s: &Scenario) -> GenObs {
     let model = super::infer::platform_model(platform, &w);
     match profile_inference(&model, &w) {
         Ok(r) => GenObs {
-            platform: platform.to_owned(),
+            platform,
             batch,
             tokens_per_s: Some(r.e2e_tokens_per_s),
-            level: Some(r.memory.name.clone()),
+            level: Some(r.memory.name.into()),
             note: if note.is_empty() {
-                "serving".to_owned()
+                "serving".into()
             } else {
-                note
+                note.into()
             },
         },
         Err(e) => GenObs::failed(
@@ -251,7 +252,7 @@ fn infer_obs(platform: &str, s: &Scenario) -> GenObs {
 /// panics is recorded as a failed observation, never propagated — one
 /// buggy corner of a platform model must not take down a population.
 #[must_use]
-pub fn evaluate(scenario: &Scenario) -> Vec<GenObs> {
+pub fn evaluate(scenario: &Scenario) -> Vec<GenObs<'static>> {
     par_map(&PLATFORMS, |&platform| {
         let label = format!("{} {platform}", scenario.label());
         match catch_labeled(&label, || match scenario.kind {
@@ -284,7 +285,7 @@ fn quantize_tps(tps: f64) -> f64 {
 /// [`parse_record`], never from live floats, so replayed and freshly
 /// evaluated populations are byte-identical.
 #[must_use]
-pub fn render_record(scenario: &Scenario, observations: &[GenObs]) -> String {
+pub fn render_record(scenario: &Scenario, observations: &[GenObs<'_>]) -> String {
     let s = scenario;
     let mut out = format!(
         "{RECORD_SCHEMA} label={} kind={} family={} hidden={} layers={} heads={} kv_heads={} \
@@ -337,18 +338,19 @@ fn field<'a>(token: &'a str, key: &str) -> Option<&'a str> {
 }
 
 /// Parse a `gen-v1` record back into its scenario label and platform
-/// observations. Returns `None` on any malformed line — a corrupt
-/// journal entry must surface, not silently contribute empty data.
+/// observations, each field borrowed from `record`: one `Vec` per record
+/// and no `String` per field. Returns `None` on any malformed line — a
+/// corrupt journal entry must surface, not silently contribute empty data.
 #[must_use]
-pub fn parse_record(record: &str) -> Option<(String, Vec<GenObs>)> {
+pub fn parse_record(record: &str) -> Option<(&str, Vec<GenObs<'_>>)> {
     let mut lines = record.lines();
     let header = lines.next()?;
     let mut tokens = header.split_whitespace();
     if tokens.next()? != RECORD_SCHEMA {
         return None;
     }
-    let label = field(tokens.next()?, "label")?.to_owned();
-    parse_label(&label)?;
+    let label = field(tokens.next()?, "label")?;
+    parse_label(label)?;
     let mut observations = Vec::new();
     for line in lines {
         let line = line.trim_start();
@@ -356,7 +358,7 @@ pub fn parse_record(record: &str) -> Option<(String, Vec<GenObs>)> {
             continue;
         }
         let mut t = line.split_whitespace();
-        let platform = t.next()?.to_owned();
+        let platform = t.next()?;
         let batch = field(t.next()?, "batch")?.parse().ok()?;
         let tokens_per_s = match field(t.next()?, "tokens_per_s")? {
             "-" => None,
@@ -364,15 +366,15 @@ pub fn parse_record(record: &str) -> Option<(String, Vec<GenObs>)> {
         };
         let level = match field(t.next()?, "level")? {
             "-" => None,
-            v => Some(v.to_owned()),
+            v => Some(v.into()),
         };
-        let note = line.split_once(" note=").map_or("", |(_, n)| n).to_owned();
+        let note = line.split_once(" note=").map_or("", |(_, n)| n);
         observations.push(GenObs {
             platform,
             batch,
             tokens_per_s,
             level,
-            note,
+            note: note.into(),
         });
     }
     if observations.is_empty() {
@@ -418,7 +420,7 @@ pub struct RankRow {
 /// *expected* to refuse them, so they probe the admission model rather
 /// than rank throughput.
 #[must_use]
-pub fn ranking(records: &[(Scenario, Vec<GenObs>)]) -> Vec<RankRow> {
+pub fn ranking(records: &[(Scenario, Vec<GenObs<'_>>)]) -> Vec<RankRow> {
     let n = PLATFORMS.len();
     let mut elo = vec![ELO_START; n];
     let mut wins = vec![0_u64; n];
@@ -436,7 +438,7 @@ pub fn ranking(records: &[(Scenario, Vec<GenObs>)]) -> Vec<RankRow> {
         ranked += 1;
         let mut score: Vec<Option<f64>> = vec![None; n];
         for o in obs {
-            if let Some(i) = index_of(&o.platform) {
+            if let Some(i) = index_of(o.platform) {
                 score[i] = o.tokens_per_s;
             }
         }
@@ -667,7 +669,7 @@ fn serving_ladders(base: &InferenceWorkload) -> Vec<ShapeLadder> {
 fn check_scenario(
     ck: &mut RecordCheck,
     scenario: &Scenario,
-    obs: &[GenObs],
+    obs: &[GenObs<'_>],
     ladders: &mut Option<Vec<ShapeLadder>>,
 ) {
     let label = scenario.label();
@@ -684,7 +686,7 @@ fn check_scenario(
                     };
                     // Only a platform with a fault model records a
                     // degraded throughput.
-                    let Some((chip, Some(_))) = default_chip(&o.platform) else {
+                    let Some((chip, Some(_))) = default_chip(o.platform) else {
                         continue;
                     };
                     let Ok(healthy) = chip.profile(&w) else {
@@ -696,7 +698,7 @@ fn check_scenario(
                         healthy_tps = faulty / 2.0;
                     }
                     ck.push(check_fault_monotone(
-                        &o.platform,
+                        o.platform,
                         &label,
                         healthy_tps,
                         faulty,
@@ -811,7 +813,7 @@ fn check_scenario(
 pub struct Journaled<'a> {
     /// `(scenario, observations)` of every record that parses, in index
     /// order: the rows of the results table and the ranking.
-    pub observed: Vec<(Scenario, Vec<GenObs>)>,
+    pub observed: Vec<(Scenario, Vec<GenObs<'a>>)>,
     /// Every journaled record, in index order.
     records: Vec<JournaledRecord<'a>>,
 }
@@ -821,7 +823,7 @@ pub struct Journaled<'a> {
 struct JournaledRecord<'a> {
     index: u64,
     text: &'a str,
-    parsed: Option<(String, usize)>,
+    parsed: Option<(&'a str, usize)>,
 }
 
 impl<'a> Journaled<'a> {
@@ -1061,57 +1063,57 @@ pub fn render_population(tier: Tier, seed: u64, scenarios: &[Scenario]) -> Table
         "Dead", "Link", "Stalls", "Drop", "Edge",
     ]);
     for s in scenarios {
-        t.add_row(vec![
-            s.index.to_string(),
-            s.kind.as_str().to_owned(),
-            s.family.as_str().to_owned(),
-            s.hidden.to_string(),
-            s.layers.to_string(),
-            s.kv_heads.to_string(),
-            s.batch.to_string(),
-            s.seq.to_string(),
-            s.decode.to_string(),
-            s.precision.as_str().to_owned(),
-            s.kv_precision.as_str().to_owned(),
-            s.parallelism.to_string(),
-            format!("{:.3}", s.faults.dead_fraction),
-            format!("{:.3}", s.faults.link_retained),
-            s.faults.transient_stalls.to_string(),
-            s.faults.dropped_devices.to_string(),
-            s.memory_edge.as_str().to_owned(),
-        ]);
+        t.add_row_with(|row| {
+            row.cell(s.index)
+                .cell(s.kind.as_str())
+                .cell(s.family.as_str())
+                .cell(s.hidden)
+                .cell(s.layers)
+                .cell(s.kv_heads)
+                .cell(s.batch)
+                .cell(s.seq)
+                .cell(s.decode)
+                .cell(s.precision.as_str())
+                .cell(s.kv_precision.as_str())
+                .cell(s.parallelism)
+                .cell(format_args!("{:.3}", s.faults.dead_fraction))
+                .cell(format_args!("{:.3}", s.faults.link_retained))
+                .cell(s.faults.transient_stalls)
+                .cell(s.faults.dropped_devices)
+                .cell(s.memory_edge.as_str());
+        });
     }
     t
 }
 
-fn obs_cell(obs: &[GenObs], platform: &str) -> String {
+/// Write `platform`'s results cell of `obs`: its throughput, `OOM`,
+/// `Fail`, or `?` without an observation.
+fn obs_cell(row: &mut Row<'_>, obs: &[GenObs<'_>], platform: &str) {
     let Some(o) = obs.iter().find(|o| o.platform == platform) else {
-        return "?".to_owned();
+        row.cell("?");
+        return;
     };
     match o.tokens_per_s {
-        Some(t) => format!("{t:.3e}"),
-        None if o.note.contains("out of memory") || o.note.contains("edge-over") => {
-            "OOM".to_owned()
-        }
-        None => "Fail".to_owned(),
-    }
+        Some(t) => row.cell(format_args!("{t:.3e}")),
+        None if o.note.contains("out of memory") || o.note.contains("edge-over") => row.cell("OOM"),
+        None => row.cell("Fail"),
+    };
 }
 
 /// Render the per-scenario results matrix (tokens/s per platform).
 #[must_use]
-pub fn render_results(records: &[(Scenario, Vec<GenObs>)]) -> Table {
+pub fn render_results(records: &[(Scenario, Vec<GenObs<'_>>)]) -> Table {
     let mut t = Table::new("Generated results (tokens/s; OOM = admission refused)");
     t.set_headers(["Idx", "Kind", "Edge", "wse", "rdu", "ipu", "gpu"]);
     for (s, obs) in records {
-        let mut cells = vec![
-            s.index.to_string(),
-            s.kind.as_str().to_owned(),
-            s.memory_edge.as_str().to_owned(),
-        ];
-        for p in PLATFORMS {
-            cells.push(obs_cell(obs, p));
-        }
-        t.add_row(cells);
+        t.add_row_with(|row| {
+            row.cell(s.index)
+                .cell(s.kind.as_str())
+                .cell(s.memory_edge.as_str());
+            for p in PLATFORMS {
+                obs_cell(row, obs, p);
+            }
+        });
     }
     t
 }

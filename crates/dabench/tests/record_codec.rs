@@ -14,8 +14,9 @@ use dabench::core::bench::{
 use dabench::core::gen::Tier;
 use dabench::core::jsonl::{parse_object, write_object};
 use dabench::core::obs::{Event, Phase, PointTrace};
+use dabench::core::shard::{merge_journals, read_merged};
 use dabench::core::supervise::{
-    parse_journal, parse_journal_bytes, JournalParseError, JournalRecord, RunJournal,
+    parse_journal, parse_journal_bytes, JournalParseError, JournalRecord, Replay, RunJournal,
 };
 use dabench::core::SplitMix64;
 use dabench::experiments::gen::{parse_record, render_scenario};
@@ -203,6 +204,64 @@ fn a_journal_torn_inside_a_character_resumes_and_heals() {
             matches!(err, JournalParseError::Corrupt { line: 3, .. }),
             "cut {cut}: {err:?}"
         );
+    }
+}
+
+#[test]
+fn a_cut_or_flipped_merged_journal_reads_as_its_parse_or_not_at_all() {
+    // A merged journal of drawn records, the middle point without a
+    // digest. `read_merged` of any cut or single-bit flip of it must not
+    // panic, and where it reads, it must read what the general path
+    // replays from the same bytes.
+    let mut rng = SplitMix64::new(0x3e26_ed30);
+    let order: Vec<String> = (0..3).map(|i| format!("gen:hard:s1:i{i}")).collect();
+    let mut records = Vec::new();
+    for (i, label) in order.iter().enumerate() {
+        let data = draw_string(&mut rng, 24);
+        records.push((label.clone(), "completed".to_owned(), data));
+        if i != 1 {
+            let digest = draw_string(&mut rng, 16);
+            records.push((label.clone(), "metrics".to_owned(), digest));
+        }
+    }
+    let source = parse_journal_bytes(&journal_bytes("merged", &records)).expect("journal parses");
+    let merged = merge_journals(&order, &[source], &BTreeMap::new())
+        .text
+        .into_bytes();
+    let reads_as_parsed = |bytes: &[u8], what: &str| -> bool {
+        let read = catch_unwind(AssertUnwindSafe(|| read_merged(&order, bytes)))
+            .unwrap_or_else(|_| panic!("{what}: read_merged panicked"));
+        let Some(points) = read else {
+            return false;
+        };
+        let parsed = parse_journal_bytes(bytes).unwrap_or_else(|e| panic!("{what}: {e:?}"));
+        let replay = Replay::from_journal(parsed);
+        assert_eq!(replay.dropped_tail, None, "{what}");
+        assert!(replay.adopted_labels().is_empty(), "{what}");
+        assert_eq!(replay.completed.len(), order.len(), "{what}");
+        for (label, (data, digest)) in order.iter().zip(&points) {
+            assert_eq!(replay.completed.get(label), Some(data), "{what}: {label}");
+            assert_eq!(
+                replay.metrics.get(label),
+                digest.as_ref(),
+                "{what}: {label}"
+            );
+        }
+        true
+    };
+    assert!(reads_as_parsed(&merged, "whole journal"));
+    // Of the cuts, only the one that drops the last point's digest is a
+    // merged journal.
+    let cuts_read = (0..merged.len())
+        .filter(|&cut| reads_as_parsed(&merged[..cut], &format!("cut {cut}")))
+        .count();
+    assert_eq!(cuts_read, 1);
+    for byte in 0..merged.len() {
+        for bit in 0..8 {
+            let mut flipped = merged.clone();
+            flipped[byte] ^= 1 << bit;
+            reads_as_parsed(&flipped, &format!("byte {byte} bit {bit}"));
+        }
     }
 }
 

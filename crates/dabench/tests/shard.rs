@@ -387,7 +387,8 @@ fn inode(path: &Path) -> u64 {
 #[test]
 fn sharded_resume_of_a_merged_journal_leaves_it_alone() {
     // The journal is already its own merge: the resume replays it,
-    // spawns no worker and neither rewrites nor replaces the file.
+    // spawns no worker and neither rewrites nor replaces the file. An
+    // unsharded resume reads it alike and prints the same bytes.
     let dir = temp_dir("gen-fixed-point");
     let dir_s = dir.to_str().unwrap();
     let first = sharded_gen(&["--run-dir", dir_s]);
@@ -404,6 +405,11 @@ fn sharded_resume_of_a_merged_journal_leaves_it_alone() {
         "{}",
         resumed.stderr
     );
+    let args = ["gen", "--tier", "hard", "--count", "64", "--resume", dir_s];
+    let unsharded = run(&args, None);
+    assert_eq!(unsharded.code, Some(0), "{}", unsharded.stderr);
+    assert_eq!(unsharded.stdout, first.stdout, "unsharded stdout differs");
+    assert_eq!(unsharded.stderr, resumed.stderr);
     assert_eq!(std::fs::read(&path).unwrap(), bytes, "journal rewritten");
     assert_eq!(inode(&path), ino, "journal replaced");
     let _ = std::fs::remove_dir_all(&dir);
@@ -424,7 +430,16 @@ fn sharded_resume_re_merges_a_journal_that_is_not_its_own_merge() {
     let failed = format!("{{\"label\":\"{label}\",\"status\":\"failed\",\"data\":\"boom\"}}");
     let swapped = [&[lines[0], lines[2], lines[1]][..], &lines[3..]].concat();
     let superseded = [&[lines[0], &failed][..], &lines[1..]].concat();
-    for (what, variant) in [("swapped", swapped), ("superseded", superseded)] {
+    // Every record, each in its place, but one `\n` spelled `\u000a`: the
+    // same journal to a JSON reader, not the bytes its writer writes.
+    let respelled_line = lines[1].replacen("\\n", "\\u000a", 1);
+    assert_ne!(respelled_line, lines[1], "a record holds a newline");
+    let respelled = [&[lines[0], &respelled_line][..], &lines[2..]].concat();
+    for (what, variant) in [
+        ("swapped", swapped),
+        ("superseded", superseded),
+        ("respelled", respelled),
+    ] {
         let text: String = variant.iter().map(|l| format!("{l}\n")).collect();
         std::fs::write(dir.join("journal.jsonl"), &text).unwrap();
         let resumed = sharded_gen(&["--resume", dir_s]);
