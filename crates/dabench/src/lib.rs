@@ -69,8 +69,8 @@ pub mod graph {
     pub use dabench_graph::*;
 }
 
-/// Re-export of the pipeline timing model and discrete-event engine
-/// (`dabench-sim`).
+/// Re-export of the closed-form pipeline timing model and the recovery-cost
+/// models (`dabench-sim`).
 pub mod sim {
     pub use dabench_sim::*;
 }

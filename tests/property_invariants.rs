@@ -166,8 +166,22 @@ fn balanced_partition_invariants() {
     }
 }
 
-/// Pipeline algebra: total time equals fill + (n-1)·bottleneck, and
-/// efficiency approaches 1 as items grow.
+/// Makespan of `items` items through a linear chain with one slot per
+/// stage, items in order: `f[i][s] = max(f[i-1][s], f[i][s-1]) + t[s]`.
+fn chain_makespan(times: &[f64], items: u64) -> f64 {
+    let mut done = vec![0.0f64; times.len()];
+    for _ in 0..items {
+        let mut upstream = 0.0f64;
+        for (f, &t) in done.iter_mut().zip(times) {
+            *f = f.max(upstream) + t;
+            upstream = *f;
+        }
+    }
+    *done.last().expect("stages")
+}
+
+/// Pipeline algebra: total time equals fill + (n-1)·bottleneck and the
+/// chain's max-plus recurrence, and efficiency approaches 1 as items grow.
 #[test]
 fn pipeline_algebra() {
     let mut rng = SplitMix64::new(0x1A_0009);
@@ -182,6 +196,13 @@ fn pipeline_algebra() {
         let r = steady_state_analysis(&stages, items);
         let expect = times.iter().sum::<f64>() + (items - 1) as f64 * r.bottleneck_time;
         assert!((r.total_time - expect).abs() < 1e-9);
+        let chain = chain_makespan(&times, items);
+        assert!(
+            (r.total_time - chain).abs() < 1e-9,
+            "{} stages, {items} items: closed form {} vs recurrence {chain}",
+            times.len(),
+            r.total_time
+        );
         assert!(r.pipeline_efficiency > 0.0 && r.pipeline_efficiency <= 1.0 + 1e-12);
         let more = steady_state_analysis(&stages, items + 100);
         assert!(more.pipeline_efficiency >= r.pipeline_efficiency - 1e-12);
