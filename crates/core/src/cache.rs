@@ -9,10 +9,11 @@
 //! `PartialEq`-equal to a cold compile by construction.
 //!
 //! Platforms opt in through [`Memoizable`], whose only obligation is a
-//! *stable configuration token*: a string that changes whenever anything
-//! influencing the profile changes (hardware spec, compiler parameters,
-//! compilation mode). Keying on the full configuration — not just the
-//! platform name — keeps sensitivity sweeps (which mutate specs) safe.
+//! [`CacheKey`]: the fingerprint of a *stable configuration token*, a
+//! string that changes whenever anything influencing the profile changes
+//! (hardware spec, compiler parameters, compilation mode). Keying on the
+//! full configuration — not just the platform name — keeps sensitivity
+//! sweeps (which mutate specs) safe.
 //!
 //! # Storage
 //!
@@ -75,25 +76,18 @@ impl CacheKey {
 /// Platforms whose Tier-1 results may be memoized.
 ///
 /// Implementors must guarantee that [`Platform::profile`] is a pure
-/// function of the configuration encoded in [`Memoizable::cache_token`]
-/// and the workload — true for every model in this repository.
+/// function of the configuration fingerprinted in
+/// [`Memoizable::cache_key`] and the workload — true for every model in
+/// this repository.
 pub trait Memoizable: Platform {
-    /// A stable token uniquely identifying this platform instance's full
-    /// configuration: hardware spec, compiler parameters, and (where
-    /// applicable) compilation mode. Two instances with equal tokens must
-    /// produce identical profiles for every workload.
-    fn cache_token(&self) -> String;
-
-    /// The fingerprint used as the configuration half of the cache key.
-    ///
-    /// The default derives it from [`Memoizable::cache_token`] on every
-    /// call; platforms on the sweep hot path override this with a key
-    /// precomputed at construction so lookups allocate nothing. An
-    /// override must equal `CacheKey::of_token(&self.cache_token())` at
-    /// all times.
-    fn cache_key(&self) -> CacheKey {
-        CacheKey::of_token(&self.cache_token())
-    }
+    /// The fingerprint used as the configuration half of the cache key:
+    /// [`CacheKey::of_token`] of a token uniquely identifying this
+    /// platform instance's full configuration (hardware spec, compiler
+    /// parameters, and where applicable compilation mode). Two instances
+    /// with equal keys must produce identical profiles for every workload.
+    /// The built-in platforms compute it once, at construction, so
+    /// lookups allocate nothing.
+    fn cache_key(&self) -> CacheKey;
 }
 
 /// Hit/miss/eviction counters of the process-wide Tier-1 cache.
@@ -224,8 +218,8 @@ mod tests {
     }
 
     impl Memoizable for CountingChip {
-        fn cache_token(&self) -> String {
-            self.token.clone()
+        fn cache_key(&self) -> CacheKey {
+            CacheKey::of_token(&self.token)
         }
     }
 
@@ -318,16 +312,6 @@ mod tests {
         assert_ne!(a, CacheKey::of_token("wse|SpecB"));
         assert_ne!(a, CacheKey::of_token("wse|SpecA "));
         assert_ne!(CacheKey::of_token(""), CacheKey::of_token("\0"));
-    }
-
-    #[test]
-    fn default_cache_key_matches_token_fingerprint() {
-        let chip = CountingChip {
-            token: "cache-test-default-key".into(),
-            tflops: 1.0,
-            ..Default::default()
-        };
-        assert_eq!(chip.cache_key(), CacheKey::of_token(&chip.cache_token()));
     }
 
     #[test]

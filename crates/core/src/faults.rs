@@ -7,7 +7,8 @@
 //! pipeline. This module describes faults abstractly — which unit
 //! population, how much of it, where on the grid — and defines the
 //! [`Degradable`] trait through which each platform model re-maps the
-//! workload around the surviving hardware.
+//! workload around the surviving hardware, and [`RecoveryCost::of`], the
+//! one price every platform puts on recovering from a fault set.
 //!
 //! Plan *generation* (seeding, scheduling, sweeps) lives in the
 //! `dabench-faults` crate; keeping only the descriptors here lets platform
@@ -215,6 +216,17 @@ impl FaultSet {
     }
 }
 
+/// Backoff after a transient stall's failed attempt, before the retry,
+/// seconds.
+pub const STALL_BACKOFF_S: f64 = 1e-3;
+
+/// Time to restore the last checkpoint after a permanent fault, seconds.
+pub const CHECKPOINT_RESTORE_S: f64 = 15.0;
+
+/// Time between checkpoints, seconds. A permanent fault lands uniformly
+/// within one, so a restart replays half of it on average.
+pub const CHECKPOINT_INTERVAL_S: f64 = 600.0;
+
 /// One-time cost of recovering from the faults in a plan.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct RecoveryCost {
@@ -227,6 +239,33 @@ pub struct RecoveryCost {
 }
 
 impl RecoveryCost {
+    /// Price recovery from `faults` on a platform that takes
+    /// `remap_time_s` to remap around permanent faults.
+    ///
+    /// Each transient stall is retried once, after one failed attempt: it
+    /// costs the stall plus [`STALL_BACKOFF_S`]. A fault set with any
+    /// permanent fault also costs the remap and a restart from the last
+    /// checkpoint: [`CHECKPOINT_RESTORE_S`] plus half of
+    /// [`CHECKPOINT_INTERVAL_S`].
+    #[must_use]
+    pub fn of(faults: &FaultSet, remap_time_s: f64) -> Self {
+        let stalls_s: f64 = faults
+            .transient_stalls()
+            .iter()
+            .map(|&(_, stall_s)| stall_s + STALL_BACKOFF_S)
+            .sum();
+        let permanent = faults.has_permanent();
+        let restart_s = if permanent {
+            CHECKPOINT_RESTORE_S + CHECKPOINT_INTERVAL_S / 2.0
+        } else {
+            0.0
+        };
+        Self {
+            remap_time_s: if permanent { remap_time_s } else { 0.0 },
+            lost_work_s: stalls_s + restart_s,
+        }
+    }
+
     /// Total wall-clock recovery time, seconds.
     #[must_use]
     pub fn total_s(&self) -> f64 {
@@ -349,5 +388,24 @@ mod tests {
         assert!(!fs.has_permanent());
         assert!(fs.dropped_devices().is_empty());
         assert_eq!(fs.link_retained_fraction(), 1.0);
+    }
+
+    #[test]
+    fn recovery_prices_stalls_and_restarts() {
+        let stall = |stall_s| Fault::TransientStall {
+            task_index: 0,
+            stall_s,
+        };
+        let healthy = RecoveryCost::of(&FaultSet::default(), 40.0);
+        assert_eq!(healthy.total_s(), 0.0);
+
+        let stalls = RecoveryCost::of(&FaultSet::new(vec![stall(0.5), stall(0.25)]), 40.0);
+        assert_eq!(stalls.remap_time_s, 0.0);
+        assert_eq!(stalls.lost_work_s, (0.5 + 1e-3) + (0.25 + 1e-3));
+
+        let permanent = FaultSet::new(vec![stall(0.5), Fault::DroppedDevice { index: 1 }]);
+        let restart = RecoveryCost::of(&permanent, 40.0);
+        assert_eq!(restart.remap_time_s, 40.0);
+        assert_eq!(restart.lost_work_s, (0.5 + 1e-3) + 315.0);
     }
 }

@@ -8,11 +8,8 @@
 //! in any interleaving, but the returned `Vec` (and therefore everything
 //! rendered from it) is independent of scheduling.
 //!
-//! The worker count resolves, in priority order, from:
-//!
-//! 1. an explicit [`set_jobs`] call (the CLI's `--jobs N` flag),
-//! 2. the `DABENCH_JOBS` environment variable,
-//! 3. [`std::thread::available_parallelism`].
+//! The worker count is the one set by an explicit [`set_jobs`] call (the
+//! CLI's `--jobs N` flag), or else [`std::thread::available_parallelism`].
 //!
 //! # Nested calls
 //!
@@ -64,29 +61,20 @@ pub(crate) fn mark_worker(on: bool) {
 /// Override the worker count for all subsequent [`par_map`] calls.
 ///
 /// Values are clamped to at least 1. This is what the CLI's `--jobs N`
-/// flag calls; it takes precedence over `DABENCH_JOBS` and the detected
-/// hardware parallelism.
+/// flag calls; it takes precedence over the detected hardware
+/// parallelism.
 pub fn set_jobs(n: usize) {
     JOBS_OVERRIDE.store(n.max(1), Ordering::SeqCst);
 }
 
-/// The worker count [`par_map`] will use: [`set_jobs`] override, then the
-/// `DABENCH_JOBS` environment variable, then the machine's available
-/// parallelism (1 if detection fails).
+/// The worker count [`par_map`] will use: the [`set_jobs`] override, or
+/// else the machine's available parallelism (1 if detection fails).
 #[must_use]
 pub fn jobs() -> usize {
-    let explicit = JOBS_OVERRIDE.load(Ordering::SeqCst);
-    if explicit > 0 {
-        return explicit;
+    match JOBS_OVERRIDE.load(Ordering::SeqCst) {
+        0 => std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
+        explicit => explicit,
     }
-    if let Some(n) = std::env::var("DABENCH_JOBS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-    {
-        return n;
-    }
-    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
 /// Map `f` over `items` on a scoped worker pool, returning results in

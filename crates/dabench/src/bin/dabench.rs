@@ -12,7 +12,7 @@
 //! platforms: wse | rdu-o0 | rdu-o1 | rdu-o3 | ipu | gpu
 //! opts: --hidden N  --layers N  --batch N  --seq N
 //!       --precision fp16|bf16|cb16|fp32  --model gpt2-small|gpt2-xl|llama2-7b
-//!       --jobs N   (worker threads; DABENCH_JOBS env var also honored)
+//!       --jobs N   (worker threads; default: all cores)
 //!       --trace-out FILE  (Chrome trace_event JSON)  --metrics (stderr table)
 //! all opts: --run-dir D  --resume D  --deadline-s S  --max-retries N
 //! ```
@@ -910,7 +910,7 @@ fn usage() -> &'static str {
        bench                             deterministic perf harness (BENCH_sweeps.json)\n\
      options: --hidden N --layers N --batch N --seq N\n\
               --precision fp16|bf16|cb16|fp32 --model <preset>\n\
-              --jobs N   worker threads (default: all cores; also DABENCH_JOBS)\n\
+              --jobs N   worker threads (default: all cores)\n\
               --trace-out FILE  write a Chrome trace_event JSON trace\n\
               --metrics         per-phase span/counter table on stderr\n\
      all options: --run-dir D   journal each finished point to D (crash-safe)\n\

@@ -69,8 +69,7 @@ pub mod graph {
     pub use dabench_graph::*;
 }
 
-/// Re-export of the closed-form pipeline timing model and the recovery-cost
-/// models (`dabench-sim`).
+/// Re-export of the closed-form pipeline timing model (`dabench-sim`).
 pub mod sim {
     pub use dabench_sim::*;
 }

@@ -15,9 +15,7 @@ struct Run {
 
 fn run_env(args: &[&str], env: &[(&str, &str)]) -> Run {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_dabench"));
-    cmd.args(args)
-        .env_remove("DABENCH_INJECT")
-        .env_remove("DABENCH_JOBS");
+    cmd.args(args).env_remove("DABENCH_INJECT");
     for (k, v) in env {
         cmd.env(k, v);
     }

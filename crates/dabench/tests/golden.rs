@@ -227,3 +227,52 @@ fn check_metrics_table_matches_golden() {
     assert_eq!(r.code, Some(0), "{}", r.stderr);
     assert_golden("check.metrics.golden", &r.stderr);
 }
+
+#[test]
+fn faults_wse_resilience_matches_golden() {
+    // The resilience report is the only output that prints recovery cost
+    // (`recover_s`, the mean time-to-recover). This plan and the two below
+    // pin it on every fault shape: transient stalls on all three, dead
+    // column bands here, dead PCU/PMU populations on the RDU, and a
+    // dropped IPU that re-splits 10 layers from [4, 4, 2] to [5, 5].
+    let r = run(&[
+        "faults",
+        "wse",
+        "--seed",
+        "42",
+        "--plan",
+        "dead=0.05,link=0.9,stalls=2,drop=0",
+    ]);
+    assert_eq!(r.code, Some(0), "{}", r.stderr);
+    assert_golden("faults_wse.stdout.golden", &r.stdout);
+}
+
+#[test]
+fn faults_rdu_resilience_matches_golden() {
+    let r = run(&[
+        "faults",
+        "rdu-o1",
+        "--seed",
+        "3",
+        "--plan",
+        "dead=0.2,link=0.5,stalls=3,drop=0",
+    ]);
+    assert_eq!(r.code, Some(0), "{}", r.stderr);
+    assert_golden("faults_rdu_o1.stdout.golden", &r.stdout);
+}
+
+#[test]
+fn faults_ipu_resilience_matches_golden() {
+    let r = run(&[
+        "faults",
+        "ipu",
+        "--seed",
+        "7",
+        "--plan",
+        "dead=0.1,link=0.8,stalls=2,drop=1",
+        "--layers",
+        "10",
+    ]);
+    assert_eq!(r.code, Some(0), "{}", r.stderr);
+    assert_golden("faults_ipu.stdout.golden", &r.stdout);
+}

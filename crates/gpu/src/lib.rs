@@ -53,7 +53,7 @@ impl Default for GpuCluster {
     }
 }
 
-pub(crate) fn cache_token_of(spec: &GpuSpec) -> String {
+fn cache_token_of(spec: &GpuSpec) -> String {
     format!("gpu|{spec:?}")
 }
 

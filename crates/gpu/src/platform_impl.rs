@@ -77,10 +77,6 @@ impl GpuCluster {
 }
 
 impl Memoizable for GpuCluster {
-    fn cache_token(&self) -> String {
-        crate::cache_token_of(self.gpu_spec())
-    }
-
     fn cache_key(&self) -> dabench_core::CacheKey {
         self.cache_key
     }

@@ -23,8 +23,6 @@
 //!   model from allocation-free operator records, the reference a
 //!   template is checked against.
 //! - [`intern`]: the symbol table behind every node name.
-//! - [`partition`]: the balanced contiguous split behind the IPU's
-//!   pipeline stages.
 //!
 //! Each platform crate maps this one IR onto its own unit of work (WSE
 //! kernels, RDU sections, IPU pipeline stages). RDU O1 fusion lives in
@@ -49,7 +47,6 @@
 mod builder;
 mod graph;
 pub mod intern;
-pub mod partition;
 mod template;
 
 pub use builder::GraphBuilder;

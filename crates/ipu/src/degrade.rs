@@ -2,9 +2,9 @@
 //!
 //! The IPU's pipeline-parallel execution recovers from a lost device by
 //! re-grouping decoder layers over the chassis' surviving IPUs — the same
-//! balanced-contiguous split Poplar would recompile, only with one fewer
-//! stage. Tile faults thin every surviving IPU's fabric (layer compute
-//! slows as per-layer tile caps shrink), and link faults stretch the
+//! layer split Poplar would recompile, only with one fewer stage. Tile
+//! faults thin every surviving IPU's fabric (layer compute slows as
+//! per-layer tile caps shrink), and link faults stretch the
 //! stage-to-stage boundary transfers.
 
 use crate::chip::IpuSpec;
@@ -15,7 +15,6 @@ use dabench_core::{
     RecoveryCost, TaskProfile,
 };
 use dabench_model::TrainingWorkload;
-use dabench_sim::{CheckpointModel, RetryPolicy};
 
 /// Coarse wall-clock cost of re-compiling one pipeline stage's Poplar
 /// program, seconds.
@@ -135,25 +134,8 @@ impl Degradable for Ipu {
         let plan = pipeline_parallel(&degraded_spec, self.compiler_params(), workload, devices)?;
         let degraded = profile_of(&plan, &degraded_spec, devices);
 
-        let policy = RetryPolicy::default();
-        let transient_penalty: f64 = faults
-            .transient_stalls()
-            .iter()
-            .map(|&(_, stall)| policy.retry_penalty_s(stall, 1))
-            .sum();
-        let recovery_cost = RecoveryCost {
-            remap_time_s: if faults.has_permanent() {
-                plan.stages.len() as f64 * RECOMPILE_S_PER_STAGE
-            } else {
-                0.0
-            },
-            lost_work_s: transient_penalty
-                + if faults.has_permanent() {
-                    CheckpointModel::default().expected_lost_work_s()
-                } else {
-                    0.0
-                },
-        };
+        let recovery_cost =
+            RecoveryCost::of(faults, plan.stages.len() as f64 * RECOMPILE_S_PER_STAGE);
         Ok(DegradedProfile {
             healthy,
             degraded,

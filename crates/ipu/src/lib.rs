@@ -68,7 +68,7 @@ impl Default for Ipu {
     }
 }
 
-pub(crate) fn cache_token_of(spec: &IpuSpec, params: &IpuCompilerParams) -> String {
+fn cache_token_of(spec: &IpuSpec, params: &IpuCompilerParams) -> String {
     format!("ipu|{spec:?}|{params:?}")
 }
 

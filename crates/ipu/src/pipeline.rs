@@ -4,9 +4,8 @@ use crate::bsp::{layer_compute_time, nonlayer_stage_time, tiles_for_layer};
 use crate::chip::{IpuCompilerParams, IpuSpec};
 use crate::memory::{decoder_ipu_memory, embedding_ipu_memory};
 use dabench_core::PlatformError;
-use dabench_graph::partition::balanced_contiguous;
 use dabench_model::TrainingWorkload;
-use dabench_sim::{steady_state_analysis, PipelineStage};
+use dabench_sim::steady_state_analysis;
 use serde::{Deserialize, Serialize};
 
 /// Load and timing of one pipeline stage (one IPU).
@@ -137,11 +136,8 @@ fn pipeline_with_allocation_inner(
         });
     }
 
-    let pipeline: Vec<PipelineStage> = stages
-        .iter()
-        .map(|s| PipelineStage::new(s.name.clone(), s.stage_time_s))
-        .collect();
-    let report = steady_state_analysis(&pipeline, workload.batch_size());
+    let stage_times: Vec<f64> = stages.iter().map(|s| s.stage_time_s).collect();
+    let report = steady_state_analysis(&stage_times, workload.batch_size());
     let step_time = report.total_time + params.step_fixed_overhead_s;
 
     let flops = dabench_core::compile::training_graph(workload)
@@ -158,8 +154,9 @@ fn pipeline_with_allocation_inner(
     })
 }
 
-/// Run `workload` pipeline-parallel over `devices` IPUs with balanced layer
-/// grouping (one embedding IPU + `devices − 1` decoder IPUs).
+/// Run `workload` pipeline-parallel over `devices` IPUs: one embedding IPU
+/// and `devices − 1` decoder IPUs, each decoder IPU holding at most
+/// `⌈layers / (devices − 1)⌉` layers.
 ///
 /// # Errors
 ///
@@ -185,11 +182,34 @@ pub fn pipeline_parallel(
             "{decoder_ipus} decoder IPUs for only {layers} layers"
         )));
     }
-    let weights = vec![1.0; layers as usize];
-    let partition =
-        balanced_contiguous(&weights, decoder_ipus as usize).expect("valid partition arguments");
-    let allocation: Vec<u64> = partition.sizes().iter().map(|&s| s as u64).collect();
+    let allocation = layer_split(layers, decoder_ipus);
     pipeline_with_allocation(spec, params, workload, &allocation)
+}
+
+/// Layers per decoder IPU when `layers` identical layers go to `ipus`
+/// IPUs (`1 ≤ ipus ≤ layers`): stages of `⌈layers / ipus⌉` from the front
+/// and the remainder last; then, while there are fewer than `ipus` stages,
+/// the last of the largest stages moves one layer to a new stage right
+/// after it. The heaviest stage, which sets throughput, holds
+/// `⌈layers / ipus⌉` layers, but the split can be lopsided: 11 layers on 5
+/// IPUs give `[3, 3, 2, 1, 2]`.
+fn layer_split(layers: u64, ipus: u64) -> Vec<u64> {
+    let per_ipu = layers.div_ceil(ipus);
+    let mut split = vec![per_ipu; (layers / per_ipu) as usize];
+    let rest = layers % per_ipu;
+    if rest > 0 {
+        split.push(rest);
+    }
+    while (split.len() as u64) < ipus {
+        let largest = split.iter().copied().max().expect("at least one stage");
+        let i = split
+            .iter()
+            .rposition(|&s| s == largest)
+            .expect("the largest stage");
+        split[i] -= 1;
+        split.insert(i + 1, 1);
+    }
+    split
 }
 
 #[cfg(test)]
@@ -230,6 +250,13 @@ mod tests {
     fn bottleneck_is_most_loaded_ipu() {
         let plan = pipeline_with_allocation(&spec(), &params(), &w(12, 64), &[2, 7, 3]).unwrap();
         assert_eq!(plan.bottleneck_stage, 2); // ipu2 holds 7 layers
+    }
+
+    #[test]
+    fn layer_split_pins() {
+        assert_eq!(layer_split(4, 3), [2, 1, 1]);
+        assert_eq!(layer_split(10, 4), [3, 3, 3, 1]);
+        assert_eq!(layer_split(11, 5), [3, 3, 2, 1, 2]);
     }
 
     #[test]

@@ -9,7 +9,7 @@ use dabench_core::{
     MemoryScope, ParallelStrategy, Platform, PlatformError, Scalable, ScalingProfile, TaskProfile,
 };
 use dabench_model::TrainingWorkload;
-use dabench_sim::{steady_state_analysis, PipelineStage};
+use dabench_sim::steady_state_analysis;
 
 impl Platform for Ipu {
     fn name(&self) -> &str {
@@ -83,12 +83,9 @@ impl Ipu {
 
         // A companion IPU handles embedding/head/loss; its stage bounds
         // the pipeline for shallow models.
-        let mut stages = vec![PipelineStage::new(
-            "embedding+head".to_owned(),
-            nonlayer_stage_time(workload, spec, params),
-        )];
-        stages.extend((0..layers).map(|l| PipelineStage::new(format!("l{l}"), costs.total())));
-        let report = steady_state_analysis(&stages, workload.batch_size());
+        let mut stage_times = vec![nonlayer_stage_time(workload, spec, params)];
+        stage_times.resize(layers as usize + 1, costs.total());
+        let report = steady_state_analysis(&stage_times, workload.batch_size());
         let step_time = report.total_time + params.step_fixed_overhead_s;
 
         let tiles_used = (per_layer_tiles * layers).min(spec.tiles);
@@ -115,10 +112,6 @@ impl Ipu {
 }
 
 impl Memoizable for Ipu {
-    fn cache_token(&self) -> String {
-        crate::cache_token_of(self.ipu_spec(), self.compiler_params())
-    }
-
     fn cache_key(&self) -> dabench_core::CacheKey {
         self.cache_key
     }

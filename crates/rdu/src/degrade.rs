@@ -13,7 +13,6 @@ use dabench_core::{
     Degradable, DegradedProfile, FaultKind, FaultSet, Platform, PlatformError, RecoveryCost,
 };
 use dabench_model::TrainingWorkload;
-use dabench_sim::{CheckpointModel, RetryPolicy};
 
 /// Coarse wall-clock cost of re-compiling one section, seconds.
 pub(crate) const RECOMPILE_S_PER_SECTION: f64 = 8.0;
@@ -80,26 +79,8 @@ impl Degradable for Rdu {
         params.max_pcus_per_section = params.max_pcus_per_section.min(spec.pcu_count());
         let degraded = Rdu::new(spec, params, self.mode()).profile(workload)?;
 
-        let policy = RetryPolicy::default();
-        let transient_penalty: f64 = faults
-            .transient_stalls()
-            .iter()
-            .map(|&(_, stall)| policy.retry_penalty_s(stall, 1))
-            .sum();
-        let recovery_cost = RecoveryCost {
-            remap_time_s: if faults.has_permanent() {
-                let sections: u64 = degraded.sections.iter().map(|s| s.copies).sum();
-                sections as f64 * RECOMPILE_S_PER_SECTION
-            } else {
-                0.0
-            },
-            lost_work_s: transient_penalty
-                + if faults.has_permanent() {
-                    CheckpointModel::default().expected_lost_work_s()
-                } else {
-                    0.0
-                },
-        };
+        let sections: u64 = degraded.sections.iter().map(|s| s.copies).sum();
+        let recovery_cost = RecoveryCost::of(faults, sections as f64 * RECOMPILE_S_PER_SECTION);
         Ok(DegradedProfile {
             healthy,
             degraded,

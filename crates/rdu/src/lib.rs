@@ -70,11 +70,7 @@ pub struct Rdu {
     cache_key: dabench_core::CacheKey,
 }
 
-pub(crate) fn cache_token_of(
-    mode: CompilationMode,
-    spec: &RduSpec,
-    params: &RduCompilerParams,
-) -> String {
+fn cache_token_of(mode: CompilationMode, spec: &RduSpec, params: &RduCompilerParams) -> String {
     format!("rdu|{mode:?}|{spec:?}|{params:?}")
 }
 

@@ -139,10 +139,6 @@ pub(crate) fn section_profiles(
 }
 
 impl Memoizable for Rdu {
-    fn cache_token(&self) -> String {
-        crate::cache_token_of(self.mode(), self.rdu_spec(), self.compiler_params())
-    }
-
     fn cache_key(&self) -> dabench_core::CacheKey {
         self.cache_key
     }

@@ -1,14 +1,11 @@
 //! # dabench-sim
 //!
-//! Runtime timing for dataflow execution: a closed-form pipeline model,
-//! and the recovery-cost models the platforms' fault models price with.
+//! Runtime timing for dataflow execution: a closed-form pipeline model.
 //!
 //! The platform models in `dabench-wse` and `dabench-ipu` derive the
 //! paper's *runtime* metrics (pipeline fill, bottleneck stage, steady-state
 //! throughput) from [`steady_state_analysis`], while their analytic
-//! compilers supply the *compile-time* metrics. Their fault models, and
-//! the RDU's, price recovery with the two cost models in [`faulty`]
-//! ([`RetryPolicy`], [`CheckpointModel`]).
+//! compilers supply the *compile-time* metrics.
 //!
 //! The closed form's reference is the max-plus recurrence of a linear
 //! chain with one slot per stage: item `i` leaves stage `s` at
@@ -19,8 +16,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod faulty;
 mod pipeline;
 
-pub use faulty::{CheckpointModel, RetryPolicy};
-pub use pipeline::{steady_state_analysis, PipelineReport, PipelineStage};
+pub use pipeline::{steady_state_analysis, PipelineReport};

@@ -9,26 +9,6 @@
 
 use serde::{Deserialize, Serialize};
 
-/// One stage of a linear pipeline.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct PipelineStage {
-    /// Stage label.
-    pub name: String,
-    /// Time one item spends in this stage, seconds.
-    pub stage_time: f64,
-}
-
-impl PipelineStage {
-    /// Create a stage.
-    #[must_use]
-    pub fn new(name: impl Into<String>, stage_time: f64) -> Self {
-        Self {
-            name: name.into(),
-            stage_time,
-        }
-    }
-}
-
 /// Result of [`steady_state_analysis`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PipelineReport {
@@ -42,26 +22,22 @@ pub struct PipelineReport {
     pub pipeline_efficiency: f64,
 }
 
-/// Analyze a linear pipeline processing `items` items.
+/// Analyze a linear pipeline processing `items` items, where
+/// `stage_times[s]` is the time one item spends in stage `s`, seconds.
 ///
 /// Total time is `fill + (items - 1) · bottleneck`: the first item pays the
 /// full latency, every further item emerges one bottleneck period later.
 ///
 /// # Panics
 ///
-/// Panics if `stages` is empty or `items` is zero.
+/// Panics if `stage_times` is empty or `items` is zero.
 ///
 /// # Example
 ///
 /// ```
-/// use dabench_sim::{steady_state_analysis, PipelineStage};
+/// use dabench_sim::steady_state_analysis;
 ///
-/// let stages = vec![
-///     PipelineStage::new("a", 1.0),
-///     PipelineStage::new("b", 2.0),
-///     PipelineStage::new("c", 1.0),
-/// ];
-/// let r = steady_state_analysis(&stages, 100);
+/// let r = steady_state_analysis(&[1.0, 2.0, 1.0], 100);
 /// assert_eq!(r.bottleneck_index, 1);
 /// // One item leaves every 2 seconds, the slowest stage's time.
 /// assert!((r.bottleneck_time - 2.0).abs() < 1e-12);
@@ -69,18 +45,16 @@ pub struct PipelineReport {
 /// assert!((r.total_time - 202.0).abs() < 1e-9);
 /// ```
 #[must_use]
-pub fn steady_state_analysis(stages: &[PipelineStage], items: u64) -> PipelineReport {
-    assert!(!stages.is_empty(), "pipeline needs at least one stage");
+pub fn steady_state_analysis(stage_times: &[f64], items: u64) -> PipelineReport {
+    assert!(!stage_times.is_empty(), "pipeline needs at least one stage");
     assert!(items > 0, "need at least one item");
-    let (bottleneck_index, bottleneck_time) = stages
-        .iter()
-        .enumerate()
-        .map(|(i, s)| (i, s.stage_time))
-        .fold(
-            (0, 0.0f64),
-            |acc, cur| if cur.1 > acc.1 { cur } else { acc },
-        );
-    let fill_time: f64 = stages.iter().map(|s| s.stage_time).sum();
+    let (mut bottleneck_index, mut bottleneck_time) = (0, 0.0f64);
+    for (i, &t) in stage_times.iter().enumerate() {
+        if t > bottleneck_time {
+            (bottleneck_index, bottleneck_time) = (i, t);
+        }
+    }
+    let fill_time: f64 = stage_times.iter().sum();
     let total_time = fill_time + (items - 1) as f64 * bottleneck_time;
     let steady_throughput = if bottleneck_time > 0.0 {
         1.0 / bottleneck_time
@@ -111,16 +85,15 @@ mod tests {
 
     #[test]
     fn single_stage_has_no_pipelining() {
-        let r = steady_state_analysis(&[PipelineStage::new("only", 3.0)], 10);
+        let r = steady_state_analysis(&[3.0], 10);
         assert!((r.total_time - 30.0).abs() < 1e-12);
         assert!((r.pipeline_efficiency - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn efficiency_grows_with_items() {
-        let stages = vec![PipelineStage::new("a", 1.0), PipelineStage::new("b", 1.0)];
-        let few = steady_state_analysis(&stages, 2);
-        let many = steady_state_analysis(&stages, 200);
+        let few = steady_state_analysis(&[1.0, 1.0], 2);
+        let many = steady_state_analysis(&[1.0, 1.0], 200);
         assert!(many.pipeline_efficiency > few.pipeline_efficiency);
         assert!(many.pipeline_efficiency > 0.99);
     }
@@ -144,12 +117,7 @@ mod tests {
         // 3-stage pipeline, 5 items, one slot per stage.
         let times = [1.0, 2.5, 0.5];
         let items = 5usize;
-        let stages: Vec<PipelineStage> = times
-            .iter()
-            .enumerate()
-            .map(|(i, &t)| PipelineStage::new(format!("s{i}"), t))
-            .collect();
-        let analytic = steady_state_analysis(&stages, items as u64);
+        let analytic = steady_state_analysis(&times, items as u64);
         let chain = chain_makespan(&times, items);
         assert!(
             (chain - analytic.total_time).abs() < 1e-9,

@@ -16,7 +16,6 @@ use dabench_core::{
     Degradable, DegradedProfile, FaultKind, FaultSet, Platform, PlatformError, RecoveryCost,
 };
 use dabench_model::TrainingWorkload;
-use dabench_sim::{CheckpointModel, RetryPolicy};
 
 /// Coarse wall-clock cost of one full WSE compile pass, seconds. Wafer
 /// compiles are minutes-long in practice; remap time scales with the
@@ -107,25 +106,7 @@ impl Degradable for Wse {
         let (comp, attempts) = compile_degraded(&spec, self.compiler_params(), workload, faults)?;
         let degraded = profile_of(&spec, self.compiler_params(), &comp, workload);
 
-        let policy = RetryPolicy::default();
-        let transient_penalty: f64 = faults
-            .transient_stalls()
-            .iter()
-            .map(|&(_, stall)| policy.retry_penalty_s(stall, 1))
-            .sum();
-        let recovery_cost = RecoveryCost {
-            remap_time_s: if faults.has_permanent() {
-                f64::from(attempts) * COMPILE_ATTEMPT_S
-            } else {
-                0.0
-            },
-            lost_work_s: transient_penalty
-                + if faults.has_permanent() {
-                    CheckpointModel::default().expected_lost_work_s()
-                } else {
-                    0.0
-                },
-        };
+        let recovery_cost = RecoveryCost::of(faults, f64::from(attempts) * COMPILE_ATTEMPT_S);
         Ok(DegradedProfile {
             healthy,
             degraded,

@@ -75,7 +75,7 @@ impl Default for Wse {
     }
 }
 
-pub(crate) fn cache_token_of(spec: &WseSpec, params: &WseCompilerParams) -> String {
+fn cache_token_of(spec: &WseSpec, params: &WseCompilerParams) -> String {
     format!("wse|{spec:?}|{params:?}")
 }
 

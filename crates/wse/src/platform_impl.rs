@@ -73,10 +73,6 @@ impl Platform for Wse {
 }
 
 impl Memoizable for Wse {
-    fn cache_token(&self) -> String {
-        crate::cache_token_of(self.wse_spec(), self.compiler_params())
-    }
-
     fn cache_key(&self) -> dabench_core::CacheKey {
         self.cache_key
     }

@@ -11,7 +11,7 @@ use crate::compile::WseCompilation;
 use crate::kernel::KernelKind;
 use dabench_core::TaskProfile;
 use dabench_model::{Precision, TrainingWorkload};
-use dabench_sim::{steady_state_analysis, PipelineStage};
+use dabench_sim::steady_state_analysis;
 use serde::{Deserialize, Serialize};
 
 /// Relative per-PE throughput of a precision format versus FP16.
@@ -28,8 +28,9 @@ pub(crate) fn precision_rate_factor(precision: Precision, params: &WseCompilerPa
 /// Result of executing a compiled workload on the WSE.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct WseExecution {
-    /// Per-kernel stage time for one pipeline item (one sequence), seconds.
-    pub stage_times_s: Vec<(String, f64)>,
+    /// Per-kernel stage time for one pipeline item (one sequence), seconds,
+    /// in the order of `task_profiles`.
+    pub stage_times_s: Vec<f64>,
     /// Slowest stage time, seconds.
     pub bottleneck_s: f64,
     /// Wall-clock time of one optimizer step, seconds.
@@ -74,7 +75,7 @@ fn execute_inner(
     let rate = precision_rate_factor(workload.precision(), params);
 
     // GEMM kernel stage times (per pipeline item = one sequence).
-    let mut stage_times: Vec<(String, f64)> = Vec::with_capacity(compilation.kernels.len());
+    let mut stage_times: Vec<f64> = Vec::with_capacity(compilation.kernels.len());
     let mut gemm_sum = 0.0;
     let mut gemm_count = 0usize;
     for k in &compilation.kernels {
@@ -89,7 +90,7 @@ fn execute_inner(
             gemm_sum += t;
             gemm_count += 1;
         }
-        stage_times.push((k.kernel.name(), t));
+        stage_times.push(t);
     }
     // Embedding and loss are data-movement kernels: their service time
     // tracks the token stream period rather than their (negligible) FLOPs.
@@ -98,19 +99,13 @@ fn execute_inner(
     } else {
         0.0
     };
-    for (i, k) in compilation.kernels.iter().enumerate() {
+    for (k, t) in compilation.kernels.iter().zip(&mut stage_times) {
         if matches!(k.kernel.kind, KernelKind::Embedding | KernelKind::Loss) {
-            stage_times[i].1 = stage_times[i]
-                .1
-                .max(mean_gemm * params.io_kernel_rate_factor);
+            *t = t.max(mean_gemm * params.io_kernel_rate_factor);
         }
     }
 
-    let stages: Vec<PipelineStage> = stage_times
-        .iter()
-        .map(|(name, t)| PipelineStage::new(name.clone(), *t))
-        .collect();
-    let report = steady_state_analysis(&stages, batch);
+    let report = steady_state_analysis(&stage_times, batch);
 
     let step_time = report.total_time;
     let step_flops = dabench_core::compile::training_graph(workload)
@@ -124,7 +119,7 @@ fn execute_inner(
     // of the step is steady state.
     let busy: f64 = stage_times
         .iter()
-        .map(|(_, t)| t / report.bottleneck_time)
+        .map(|t| t / report.bottleneck_time)
         .sum::<f64>()
         / stage_times.len() as f64;
     let compute_time_fraction = busy * report.pipeline_efficiency;
@@ -133,7 +128,7 @@ fn execute_inner(
         .kernels
         .iter()
         .zip(&stage_times)
-        .map(|(k, (name, t))| TaskProfile::new(name.clone(), 1.0 / t, k.total_pes() as f64))
+        .map(|(k, t)| TaskProfile::new(k.kernel.name(), 1.0 / t, k.total_pes() as f64))
         .collect();
 
     WseExecution {

@@ -16,11 +16,11 @@ fn workload(layers: u64, batch: u64) -> TrainingWorkload {
 /// Makespan of the kernel pipeline with one slot per kernel and `batch`
 /// items flowing through in order: item `i` leaves kernel `s` at
 /// `f[i][s] = max(f[i-1][s], f[i][s-1]) + t[s]`.
-fn chain_makespan(stage_times: &[(String, f64)], batch: u64) -> f64 {
+fn chain_makespan(stage_times: &[f64], batch: u64) -> f64 {
     let mut done = vec![0.0f64; stage_times.len()];
     for _ in 0..batch {
         let mut upstream = 0.0f64;
-        for (f, (_, t)) in done.iter_mut().zip(stage_times) {
+        for (f, t) in done.iter_mut().zip(stage_times) {
             *f = f.max(upstream) + t;
             upstream = *f;
         }
@@ -59,10 +59,10 @@ fn recurrence_confirms_bottleneck_dominance() {
     let bottleneck = slowed
         .iter()
         .enumerate()
-        .max_by(|a, b| a.1 .1.partial_cmp(&b.1 .1).expect("finite"))
+        .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite"))
         .map(|(i, _)| i)
         .expect("stages");
-    slowed[bottleneck].1 *= 2.0;
+    slowed[bottleneck] *= 2.0;
     let slow = chain_makespan(&slowed, 128);
     let ratio = slow / base;
     assert!((1.6..2.1).contains(&ratio), "{ratio}");

@@ -6,10 +6,10 @@ use dabench::core::metrics::{
     allocation_ratio, load_imbalance, weighted_allocation_ratio, weighted_load_imbalance, Roofline,
 };
 use dabench::core::{SplitMix64, TaskProfile};
-use dabench::graph::partition::{balanced_contiguous, bottleneck};
 use dabench::graph::GraphBuilder;
+use dabench::ipu::{pipeline_parallel, IpuCompilerParams, IpuSpec};
 use dabench::model::{ModelConfig, Precision, TrainingWorkload};
-use dabench::sim::{steady_state_analysis, PipelineStage};
+use dabench::sim::steady_state_analysis;
 
 /// Sampled cases per property.
 const CASES: usize = 64;
@@ -146,23 +146,29 @@ fn roofline_monotone() {
     }
 }
 
-/// Balanced contiguous partitioning covers every item exactly once and
-/// its bottleneck never beats the theoretical lower bound.
+/// The IPU's layer split over `k` decoder IPUs gives each at least one
+/// layer, covers all `L` layers, and loads the heaviest with `⌈L/k⌉`, the
+/// least any split of `L` identical layers can.
 #[test]
 fn balanced_partition_invariants() {
     let mut rng = SplitMix64::new(0x1A_0007);
+    let (spec, params) = (IpuSpec::bow2000(), IpuCompilerParams::default());
     for _ in 0..CASES {
-        let weights = floats(&mut rng, 40, 0.01, 100.0);
-        let k_seed = 1 + rng.below(39) as usize;
-        let k = 1 + k_seed % weights.len();
-        let p = balanced_contiguous(&weights, k).unwrap();
-        assert_eq!(p.group_count(), k);
-        assert_eq!(p.len(), weights.len());
-        assert_eq!(p.sizes().iter().sum::<usize>(), weights.len());
-        let total: f64 = weights.iter().sum();
-        let max_w = weights.iter().cloned().fold(0.0f64, f64::max);
-        let lower = (total / k as f64).max(max_w);
-        assert!(bottleneck(&p, &weights) >= lower - 1e-9);
+        let layers = 1 + rng.below(39);
+        let k = 1 + rng.below(layers);
+        let w = TrainingWorkload::new(
+            ModelConfig::gpt2_probe(256, layers),
+            1,
+            128,
+            Precision::Fp16,
+        );
+        let devices = u32::try_from(k + 1).unwrap();
+        let plan = pipeline_parallel(&spec, &params, &w, devices).unwrap();
+        let split: Vec<u64> = plan.stages[1..].iter().map(|s| s.layers).collect();
+        assert_eq!(split.len() as u64, k, "L={layers}");
+        assert!(split.iter().all(|&l| l >= 1), "{split:?}");
+        assert_eq!(split.iter().sum::<u64>(), layers, "{split:?}");
+        assert_eq!(split.iter().max(), Some(&layers.div_ceil(k)), "{split:?}");
     }
 }
 
@@ -188,12 +194,7 @@ fn pipeline_algebra() {
     for _ in 0..CASES {
         let times = floats(&mut rng, 20, 0.001, 10.0);
         let items = 1 + rng.below(499);
-        let stages: Vec<PipelineStage> = times
-            .iter()
-            .enumerate()
-            .map(|(i, &t)| PipelineStage::new(format!("s{i}"), t))
-            .collect();
-        let r = steady_state_analysis(&stages, items);
+        let r = steady_state_analysis(&times, items);
         let expect = times.iter().sum::<f64>() + (items - 1) as f64 * r.bottleneck_time;
         assert!((r.total_time - expect).abs() < 1e-9);
         let chain = chain_makespan(&times, items);
@@ -204,7 +205,7 @@ fn pipeline_algebra() {
             r.total_time
         );
         assert!(r.pipeline_efficiency > 0.0 && r.pipeline_efficiency <= 1.0 + 1e-12);
-        let more = steady_state_analysis(&stages, items + 100);
+        let more = steady_state_analysis(&times, items + 100);
         assert!(more.pipeline_efficiency >= r.pipeline_efficiency - 1e-12);
     }
 }
